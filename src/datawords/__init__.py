@@ -27,7 +27,7 @@ from .ra import (
 from .ltl2ra import ltl_to_ara
 from .nra import abs_successors, abstract, nonempty_finite, nonempty_infinite
 from .ca import (
-    CounterAutomaton, TriState, accepts_word, format_ca, nonempty_finite_incrementing,
+    CounterAutomaton, Verdict, accepts_word, format_ca, nonempty_finite_incrementing,
     nonempty_infinite_incrementing, nonempty_minsky_bounded, parse_ca, validate_ca,
     verify_lasso,
 )

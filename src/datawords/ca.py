@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import CertificateError, ParseError, PreconditionViolation
 from .words import Alphabet
 
 Transition = tuple  # (source, letter-or-None, op, counter, target)
@@ -139,9 +139,13 @@ class Lasso:
 
 
 @dataclass(frozen=True)
-class TriState:
+class Verdict:
+    """The answer of every nonemptiness decider and of ``accepts_word``.
+    A nonempty verdict carries the certificate its decider checked, if the
+    decider builds one: a ``witness`` or a ``lasso``."""
+
     kind: str  # "empty" | "nonempty" | "unknown"
-    witness: Optional[tuple] = None  # finite word, when applicable
+    witness: object = None  # a letter tuple, or a DataWord from nra
     lasso: Optional[Lasso] = None
     reason: str = ""
 
@@ -154,11 +158,11 @@ class TriState:
         return self.kind == "empty"
 
 
-EMPTY = TriState("empty")
+EMPTY = Verdict("empty")
 
 
 def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "incrementing",
-                 budget: int = 100_000) -> TriState:
+                 budget: int = 100_000) -> Verdict:
     """Does the machine accept this finite word?
 
     Incrementing semantics prunes with a per-position antichain, so the
@@ -167,6 +171,8 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
     finite reachable space is a definite no, otherwise the budget may run
     out with verdict unknown.
     """
+    if semantics not in ("incrementing", "minsky"):
+        raise PreconditionViolation(f"unknown semantics {semantics!r}")
     word = tuple(word)
     step = step_incrementing if semantics == "incrementing" else step_minsky
     start = (0, c.initial, (0,) * c.n_counters, False)
@@ -182,9 +188,9 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
         pos, q, v, moved = queue.popleft()
         explored += 1
         if explored > budget:
-            return TriState("unknown", reason=f"budget of {budget} states spent")
+            return Verdict("unknown", reason=f"budget of {budget} states spent")
         if pos == len(word) and moved and q in c.accepting:
-            return TriState("nonempty", witness=word)
+            return Verdict("nonempty", witness=word)
         for w, _t, (q2, v2) in step(c, (q, v)):
             if w is not None:
                 if pos >= len(word) or word[pos] != w:
@@ -202,12 +208,12 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
                 seen_exact.add(nxt)
             queue.append(nxt)
     if semantics == "incrementing":
-        return TriState("empty", reason="search space exhausted")
-    return TriState("empty", reason="exact state space exhausted")
+        return Verdict("empty", reason="search space exhausted")
+    return Verdict("empty", reason="exact state space exhausted")
 
 
 def nonempty_finite_incrementing(c: CounterAutomaton,
-                                 budget: int = 1_000_000) -> TriState:
+                                 budget: int = 1_000_000) -> Verdict:
     """Complete nonemptiness over finite words for incrementing machines.
 
     Forward minimal-error search with a global antichain per location; the
@@ -224,22 +230,16 @@ def nonempty_finite_incrementing(c: CounterAutomaton,
         (q, v), word = queue.popleft()
         explored += 1
         if explored > budget:
-            return TriState("unknown", reason=f"budget of {budget} states spent")
+            return Verdict("unknown", reason=f"budget of {budget} states spent")
         for w, _t, (q2, v2) in step_incrementing(c, (q, v)):
             word2 = word + (w,) if w is not None else word
             if q2 in c.accepting:
-                check = accepts_word(c, word2, "incrementing")
-                assert check.is_nonempty, "witness failed to replay"
-                return TriState("nonempty", witness=word2)
+                if not accepts_word(c, word2, "incrementing").is_nonempty:
+                    raise CertificateError(f"witness {word2} failed to replay")
+                return Verdict("nonempty", witness=word2)
             if store.add(q2, v2):
                 queue.append(((q2, v2), word2))
-    return TriState("empty", reason="antichain exploration exhausted")
-
-
-def _lasso_word(c: CounterAutomaton, lasso: Lasso) -> tuple[tuple, tuple]:
-    stem = tuple(t[1] for t in lasso.stem if t[1] is not None)
-    cyc = tuple(t[1] for t in lasso.cycle if t[1] is not None)
-    return stem, cyc
+    return Verdict("empty", reason="antichain exploration exhausted")
 
 
 def verify_lasso(c: CounterAutomaton, lasso: Lasso) -> bool:
@@ -371,8 +371,8 @@ def _refutation(c: CounterAutomaton, budget: int):
         while stack:
             steps += 1
             if steps > budget:
-                return TriState("unknown",
-                                reason=f"refutation budget of {budget} spent")
+                return Verdict("unknown",
+                               reason=f"refutation budget of {budget} spent")
             st, path, anc = stack.pop()
             for w, t, nxt in step_incrementing(c, st):
                 path2 = path + (t,)
@@ -428,11 +428,11 @@ def _refutation(c: CounterAutomaton, budget: int):
         cycle += hop(a, b)
     lasso = Lasso(stem, cycle)
     if verify_lasso(c, lasso):
-        return TriState("nonempty", lasso=lasso)
-    return TriState("unknown", reason="spawn cycle failed to replay")
+        return Verdict("nonempty", lasso=lasso)
+    return Verdict("unknown", reason="spawn cycle failed to replay")
 
 
-def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -> TriState:
+def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -> Verdict:
     """Tri-state nonemptiness over infinite words for incrementing machines.
 
     A pumpable accepting cycle is a definite yes; termination of the tree
@@ -441,12 +441,12 @@ def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -
     """
     lasso = _witness_search(c, budget)
     if lasso is not None:
-        return TriState("nonempty", lasso=lasso)
+        return Verdict("nonempty", lasso=lasso)
     return _refutation(c, budget)
 
 
 def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
-                            budget: int = 100_000) -> TriState:
+                            budget: int = 100_000) -> Verdict:
     """Semi-decision for Minsky machines: exact breadth-first search.  A
     definite yes when found; never claims emptiness."""
     start = initial_state(c)
@@ -457,17 +457,17 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
         state, moved, path = queue.popleft()
         explored += 1
         if explored > budget:
-            return TriState("unknown", reason=f"budget of {budget} states spent")
+            return Verdict("unknown", reason=f"budget of {budget} states spent")
         if over == "infinite" and moved and state[0] in c.accepting:
             # look for an exact cycle back to this state through letters
             l = _minsky_cycle(c, state, budget)
             if l is not None:
                 stem = tuple(t for t in path)
-                return TriState("nonempty", lasso=Lasso(stem, l))
+                return Verdict("nonempty", lasso=Lasso(stem, l))
         for w, t, nxt in step_minsky(c, state):
             if over == "finite" and nxt[0] in c.accepting:
                 word = tuple(x[1] for x in path + (t,) if x[1] is not None)
-                return TriState("nonempty", witness=word)
+                return Verdict("nonempty", witness=word)
             key = (nxt, True)
             if key not in seen:
                 seen.add(key)
@@ -475,8 +475,8 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
     if over == "finite":
         # exhausting exact reachability without an accepting hit is still
         # only reported as unknown: the search is a semi-decision by contract
-        return TriState("unknown", reason="exact exploration exhausted")
-    return TriState("unknown", reason="no exact accepting cycle found")
+        return Verdict("unknown", reason="exact exploration exhausted")
+    return Verdict("unknown", reason="no exact accepting cycle found")
 
 
 def _minsky_cycle(c: CounterAutomaton, anchor, budget: int) -> Optional[tuple]:

@@ -14,7 +14,7 @@ import sys
 from . import fo as fo_mod
 from . import ltl as ltl_mod
 from .ca import (
-    accepts_word, ca_to_dot, format_ca, nonempty_finite_incrementing,
+    Verdict, accepts_word, ca_to_dot, format_ca, nonempty_finite_incrementing,
     nonempty_infinite_incrementing, nonempty_minsky_bounded, parse_ca,
     validate_ca,
 )
@@ -30,7 +30,7 @@ from .reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
 )
-from .words import Alphabet, format_data_word, parse_data_word
+from .words import Alphabet, DataWord, format_data_word, parse_data_word
 
 EXIT_FALSE = 0
 EXIT_TRUE = 1
@@ -214,40 +214,38 @@ def cmd_accepts(args, out: _Out) -> int:
     return _verdict_exit(verdict.is_nonempty)
 
 
+def _certificate_text(verdict: Verdict):
+    """A verdict's certificate as text, or None when it carries none."""
+    if isinstance(verdict.witness, DataWord):
+        return format_data_word(verdict.witness)
+    if verdict.witness is not None:
+        return " ".join(verdict.witness)
+    if verdict.lasso is not None:
+        stem = " ".join(t[1] for t in verdict.lasso.stem if t[1] is not None)
+        cyc = " ".join(t[1] for t in verdict.lasso.cycle if t[1] is not None)
+        return f"({stem})({cyc})^w"
+    return None
+
+
 def cmd_empty(args, out: _Out) -> int:
     if args.kind == "nra":
         a = parse_ra(_read(args.file))
-        if args.infinite:
-            value = nonempty_infinite(a)
-            out.emit("nonempty" if value else "empty", nonempty=value)
-            return _verdict_exit(value)
-        value, witness = nonempty_finite(a)
-        if value:
-            out.emit(f"nonempty: {format_data_word(witness)}", nonempty=True,
-                     witness=format_data_word(witness))
-        else:
-            out.emit("empty", nonempty=False)
-        return _verdict_exit(value)
-    c = parse_ca(_read(args.file))
-    if args.semantics == "minsky":
-        verdict = nonempty_minsky_bounded(c, args.words, args.budget)
-    elif args.words == "finite":
-        verdict = nonempty_finite_incrementing(c, args.budget)
+        verdict = (nonempty_infinite if args.infinite else nonempty_finite)(a)
     else:
-        verdict = nonempty_infinite_incrementing(c, args.budget)
+        c = parse_ca(_read(args.file))
+        if args.semantics == "minsky":
+            verdict = nonempty_minsky_bounded(c, args.words, args.budget)
+        elif args.words == "finite":
+            verdict = nonempty_finite_incrementing(c, args.budget)
+        else:
+            verdict = nonempty_infinite_incrementing(c, args.budget)
     if verdict.kind == "unknown":
         out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
         return EXIT_BUDGET
     if verdict.is_nonempty:
-        detail = ""
-        if verdict.witness is not None:
-            detail = f": {' '.join(verdict.witness)}"
-        elif verdict.lasso is not None:
-            stem = " ".join(t[1] for t in verdict.lasso.stem if t[1] is not None)
-            cyc = " ".join(t[1] for t in verdict.lasso.cycle if t[1] is not None)
-            detail = f": ({stem})({cyc})^w"
-        out.emit("nonempty" + detail, verdict="nonempty",
-                 witness=detail.lstrip(": ") or None)
+        text = _certificate_text(verdict)
+        out.emit("nonempty" if text is None else f"nonempty: {text}",
+                 verdict="nonempty", witness=text or None)
         return EXIT_TRUE
     out.emit("empty", verdict="empty")
     return EXIT_FALSE

@@ -75,3 +75,7 @@ class CapExceeded(DatawordsError):
 
 class PreconditionViolation(DatawordsError):
     pass
+
+
+class CertificateError(DatawordsError):
+    """A decider's certificate failed its independent replay."""

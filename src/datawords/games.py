@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
+from .errors import CertificateError
+
 Position = Hashable
 
 
@@ -264,11 +266,12 @@ def _sccs(nodes: set, edges: dict) -> Iterable[set]:
 
 def signature(g: WeakGame) -> dict:
     """A consistent signature assignment defined exactly on player 1's
-    winning region (checked before returning)."""
+    winning region; CertificateError if it fails check_signature."""
     sol = _solve(g)
     alpha = sol.signature
     ok, why = check_signature(g, alpha)
-    assert ok, why
+    if not ok:
+        raise CertificateError(why)
     return alpha
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import ClassMismatch
+from .ca import EMPTY, Verdict
+from .errors import CertificateError, ClassMismatch
 from .ra import (
     BBeg, BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr,
     TStore, TTest, TTop, accepts, classify_ra,
 )
-from .words import DataWord, make_data_word
+from .words import DataWord, format_data_word, make_data_word
 
 
 @dataclass(frozen=True)
@@ -205,23 +205,21 @@ def _current_block(blocks: list[set[int]], pos: int) -> int:
     raise AssertionError("position missing from its block")
 
 
-def nonempty_finite(a: RegisterAutomaton) -> tuple[bool, Optional[DataWord]]:
-    """Finite-word nonemptiness, with a re-verified witness when nonempty.
+def nonempty_finite(a: RegisterAutomaton) -> Verdict:
+    """Finite-word nonemptiness, with a replayed witness when nonempty.
 
     Witnesses from all winning abstract states are canonicalized to the
     shortest (then lexicographically least) one, so the answer does not
-    depend on exploration order."""
+    depend on exploration order; that one witness is replayed."""
     _check_1nra(a)
-    states, index, succs, parent = _explore(a)
-    best: Optional[DataWord] = None
-    for h in states:
-        if is_winning(a, h):
-            w = _witness_from(a, parent, h)
-            assert accepts(a, w), "abstract witness failed to replay"
-            key = (len(w), w.letters, w.class_of)
-            if best is None or key < (len(best), best.letters, best.class_of):
-                best = w
-    return (best is not None), best
+    states, _index, _succs, parent = _explore(a)
+    witnesses = [_witness_from(a, parent, h) for h in states if is_winning(a, h)]
+    if not witnesses:
+        return EMPTY
+    best = min(witnesses, key=lambda w: (len(w), w.letters, w.class_of))
+    if not accepts(a, best):
+        raise CertificateError(f"witness {format_data_word(best)} failed to replay")
+    return Verdict("nonempty", witness=best)
 
 
 def abstract_graph_to_dot(a: RegisterAutomaton, name: str = "abstract") -> str:
@@ -244,14 +242,15 @@ def abstract_graph_to_dot(a: RegisterAutomaton, name: str = "abstract") -> str:
     return "\n".join(lines)
 
 
-def nonempty_infinite(a: RegisterAutomaton) -> bool:
+def nonempty_infinite(a: RegisterAutomaton) -> Verdict:
     """Buchi nonemptiness: a winning abstract state strictly before the end,
-    or a reachable cycle whose location rank is even."""
+    or a reachable cycle whose location rank is even.  Nonempty verdicts
+    carry no certificate."""
     _check_1nra(a)
     states, index, succs, parent = _explore(a)
     for h in states:
         if is_winning(a, h) and not h.at_end:
-            return True
+            return Verdict("nonempty")
     # cycle detection on the abstract graph; ranks are constant on cycles
     edges = {h: tuple(h2 for h2, _ in succs[h]) for h in states}
     from .games import _sccs
@@ -260,5 +259,5 @@ def nonempty_infinite(a: RegisterAutomaton) -> bool:
         if cyclic:
             h = next(iter(scc))
             if a.rank[h.location] % 2 == 0:
-                return True
-    return False
+                return Verdict("nonempty")
+    return EMPTY

@@ -101,7 +101,18 @@ def tf_targets(tf) -> tuple:
     return ()
 
 
-MOVING = (TMove, TTop, TBottom)
+def retarget(tf, f):
+    """The transition formula with every target location q replaced by f(q)."""
+    t = type(tf)
+    if t is TTest:
+        return TTest(tf.guard, f(tf.then), f(tf.other))
+    if t is TStore:
+        return TStore(tf.register, f(tf.target))
+    if t in (TAnd, TOr):
+        return t(f(tf.left), f(tf.right))
+    if t is TMove:
+        return TMove(tf.forward, tf.weak, f(tf.target))
+    return tf
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,17 @@ class RegisterAutomaton:
 
     def __post_init__(self):
         self.locations = tuple(self.locations)
+
+
+def relabel(a: RegisterAutomaton, f) -> RegisterAutomaton:
+    """The same automaton with every location q renamed to f(q); f must be
+    injective on the locations."""
+    return RegisterAutomaton(
+        a.alphabet, tuple(f(q) for q in a.locations), f(a.initial), a.n_registers,
+        {f(q): retarget(tf, f) for q, tf in a.delta.items()},
+        {f(q): r for q, r in a.rank.items()},
+        {f(q): h for q, h in a.height.items()},
+    )
 
 
 def validate(a: RegisterAutomaton) -> list[str]:
@@ -298,38 +320,15 @@ def _is_moving(tf) -> bool:
     return isinstance(tf, (TMove, TTop, TBottom))
 
 
-def _pair_left(tf, q2):
-    """Pair q2 onto every location of a transition formula of the left factor."""
-    t = type(tf)
-    if t is TTest:
-        return TTest(tf.guard, (tf.then, q2), (tf.other, q2))
-    if t is TStore:
-        return TStore(tf.register, (tf.target, q2))
-    if t is TOr:
-        return TOr((tf.left, q2), (tf.right, q2))
-    if t is TAnd:
-        return TAnd((tf.left, q2), (tf.right, q2))
-    if t is TMove:
-        return TMove(tf.forward, tf.weak, (tf.target, q2))
-    raise AssertionError(tf)
-
-
 def _pair_right(q1, tf, shift: int):
+    """Pair q1 onto every location of a transition formula of the right
+    factor, whose registers are shifted past the left factor's."""
     t = type(tf)
-    if t is TTest:
-        g = tf.guard
-        if isinstance(g, BUp):
-            g = BUp(g.register + shift)
-        return TTest(g, (q1, tf.then), (q1, tf.other))
-    if t is TStore:
-        return TStore(tf.register + shift, (q1, tf.target))
-    if t is TOr:
-        return TOr((q1, tf.left), (q1, tf.right))
-    if t is TAnd:
-        return TAnd((q1, tf.left), (q1, tf.right))
-    if t is TMove:
-        return TMove(tf.forward, tf.weak, (q1, tf.target))
-    raise AssertionError(tf)
+    if t is TTest and type(tf.guard) is BUp:
+        tf = TTest(BUp(tf.guard.register + shift), tf.then, tf.other)
+    elif t is TStore:
+        tf = TStore(tf.register + shift, tf.target)
+    return retarget(tf, lambda q2: (q1, q2))
 
 
 def product_1nra(a1: RegisterAutomaton, a2: RegisterAutomaton) -> RegisterAutomaton:
@@ -354,7 +353,7 @@ def product_1nra(a1: RegisterAutomaton, a2: RegisterAutomaton) -> RegisterAutoma
         if isinstance(t1, TBottom) or isinstance(t2, TBottom):
             return TBottom()
         if not m1:
-            return _pair_left(t1, q2)
+            return retarget(t1, lambda p: (p, q2))
         if not m2:
             return _pair_right(q1, t2, shift)
         if isinstance(t1, TTop) and isinstance(t2, TTop):
@@ -362,7 +361,7 @@ def product_1nra(a1: RegisterAutomaton, a2: RegisterAutomaton) -> RegisterAutoma
         if isinstance(t1, TTop):
             return _pair_right(q1, t2, shift)
         if isinstance(t2, TTop):
-            return _pair_left(t1, q2)
+            return retarget(t1, lambda p: (p, q2))
         # both moves, necessarily forward
         return TMove(True, t1.weak and t2.weak, (t1.target, t2.target))
 
@@ -380,39 +379,13 @@ def product_1nra(a1: RegisterAutomaton, a2: RegisterAutomaton) -> RegisterAutoma
     )
 
 
-def _tag_locations(a: RegisterAutomaton, tag: str) -> RegisterAutomaton:
-    def t(q):
-        return (tag, q)
-
-    def retarget(tf):
-        ty = type(tf)
-        if ty is TTest:
-            return TTest(tf.guard, t(tf.then), t(tf.other))
-        if ty is TStore:
-            return TStore(tf.register, t(tf.target))
-        if ty is TAnd:
-            return TAnd(t(tf.left), t(tf.right))
-        if ty is TOr:
-            return TOr(t(tf.left), t(tf.right))
-        if ty is TMove:
-            return TMove(tf.forward, tf.weak, t(tf.target))
-        return tf
-
-    return RegisterAutomaton(
-        a.alphabet, tuple(t(q) for q in a.locations), t(a.initial), a.n_registers,
-        {t(q): retarget(tf) for q, tf in a.delta.items()},
-        {t(q): r for q, r in a.rank.items()},
-        {t(q): h for q, h in a.height.items()},
-    )
-
-
 def _root_combine(a1: RegisterAutomaton, a2: RegisterAutomaton, conj: bool) -> RegisterAutomaton:
     """A fresh root location branching to both initials; registers shared,
     so the maximum of the two counts suffices."""
     if a1.alphabet != a2.alphabet:
         raise ClassMismatch("alphabets differ")
-    l = _tag_locations(a1, "l")
-    r = _tag_locations(a2, "r")
+    l = relabel(a1, lambda q: ("l", q))
+    r = relabel(a2, lambda q: ("r", q))
     root = ("root",)
     ctor = TAnd if conj else TOr
     delta = {**l.delta, **r.delta, root: ctor(l.initial, r.initial)}

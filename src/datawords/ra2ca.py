@@ -34,8 +34,8 @@ from typing import Optional
 from .ca import CounterAutomaton
 from .errors import CapExceeded, ClassMismatch
 from .ra import (
-    BBeg, BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr,
-    TStore, TTest, TTop, classify_ra, validate,
+    BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TOr, TStore, TTest,
+    TTop, classify_ra, relabel, validate,
 )
 
 def _skey(x):
@@ -246,40 +246,15 @@ def embeds(h: Optional[AbstractSet], h2: Optional[AbstractSet]) -> bool:
 # The counter machine
 
 
-def _compact(a: RegisterAutomaton) -> RegisterAutomaton:
-    """Rename locations to small integers: program points embed location
-    sets, and hashing deep formula keys over and over dominates the build."""
-    ix = {q: k for k, q in enumerate(a.locations)}
-
-    def retarget(tf):
-        t = type(tf)
-        if t is TTest:
-            return TTest(tf.guard, ix[tf.then], ix[tf.other])
-        if t is TStore:
-            return TStore(tf.register, ix[tf.target])
-        if t is TAnd:
-            return TAnd(ix[tf.left], ix[tf.right])
-        if t is TOr:
-            return TOr(ix[tf.left], ix[tf.right])
-        if t is TMove:
-            return TMove(tf.forward, tf.weak, ix[tf.target])
-        return tf
-
-    return RegisterAutomaton(
-        a.alphabet, tuple(range(len(a.locations))), ix[a.initial], a.n_registers,
-        {ix[q]: retarget(tf) for q, tf in a.delta.items()},
-        {ix[q]: r for q, r in a.rank.items()},
-        {ix[q]: h for q, h in a.height.items()},
-    )
-
-
 class _Builder:
     def __init__(self, a: RegisterAutomaton, infinite: bool):
         _require_1ara1(a)
         errs = validate(a)
         if errs:
             raise ClassMismatch(f"invalid automaton: {errs[0]}")
-        a = _compact(a)
+        # program points embed location sets, and hashing deep formula
+        # locations over and over dominates the build: use small integers
+        a = relabel(a, {q: k for k, q in enumerate(a.locations)}.__getitem__)
         self.a = a
         self.infinite = infinite
         self.succ = SuccTable(a)

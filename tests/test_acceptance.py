@@ -316,16 +316,16 @@ def test_criterion_6_nra_emptiness():
     rng = random.Random(606)
     while len(suite) < 22:
         a = _random_1nra(rng)
-        yes, w = nonempty_finite(a)
-        if yes and len(w) > 5:
+        v = nonempty_finite(a)
+        if v.is_nonempty and len(v.witness) > 5:
             continue  # keep the curated witnesses short
         suite.append(a)
     for a in suite:
-        yes, w = nonempty_finite(a)
+        v = nonempty_finite(a)
         brute = any(accepts(a, u) for u in corpus5)
-        assert yes == brute, a.delta
-        if yes:
-            assert accepts(a, w)  # re-verification of the witness
+        assert v.is_nonempty == brute, a.delta
+        if v.is_nonempty:
+            assert accepts(a, v.witness)  # re-verification of the witness
     report(6, f"{len(suite)} automata agree with brute force; witnesses replay")
 
 

@@ -10,6 +10,7 @@ from datawords.ca import (
     nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
     validate_ca, verify_lasso, ca_to_dot,
 )
+from datawords.errors import PreconditionViolation
 from datawords.words import Alphabet, alphabet
 
 
@@ -75,6 +76,11 @@ def test_ca_fin_minsky_agrees():
             inc = accepts_word(c, w, "incrementing").is_nonempty
             mis = accepts_word(c, w, "minsky").is_nonempty
             assert inc == mis == every_a_matched(w), w
+
+
+def test_accepts_word_rejects_unknown_semantics():
+    with pytest.raises(PreconditionViolation):
+        accepts_word(ca_fin(), "ab", "incremental")
 
 
 def test_minsky_runs_are_incrementing_runs():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from datawords.cli import main
 from datawords.corpus import ca_fin, ca_inf, matching_ra
 from datawords.ca import format_ca, parse_ca
-from datawords.ra import format_ra, parse_ra
+from datawords.ra import accepts, format_ra, parse_ra
+from datawords.words import parse_data_word
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -93,6 +97,25 @@ rej rank=0 height=0 : false
     f.write_text(text)
     code, out, _ = run(capsys, "empty", "nra", str(f))
     assert code == 0 and "empty" in out
+    code, out, _ = run(capsys, "--json", "empty", "nra", str(f))
+    assert code == 0 and json.loads(out) == {"verdict": "empty"}
+    # store the first class, move, and accept iff the second position shares it
+    g = tmp_path / "repeat.ra"
+    g.write_text("""alphabet: a b
+registers: 1
+init: s
+s rank=1 height=1 : store1 m
+m rank=1 height=0 : X c
+c rank=1 height=1 : if up1 then acc else rej
+acc rank=0 height=0 : true
+rej rank=0 height=0 : false
+""")
+    code, out, _ = run(capsys, "--json", "empty", "nra", str(g))
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] == "nonempty"
+    w = parse_data_word(data["witness"])
+    assert len(w) == 2 and w.class_of[0] == w.class_of[1]
+    assert accepts(parse_ra(g.read_text()), w)
 
 
 def test_translate_ltl2ra_and_accepts(tmp_path, capsys):
@@ -179,6 +202,14 @@ def test_json_output_deterministic(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     json.loads(out1.strip())
+
+
+def test_python_m_datawords():
+    proc = subprocess.run([sys.executable, "-m", "datawords", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: datawords" in proc.stdout
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -99,47 +99,46 @@ def test_move_successors_enumerate_choices():
 
 
 def test_nonempty_trivial():
-    yes, w = nonempty_finite(build({"s": TTop()}))
-    assert yes and len(w) == 1
+    v = nonempty_finite(build({"s": TTop()}))
+    assert v.is_nonempty and len(v.witness) == 1
 
 
 def test_nonempty_two_same_class():
     a = two_same_class_ra()
-    yes, w = nonempty_finite(a)
-    assert yes
-    assert accepts(a, w)
+    v = nonempty_finite(a)
+    assert v.is_nonempty
+    assert accepts(a, v.witness)
     # brute force agrees: the shortest witness has length 2
     assert any(accepts(a, u) for u in enumerate_data_words(AB, 2))
 
 
 def test_empty_when_register_never_stored():
     a = never_stored_ra()
-    yes, w = nonempty_finite(a)
-    assert not yes
+    assert nonempty_finite(a).is_empty
     assert all(not accepts(a, u) for u in enumerate_data_words(AB, 4))
 
 
 def test_nonempty_infinite_cases():
     loop_even = build({"s": TMove(True, False, "s")}, even=["s"])
     assert loop_even.rank["s"] % 2 == 0
-    assert nonempty_infinite(loop_even)
+    assert nonempty_infinite(loop_even).is_nonempty
 
     loop_odd = build({"s": TMove(True, False, "s")})
     assert loop_odd.rank["s"] % 2 == 1
-    assert not nonempty_infinite(loop_odd)
+    assert nonempty_infinite(loop_odd).is_empty
 
     # accepts only by reaching the end: empty over infinite words
     end_only = build({"s": TOr("chk", "mv"),
                       "chk": TTest(BEnd(), "acc", "rej"),
                       "mv": TMove(True, False, "s"),
                       "acc": TTop(), "rej": TBottom()})
-    assert nonempty_finite(end_only)[0]
-    assert not nonempty_infinite(end_only)
+    assert nonempty_finite(end_only).is_nonempty
+    assert nonempty_infinite(end_only).is_empty
 
     # winning anywhere (not only at the end): infinite words too
     anytime = build({"s": TOr("acc", "mv"), "acc": TTop(),
                      "mv": TMove(True, False, "s")})
-    assert nonempty_infinite(anytime)
+    assert nonempty_infinite(anytime).is_nonempty
 
 
 def test_class_mismatch_guard(phi):
@@ -205,13 +204,14 @@ def test_witness_reconstruction_verified():
     found = 0
     for _ in range(40):
         a = random_1nra(rng)
-        yes, w = nonempty_finite(a)
+        v = nonempty_finite(a)
         brute = any(accepts(a, u) for u in enumerate_data_words(AB, 4))
-        if yes:
+        if v.is_nonempty:
             found += 1
-            assert accepts(a, w)  # re-verification
-            if len(w) <= 4:
+            assert accepts(a, v.witness)  # re-verification
+            if len(v.witness) <= 4:
                 assert brute
         else:
+            assert v.is_empty
             assert not brute
     assert found >= 5  # the sample includes nonempty machines
