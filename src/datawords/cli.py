@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Verdict-producing commands exit 0 for false/empty and 1 for true/nonempty;
-usage errors exit 2, parse errors 3, exhausted budgets 4.  With --json each
-result is printed as one JSON object per line.
+usage errors and inputs nested too deeply to process exit 2, parse errors
+(including a letter outside the alphabet) 3, exhausted budgets 4.  With
+--json each result is printed as one JSON object per line.
+
+A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
+of its file, else the letters the formula mentions.
 """
 
 from __future__ import annotations
@@ -75,18 +79,19 @@ def _strip_headers(text: str):
     return "\n".join(body).strip(), sigma
 
 
-def _alphabet_of(args, phi) -> Alphabet:
-    if getattr(args, "alphabet", None):
-        return Alphabet(tuple(args.alphabet.split(",")))
-    letters = sorted(ltl_mod.atoms(phi))
-    if not letters:
-        raise DatawordsError("cannot infer an alphabet; pass --alphabet")
-    return Alphabet(tuple(letters))
-
-
-def _load_ltl(args):
+def _load_ltl(args, need_alphabet: bool = True):
+    """The formula, parsed against its alphabet, and that alphabet (None
+    only for a formula without letters when none is needed)."""
     text, sigma = _strip_headers(_formula_source(args))
+    if getattr(args, "alphabet", None):
+        sigma = Alphabet(tuple(args.alphabet.split(",")))
     phi = ltl_mod.parse_ltl(text, sigma)
+    if sigma is None:
+        letters = tuple(sorted(ltl_mod.atoms(phi)))
+        if letters:
+            sigma = Alphabet(letters)
+        elif need_alphabet:
+            raise DatawordsError("cannot infer an alphabet; pass --alphabet")
     return phi, sigma
 
 
@@ -96,7 +101,7 @@ def _verdict_exit(value: bool) -> int:
 
 def cmd_parse(args, out: _Out) -> int:
     if args.kind == "ltl":
-        phi, _ = _load_ltl(args)
+        phi, _ = _load_ltl(args, need_alphabet=False)
         info = ltl_mod.classify(phi)
         out.emit(f"{ltl_mod.format_ltl(phi)}\n"
                  f"operators: {sorted(info.operators)}  registers: {info.max_register}  "
@@ -148,15 +153,14 @@ def cmd_eval(args, out: _Out) -> int:
             asg.setdefault(0, args.position)
         value = fo_mod.eval_fo(w, asg, f)
     else:
-        phi, _ = _load_ltl(args)
+        phi, _ = _load_ltl(args, need_alphabet=False)
         value = ltl_mod.eval_ltl(w, args.position or 0, {}, phi)
     out.emit(f"{'true' if value else 'false'}", verdict=value)
     return _verdict_exit(value)
 
 
 def cmd_sat_bounded(args, out: _Out) -> int:
-    phi, _ = _load_ltl(args)
-    sigma = _alphabet_of(args, phi)
+    phi, sigma = _load_ltl(args)
     found = ltl_mod.sat_bounded(phi, sigma, args.max_len)
     if found is None:
         out.emit(f"unsatisfiable up to length {args.max_len}",
@@ -169,8 +173,7 @@ def cmd_sat_bounded(args, out: _Out) -> int:
 
 def cmd_translate(args, out: _Out) -> int:
     if args.direction == "ltl2ra":
-        phi, _ = _load_ltl(args)
-        a = ltl_to_ara(phi, _alphabet_of(args, phi))
+        a = ltl_to_ara(*_load_ltl(args))
         text = format_ra(a)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -279,8 +282,7 @@ def cmd_reduce(args, out: _Out) -> int:
 
 
 def cmd_circle(args, out: _Out) -> int:
-    phi, _ = _load_ltl(args)
-    sigma = _alphabet_of(args, phi)
+    phi, sigma = _load_ltl(args)
     found = ltl_mod.sat_bounded(phi, sigma, args.max_len)
     v1 = found is not None
     out.emit(f"[1] bounded satisfiability (length <= {args.max_len}): "
@@ -443,6 +445,9 @@ def main(argv=None) -> int:
     except StateSpaceBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except (DatawordsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,16 +36,16 @@ def unfolding(u: ltl.Formula) -> tuple[ltl.Formula, ltl.Formula]:
     return ltl.Or(u.left, inner), inner
 
 
-def closure(phi: ltl.Formula) -> set[ltl.Formula]:
-    """Subformulas of phi plus top, bottom, and all until unfoldings."""
-    out = set(ltl.subformulas(phi))
-    out.add(ltl.TOP)
-    out.add(ltl.BOT)
+def closure(phi: ltl.Formula) -> list[ltl.Formula]:
+    """Subformulas of phi plus top, bottom, and all until unfoldings, each
+    once, in discovery order."""
+    out = dict.fromkeys(ltl.subformulas(phi))
+    out.update(dict.fromkeys((ltl.TOP, ltl.BOT)))
     for f in list(out):
         if isinstance(f, _UNTIL_TYPES):
             unf, _inner = unfolding(f)
-            out |= set(ltl.subformulas(unf))
-    return out
+            out.update(dict.fromkeys(ltl.subformulas(unf)))
+    return list(out)
 
 
 def ltl_to_ara(phi: ltl.Formula, sigma: Alphabet) -> RegisterAutomaton:
@@ -117,6 +117,6 @@ def ltl_to_ara(phi: ltl.Formula, sigma: Alphabet) -> RegisterAutomaton:
 
     delta = {f: delta_of(f) for f in cl}
     return RegisterAutomaton(
-        sigma, tuple(sorted(cl, key=lambda f: (sizes[f], repr(f)))), psi,
+        sigma, tuple(sorted(cl, key=sizes.__getitem__)), psi,
         ltl.max_register(psi), delta, rank, height,
     )

@@ -38,10 +38,6 @@ from .ra import (
     TTop, classify_ra, relabel, validate,
 )
 
-def _skey(x):
-    return repr(x)
-
-
 class SuccTable:
     """Per-location big-step successor pairs (kept set, refreshed set),
     computed by recursion over heights and memoized."""
@@ -132,13 +128,13 @@ class AbstractSet:
 
 def make_counts(mapping: dict) -> tuple:
     return tuple(sorted(((g, c) for g, c in mapping.items() if c > 0),
-                        key=lambda t: _skey(t[0])))
+                        key=lambda t: repr(t[0])))
 
 
 def _fold_choices(succ: SuccTable, letter: str, at_end: bool, uu: bool, items) -> set:
     """All (kept union, refreshed union) values over per-location choices."""
     acc = {(frozenset(), frozenset())}
-    for q in sorted(items, key=_skey):
+    for q in items:
         choices = succ.get(letter, at_end, uu, q)
         if not choices:
             return set()
@@ -154,9 +150,9 @@ def _combos(a: RegisterAutomaton, h: AbstractSet):
     unit_folds = []
     for g, c in h.counts:
         s = _fold_choices(succ, h.letter, h.at_end, False, g)
-        unit_folds.extend([sorted(s, key=_skey)] * c)
-    for eq in sorted(eqs, key=_skey):
-        for emp in sorted(emps, key=_skey):
+        unit_folds.extend([s] * c)
+    for eq in eqs:
+        for emp in emps:
             for units in itertools.product(*unit_folds):
                 u2_all = eq[1] | emp[1]
                 bag: Counter = Counter()
@@ -211,7 +207,7 @@ def big_step_successors(a: RegisterAutomaton, h: AbstractSet, cap: int,
                     rest = Counter(bag)
                     rest[g] -= 1
                     out.add(AbstractSet(letter, at_end, g, q_empty2, make_counts(rest)))
-    result = sorted(out, key=_skey)
+    result = sorted(out, key=repr)
     return ([None] if saw_none else []) + result
 
 
@@ -288,7 +284,7 @@ class _Builder:
         q = item[0] if self.infinite else item
         tag = item[1] if self.infinite else False
         out = []
-        for (y, z) in sorted(self.succ.get(letter, False, uu, q), key=_pair_key):
+        for (y, z) in self.succ.get(letter, False, uu, q):
             if not self.infinite:
                 out.append((frozenset(y), frozenset(z), False))
                 continue
@@ -321,15 +317,15 @@ class _Builder:
         hit = self.fold_cache.get(key)
         if hit is not None:
             return hit
-        acc = {(frozenset(), frozenset(), False)}
-        for item in sorted(items, key=_skey):
+        acc = {(frozenset(), frozenset(), False): None}
+        for item in sorted(items):
             per = self.item_choices(letter, uu, item, mode)
             if not per:
-                acc = set()
+                acc = {}
                 break
-            acc = {(self.norm(u1 | y), self.norm(u2 | z), n1 or n2)
-                   for (u1, u2, n1) in acc for (y, z, n2) in per}
-        out = sorted(acc, key=_skey)
+            acc = dict.fromkeys((self.norm(u1 | y), self.norm(u2 | z), n1 or n2)
+                                for (u1, u2, n1) in acc for (y, z, n2) in per)
+        out = list(acc)
         self.fold_cache[key] = out
         return out
 
@@ -350,19 +346,21 @@ class _Builder:
     # --- phase A: discover reachable mains, groups and pairs
 
     def discover(self):
-        init_ready = (frozenset(), self.init_items(), False)
-        readys = {init_ready}
-        mains: set = set()
+        # insertion-ordered dicts serve as sets: everything is walked and
+        # later emitted in discovery order, which makes the machine
+        # independent of hash seeds without sorting
+        readys = {(frozenset(), self.init_items(), False): None}
+        mains: dict = {}
         changed = True
         while changed:
             changed = False
-            for (qeq, qemp, _fl) in sorted(readys, key=_skey):
+            for (qeq, qemp, _fl) in readys:
                 for letter in self.letters:
                     core = (letter, qeq, qemp)
                     if core not in mains:
-                        mains.add(core)
+                        mains[core] = None
                         changed = True
-            for core in sorted(mains, key=_skey):
+            for core in mains:
                 letter, qeq, qemp = core
                 for mode in self.modes:
                     eqf = self.fold(letter, True, qeq, mode)
@@ -370,20 +368,20 @@ class _Builder:
                     for g in list(self.groups):
                         for (u1, u2, _n) in self.fold(letter, False, g, mode):
                             changed |= self.add_pair((u1, u2))
-                    qddags = {self.norm(e2 | m2)
-                              for (_e1, e2, _n1) in eqf for (_m1, m2, _n2) in empf}
+                    qddags = dict.fromkeys(self.norm(e2 | m2)
+                                           for (_e1, e2, _n1) in eqf for (_m1, m2, _n2) in empf)
                     for (pu1, pu2) in list(self.pairs):
-                        qddags |= {self.norm(v | pu2) for v in qddags}
+                        qddags.update(dict.fromkeys([self.norm(v | pu2) for v in qddags]))
                         changed |= self.add_group(pu1)
                     for v in qddags:
                         changed |= self.add_group(v)
-                    emp_values = {m1 for (m1, _m2, _n) in empf}
+                    emp_values = dict.fromkeys(m1 for (m1, _m2, _n) in empf)
                     flag = (mode == "fresh") if self.infinite else False
                     for m1 in emp_values:
                         for qeq2 in [frozenset()] + self.groups:
                             r = (qeq2, m1, flag)
                             if r not in readys:
-                                readys.add(r)
+                                readys[r] = None
                                 changed = True
         self.readys = readys
         self.mains = mains
@@ -399,15 +397,15 @@ class _Builder:
 
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
-        trans: set = set()
-        locs: set = set()
+        trans: dict = {}
+        locs: dict = {}
 
         def loc(x):
-            locs.add(x)
+            locs[x] = None
             return x
 
         def add(src, letter, op, ctr, dst):
-            trans.add((loc(src), letter, op, ctr, loc(dst)))
+            trans[(loc(src), letter, op, ctr, loc(dst))] = None
 
         def noop(src, dst, letter=None):
             add(src, letter, "ifz", self.c_zero, dst)
@@ -443,7 +441,7 @@ class _Builder:
             return bad_groups_cache[key]
 
         # ready locations: read the next letter or guess the discharge
-        for (qeq, qemp, flag) in sorted(self.readys, key=_skey):
+        for (qeq, qemp, flag) in self.readys:
             r = ("ready", qeq, qemp, flag)
             for letter in self.letters:
                 noop(r, ("main", letter, qeq, qemp, flag), letter)
@@ -465,7 +463,7 @@ class _Builder:
                         noop(cur, accept_end if at_end else accept_more, letter)
 
         # main locations: run the big-step subroutine
-        for core in sorted(self.mains, key=_skey):
+        for core in self.mains:
             letter, qeq, qemp = core
             for flag in ((False, True) if self.infinite else (False,)):
                 m = ("main", letter, qeq, qemp, flag)
@@ -480,7 +478,7 @@ class _Builder:
             for mode in self.modes:
                 self.emit_subroutine(core, mode, add, noop)
 
-        order = sorted(locs, key=_skey)
+        order = tuple(locs)
         initial = ("ready", frozenset(), self.init_items(), False)
         assert initial in locs
         if self.infinite:
@@ -490,9 +488,8 @@ class _Builder:
             )
         else:
             accepting = frozenset(x for x in locs if x in (accept_end, sink))
-        ca = CounterAutomaton(self.a.alphabet, tuple(order), initial,
-                              self.n_counters, tuple(sorted(trans, key=_skey)),
-                              accepting)
+        ca = CounterAutomaton(self.a.alphabet, order, initial,
+                              self.n_counters, tuple(trans), accepting)
         self.stats.update({
             "locations": len(order),
             "transitions": len(trans),
@@ -531,7 +528,7 @@ class _Builder:
                 continue
             seen_dmap.add(key)
             src = ("dmap", core, mode, gi, k, u1, u2, nat)
-            items = sorted(self.groups[gi], key=_skey)
+            items = sorted(self.groups[gi])
             if k == len(items):
                 assert (u1, u2) in self.pset, "pair escaped discovery"
                 add(src, None, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
@@ -554,7 +551,7 @@ class _Builder:
             if kind == "eq":
                 _, k, u2, nat = entry
                 src = ("eqmap", core, mode, k, u2, nat)
-                items = sorted(qeq, key=_skey)
+                items = sorted(qeq)
                 if k == len(items):
                     nxt = ("empmap", core, mode, 0, frozenset(), u2, nat)
                     noop(src, nxt)
@@ -568,7 +565,7 @@ class _Builder:
             elif kind == "emp":
                 _, k, u1, u2, nat = entry
                 src = ("empmap", core, mode, k, u1, u2, nat)
-                items = sorted(qemp, key=_skey)
+                items = sorted(qemp)
                 if k == len(items):
                     nxt = ("pair", core, mode, 0, u2, u1, nat)
                     noop(src, nxt)
@@ -623,10 +620,6 @@ class _Builder:
                         ("refill", core, mode, pi, qemp1, nat))
                 else:
                     noop(mid, ("refill", core, mode, pi, qemp1, nat))
-
-
-def _pair_key(p):
-    return (_skey(p[0]), _skey(p[1]))
 
 
 def build_ca_finite(a: RegisterAutomaton) -> CounterAutomaton:

@@ -75,13 +75,12 @@ def _chain_conjuncts(c: CounterAutomaton):
     """Conditions on letters alone: well-formedness, chaining and start."""
     ts = c.transitions
     yield ltl.Always(_atoms(ts))  # every letter is a transition
-    yield _atoms([t for t in ts if t[0] == c.initial])  # starts at the initial
+    yield _atoms(c.outgoing(c.initial))  # starts at the initial
     chain = []
     for t in ts:
-        nexts = [t2 for t2 in ts if t2[0] == t[4]]
         chain.append(ltl.Implies(
             ltl.Atom(transition_letter(t)),
-            ltl.Or(ltl.Not(_not_last()), ltl.Next(_atoms(nexts)))))
+            ltl.Or(ltl.Not(_not_last()), ltl.Next(_atoms(c.outgoing(t[4]))))))
     yield ltl.Always(_big_and(chain))
 
 

@@ -186,6 +186,39 @@ def test_circle_cli(capsys):
     assert "verdicts agree: True" in out
 
 
+def test_letter_outside_alphabet_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "sat-bounded", "--ltl", "a & c",
+                         "--alphabet", "a,b", "--max-len", "2")
+    assert code == 3 and "not in the alphabet" in err
+    code, out, err = run(capsys, "circle", "--ltl", "a & c",
+                         "--alphabet", "a,b", "--max-len", "2")
+    assert code == 3 and "not in the alphabet" in err
+    assert out == ""  # refused before stage 1
+
+
+def test_alphabet_header_is_used(tmp_path, capsys):
+    f = tmp_path / "ga.ltl"
+    f.write_text("alphabet: a b\nG a\n")
+    code, out, _ = run(capsys, "translate", "ltl2ra", "--ltl-file", str(f))
+    assert code == 0
+    assert out.startswith("alphabet: a b\n")
+    # --alphabet wins over the header
+    code, out, _ = run(capsys, "translate", "ltl2ra", "--ltl-file", str(f),
+                       "--alphabet", "a,b,c")
+    assert code == 0 and out.startswith("alphabet: a b c\n")
+
+
+def test_deep_nesting_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "datawords", "sat-bounded",
+         "--ltl", "X " * 1000 + "a", "--max-len", "1"],
+        env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == "error: input nested too deeply"
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", "--ra", f"{CORPUS}/matching.ra")
     assert code == 0 and out.startswith("digraph")

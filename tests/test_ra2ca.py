@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +349,38 @@ def test_build_finite_running_example(phi_ca):
     for n in range(1, 5):
         for w in itertools.product("ab", repeat=n):
             assert accepts_word(ca, w).is_nonempty == every_a_matched(w), w
+
+
+_PRINT_MACHINES = """
+from datawords.ca import format_ca, rename_locations
+from datawords.ltl import parse_ltl
+from datawords.ltl2ra import ltl_to_ara
+from datawords.ra import format_ra
+from datawords.ra2ca import build_ca_finite, build_ca_infinite
+from datawords.words import alphabet
+
+ab = alphabet("a", "b")
+a = ltl_to_ara(parse_ltl("G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))", ab), ab)
+print(format_ra(a))
+for build in (build_ca_finite, build_ca_infinite):
+    print(format_ca(rename_locations(build(a))))
+"""
+
+
+def test_machines_independent_of_hash_seed():
+    """The translations are deterministic by construction order: string
+    hashing, and with it set iteration order, must not leak into them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PRINT_MACHINES],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("alphabet: a b") == 3
 
 
 def test_build_finite_empty_language():
