@@ -360,14 +360,14 @@ def _scan_for_lasso(c, states, edges, parent) -> Optional[Lasso]:
             scanned += len(out)
             for t, j in out:
                 nkey = 2 * j + ((key & 1) or accepting[j])
+                # tested before the skip: the start key may be hit itself
+                if nkey & 1 and states[j][0] == q and leq(states[j][1], v):
+                    lasso = Lasso(tuple(path(parent, src)), tuple(path(back, key) + [t]))
+                    if verify_lasso(c, lasso):
+                        return lasso
                 if nkey in back:
                     continue
                 back[nkey] = (key, t)
-                if nkey & 1 and states[j][0] == q and leq(states[j][1], v):
-                    stem = path(parent, src)
-                    lasso = Lasso(tuple(stem), tuple(path(back, nkey)))
-                    if verify_lasso(c, lasso):
-                        return lasso
                 queue.append(nkey)
     return None
 

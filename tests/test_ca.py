@@ -8,7 +8,7 @@ from datawords.ca import (
     Antichain, CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
     leq, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
-    validate_ca, verify_lasso, ca_to_dot,
+    validate_ca, verify_lasso, ca_to_dot, _witness_search,
 )
 from datawords.errors import PreconditionViolation
 from datawords.words import Alphabet, alphabet
@@ -148,6 +148,15 @@ def test_nonempty_infinite_even_loop():
     c = tiny([("q0", "a", "ifz", 1, "q0")], {"q0"})
     v = nonempty_infinite_incrementing(c)
     assert v.is_nonempty and verify_lasso(c, v.lasso)
+
+
+def test_witness_search_finds_return_to_accepting_source():
+    # the only lasso goes straight back to the accepting start state
+    loop = ("q0", "a", "dec", 1, "q0")
+    c = tiny([loop], {"q0"})
+    lasso = _witness_search(c, 1000)
+    assert lasso == Lasso((), (loop,)) and verify_lasso(c, lasso)
+    assert nonempty_infinite_incrementing(c).lasso == lasso
 
 
 def test_nonempty_minsky_bounded():
