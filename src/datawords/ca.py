@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificateError, ParseError, PreconditionViolation
 from .games import _sccs
-from .words import Alphabet
+from .words import Alphabet, parse_alphabet, parse_header_count
 
 Transition = tuple  # (source, letter-or-None, op, counter, target)
 
@@ -333,7 +333,7 @@ def _scan_for_lasso(c, states, edges, parent) -> Optional[Lasso]:
     source's location, at or below its valuation, reached having seen an
     accepting state."""
     accepting = [q in c.accepting for q, _ in states]
-    budget = _PASS_AFTER_EDGE_SCANS * sum(map(len, edges))
+    pass_after = _PASS_AFTER_EDGE_SCANS * sum(map(len, edges))
     scanned = 0
     candidates = None
 
@@ -346,7 +346,7 @@ def _scan_for_lasso(c, states, edges, parent) -> Optional[Lasso]:
         return out
 
     for src, (q, v) in enumerate(states):
-        if candidates is None and scanned > budget:
+        if candidates is None and scanned > pass_after:
             candidates = _lasso_sources(states, edges, accepting)
         if candidates is not None and not candidates[src]:
             continue
@@ -387,12 +387,9 @@ def _lasso_sources(states, edges, accepting) -> list[bool]:
             for _, j in edges[i]:
                 if j in scc:
                     cyclic = True
-                elif accepting[j]:
-                    r |= reach[j] | 1 << j
-                    ra |= reach[j] | 1 << j
-                else:
-                    r |= reach[j] | 1 << j
-                    ra |= reach_acc[j]
+                    continue
+                r |= reach[j] | 1 << j
+                ra |= (reach[j] | 1 << j) if accepting[j] else reach_acc[j]
         if cyclic:
             for i in scc:
                 r |= 1 << i
@@ -423,8 +420,9 @@ def _lasso_sources(states, edges, accepting) -> list[bool]:
                     prefix |= 1 << i
                 for i in run:
                     below[i] &= prefix
-    return [bool((reach[i] if accepting[i] else reach_acc[i]) & below[i])
-            for i in range(n)]
+    # below[i] shares i's location, so it is accepting when i is: a path
+    # from i into below[i] sees an accepting state after i whenever i is one
+    return [bool(reach_acc[i] & below[i]) for i in range(n)]
 
 
 def _refutation(c: CounterAutomaton, budget: int):
@@ -606,9 +604,9 @@ def parse_ca(text: str) -> CounterAutomaton:
         if not line:
             continue
         if line.startswith("alphabet:"):
-            sigma = Alphabet(tuple(line.split(":", 1)[1].split()))
+            sigma = parse_alphabet(line.split(":", 1)[1].split())
         elif line.startswith("counters:"):
-            n_counters = int(line.split(":", 1)[1])
+            n_counters = parse_header_count(line)
         elif line.startswith("init:"):
             initial = line.split(":", 1)[1].strip()
             note(initial)

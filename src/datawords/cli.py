@@ -2,7 +2,8 @@
 
 Verdict-producing commands exit 0 for false/empty and 1 for true/nonempty;
 usage errors and inputs nested too deeply to process exit 2, parse errors
-(including a letter outside the alphabet) 3, exhausted budgets 4.  With
+(including a letter outside the alphabet, an empty or repeated alphabet and
+an automaton that fails validation) 3, exhausted budgets 4.  With
 --json each result is printed as one JSON object per line.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
@@ -34,7 +35,9 @@ from .reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
 )
-from .words import Alphabet, DataWord, format_data_word, parse_data_word
+from .words import (
+    Alphabet, DataWord, format_data_word, parse_alphabet, parse_data_word,
+)
 
 EXIT_FALSE = 0
 EXIT_TRUE = 1
@@ -73,7 +76,7 @@ def _strip_headers(text: str):
     body = []
     for line in text.splitlines():
         if line.strip().startswith("alphabet:"):
-            sigma = Alphabet(tuple(line.split(":", 1)[1].split()))
+            sigma = parse_alphabet(line.split(":", 1)[1].split())
         else:
             body.append(line)
     return "\n".join(body).strip(), sigma
@@ -84,7 +87,7 @@ def _load_ltl(args, need_alphabet: bool = True):
     only for a formula without letters when none is needed)."""
     text, sigma = _strip_headers(_formula_source(args))
     if getattr(args, "alphabet", None):
-        sigma = Alphabet(tuple(args.alphabet.split(",")))
+        sigma = parse_alphabet(args.alphabet.split(","))
     phi = ltl_mod.parse_ltl(text, sigma)
     if sigma is None:
         letters = tuple(sorted(ltl_mod.atoms(phi)))
@@ -93,6 +96,25 @@ def _load_ltl(args, need_alphabet: bool = True):
         elif need_alphabet:
             raise DatawordsError("cannot infer an alphabet; pass --alphabet")
     return phi, sigma
+
+
+def _reject_violations(errs: list):
+    if errs:
+        raise ParseError(f"invalid automaton: {errs[0]}")
+
+
+def _load_ra(path: str):
+    """A register automaton file, parsed and validated."""
+    a = parse_ra(_read(path))
+    _reject_violations(validate(a))
+    return a
+
+
+def _load_ca(path: str):
+    """A counter automaton file, parsed and validated."""
+    c = parse_ca(_read(path))
+    _reject_violations(validate_ca(c))
+    return c
 
 
 def _verdict_exit(value: bool) -> int:
@@ -183,7 +205,7 @@ def cmd_translate(args, out: _Out) -> int:
         else:
             print(text, end="")
         return 0
-    a = parse_ra(_read(args.ra))
+    a = _load_ra(args.ra)
     builder = (build_ca_infinite_with_stats if args.words == "infinite"
                else build_ca_finite_with_stats)
     ca, stats = builder(a)
@@ -202,12 +224,12 @@ def cmd_translate(args, out: _Out) -> int:
 
 def cmd_accepts(args, out: _Out) -> int:
     if args.ra:
-        a = parse_ra(_read(args.ra))
+        a = _load_ra(args.ra)
         w = parse_data_word(args.word)
         value = accepts(a, w, max_states=args.max_states)
         out.emit("accepts" if value else "rejects", verdict=value)
         return _verdict_exit(value)
-    c = parse_ca(_read(args.ca))
+    c = _load_ca(args.ca)
     verdict = accepts_word(c, tuple(args.letters), args.semantics, args.budget)
     if verdict.kind == "unknown":
         out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
@@ -232,10 +254,10 @@ def _certificate_text(verdict: Verdict):
 
 def cmd_empty(args, out: _Out) -> int:
     if args.kind == "nra":
-        a = parse_ra(_read(args.file))
+        a = _load_ra(args.file)
         verdict = (nonempty_infinite if args.infinite else nonempty_finite)(a)
     else:
-        c = parse_ca(_read(args.file))
+        c = _load_ca(args.file)
         if args.semantics == "minsky":
             verdict = nonempty_minsky_bounded(c, args.words, args.budget)
         elif args.words == "finite":
@@ -255,7 +277,7 @@ def cmd_empty(args, out: _Out) -> int:
 
 
 def cmd_reduce(args, out: _Out) -> int:
-    c = parse_ca(_read(args.ca))
+    c = _load_ca(args.ca)
     if args.direction == "ca2ltl":
         phi = (ca_to_ltl_infinite if args.words == "infinite" else ca_to_ltl_finite)(c)
         text = "alphabet: " + " ".join(hat_alphabet(c).letters) + "\n" + \
@@ -324,17 +346,17 @@ def cmd_circle(args, out: _Out) -> int:
 
 def cmd_export_dot(args, out: _Out) -> int:
     if args.ra and args.word:
-        a = parse_ra(_read(args.ra))
+        a = _load_ra(args.ra)
         w = parse_data_word(args.word)
         game, _ = acceptance_game(a, w)
         print(game_to_dot(game))
     elif args.ra and args.abstract:
         from .nra import abstract_graph_to_dot
-        print(abstract_graph_to_dot(parse_ra(_read(args.ra))))
+        print(abstract_graph_to_dot(_load_ra(args.ra)))
     elif args.ra:
-        print(ra_to_dot(parse_ra(_read(args.ra))))
+        print(ra_to_dot(_load_ra(args.ra)))
     else:
-        print(ca_to_dot(parse_ca(_read(args.ca))))
+        print(ca_to_dot(_load_ca(args.ca)))
     return 0
 
 

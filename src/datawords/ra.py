@@ -17,7 +17,7 @@ from .errors import (
     ClassMismatch, ParseError, StateSpaceBudgetExceeded, UnsupportedClassCombination,
 )
 from .games import PositionalStrategy, WeakGame, solve
-from .words import Alphabet, DataWord
+from .words import Alphabet, DataWord, parse_alphabet, parse_header_count
 
 
 # --- tests -----------------------------------------------------------------
@@ -547,9 +547,9 @@ def parse_ra(text: str) -> RegisterAutomaton:
         if not line:
             continue
         if line.startswith("alphabet:"):
-            sigma = Alphabet(tuple(line.split(":", 1)[1].split()))
+            sigma = parse_alphabet(line.split(":", 1)[1].split())
         elif line.startswith("registers:"):
-            n_reg = int(line.split(":", 1)[1])
+            n_reg = parse_header_count(line)
         elif line.startswith("init:"):
             initial = line.split(":", 1)[1].strip()
         else:

@@ -40,6 +40,28 @@ def alphabet(*letters: str) -> Alphabet:
     return Alphabet(tuple(letters))
 
 
+def parse_alphabet(letters: Sequence[str]) -> Alphabet:
+    """The alphabet of a letter list read from text: an empty list, an empty
+    letter or a repeated letter is a ParseError."""
+    letters = tuple(letters)
+    if not letters:
+        raise ParseError("empty alphabet")
+    if "" in letters:
+        raise ParseError("empty letter in the alphabet")
+    for k, a in enumerate(letters):
+        if a in letters[:k]:
+            raise ParseError(f"letter {a!r} repeated in the alphabet")
+    return Alphabet(letters)
+
+
+def parse_header_count(line: str) -> int:
+    """The number of a ``registers: n`` or ``counters: n`` header line."""
+    text = line.split(":", 1)[1].strip()
+    if not text.isdigit():
+        raise ParseError(f"bad count in {line!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class DataWord:
     """A nonempty word together with a partition of its positions.

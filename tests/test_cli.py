@@ -273,3 +273,91 @@ rej rank=0 height=0 : false
     f.write_text(text)
     code, out, _ = run(capsys, "export-dot", "--ra", str(f), "--abstract")
     assert code == 0 and out.startswith("digraph")
+
+
+MISSING_TARGET_RA = """alphabet: a b
+registers: 1
+init: q1
+q1 rank=1 height=1 : store1 q9
+"""
+REGISTER_2_RA = """alphabet: a b
+registers: 1
+init: q1
+q1 rank=1 height=1 : store2 q2
+q2 rank=1 height=0 : true
+"""
+COUNTER_3_CA = """alphabet: a b
+counters: 1
+init: q0
+accepting: q0
+q0 a inc 3 q0
+"""
+
+
+@pytest.fixture
+def malformed(tmp_path, monkeypatch):
+    """Run in a directory holding the malformed automaton files."""
+    for name, text in (("missing.ra", MISSING_TARGET_RA), ("reg.ra", REGISTER_2_RA),
+                       ("ctr.ca", COUNTER_3_CA)):
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, violation", [
+    (["accepts", "--ra", "missing.ra", "--word", "a ; 0"], "'q1': target 'q9' missing"),
+    (["accepts", "--ra", "reg.ra", "--word", "a ; 0"], "'q1': register 2 out of range"),
+    (["accepts", "--ca", "ctr.ca", "--letters", "a"], "counter 3 out of range"),
+])
+def test_accepts_refuses_an_invalid_automaton(malformed, capsys, argv, violation):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == f"parse error: invalid automaton: {violation}"
+
+
+@pytest.mark.parametrize("argv, violation", [
+    (["empty", "nra", "missing.ra"], "'q1': target 'q9' missing"),
+    (["empty", "nra", "reg.ra"], "'q1': register 2 out of range"),
+    (["empty", "ca", "ctr.ca"], "counter 3 out of range"),
+    (["empty", "ca", "ctr.ca", "--words", "infinite"], "counter 3 out of range"),
+])
+def test_empty_refuses_an_invalid_automaton(malformed, capsys, argv, violation):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == f"parse error: invalid automaton: {violation}"
+
+
+@pytest.mark.parametrize("argv, violation", [
+    (["export-dot", "--ra", "missing.ra", "--word", "a ; 0"], "'q1': target 'q9' missing"),
+    (["export-dot", "--ra", "reg.ra", "--word", "a ; 0"], "'q1': register 2 out of range"),
+    (["export-dot", "--ra", "missing.ra", "--abstract"], "'q1': target 'q9' missing"),
+    (["export-dot", "--ca", "ctr.ca"], "counter 3 out of range"),
+])
+def test_export_dot_refuses_an_invalid_automaton(malformed, capsys, argv, violation):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == f"parse error: invalid automaton: {violation}"
+
+
+def test_bad_alphabet_or_count_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    code, _, err = run(capsys, "sat-bounded", "--ltl", "a", "--alphabet", "a,a",
+                       "--max-len", "1")
+    assert code == 3 and err.strip() == "parse error: letter 'a' repeated in the alphabet"
+    code, _, err = run(capsys, "sat-bounded", "--ltl", "a", "--alphabet", "a,",
+                       "--max-len", "1")
+    assert code == 3 and err.strip() == "parse error: empty letter in the alphabet"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.ltl").write_text("alphabet: a a\nG a\n")
+    (tmp_path / "none.ltl").write_text("alphabet:\nG a\n")
+    (tmp_path / "dup.ra").write_text(REGISTER_2_RA.replace("a b", "b b"))
+    (tmp_path / "dup.ca").write_text(COUNTER_3_CA.replace("a b", "a a"))
+    (tmp_path / "count.ca").write_text(COUNTER_3_CA.replace("counters: 1", "counters: x"))
+    for argv, message in (
+            (["sat-bounded", "--ltl-file", "dup.ltl", "--max-len", "1"], "letter 'a' repeated"),
+            (["sat-bounded", "--ltl-file", "none.ltl", "--max-len", "1"], "empty alphabet"),
+            (["empty", "nra", "dup.ra"], "letter 'b' repeated"),
+            (["empty", "ca", "dup.ca"], "letter 'a' repeated"),
+            (["empty", "ca", "count.ca"], "bad count in 'counters: x'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith(f"parse error: {message}"), err
