@@ -321,9 +321,10 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
 # together scanned this many times the graph's edges; then one
 # _lasso_sources pass rules out the sources without a hit.  Most lassos sit
 # at source 0-2 and cost tenths of a millisecond, while the pass costs about
-# a millisecond at 200 states.  On the buchi benchmark (seed 1, 10 s) the
-# p50 was 0.97 ms with the pass first, 0.51 ms with it after source 0, and
-# 0.45, 0.43 and 0.43 ms at 2, 4 and 8 times the edges.
+# a millisecond at 200 states.  On the buchi benchmark (seed 1, 10 s, a
+# shared 2-core host) the p50 was 0.97 ms with the pass first, 0.51 ms with
+# it after source 0, and 0.45, 0.43 and 0.43 ms at 2, 4 and 8 times the
+# edges.
 _PASS_AFTER_EDGE_SCANS = 4
 
 
