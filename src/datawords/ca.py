@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
+from operator import le
 from typing import Optional, Sequence
 
 from .errors import CertificateError, ParseError, PreconditionViolation
@@ -108,7 +109,7 @@ def step_incrementing(c: CounterAutomaton, state: tuple) -> list[tuple]:
 
 
 def leq(v1: Sequence[int], v2: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(v1, v2))
+    return all(map(le, v1, v2))
 
 
 class Antichain:
@@ -401,19 +402,21 @@ def _lasso_sources(states, edges, accepting) -> list[bool]:
             reach_acc[i] = ra
     # below[i]: the states at i's location with valuation <= i's, as the AND
     # over counters of prefix unions in that counter's order
-    below = [0] * n
+    below = [1 << i for i in range(n)]
     by_location: dict = {}
     for i, (q, _) in enumerate(states):
         by_location.setdefault(q, []).append(i)
+    # one sort key per counter: state index -> that counter's value
+    columns = [col.__getitem__ for col in zip(*(v for _, v in states))]
     for group in by_location.values():
+        if len(group) == 1:
+            continue
         everyone = 0
         for i in group:
             everyone |= 1 << i
         for i in group:
             below[i] = everyone
-        for k in range(len(states[0][1])):
-            def value(i, k=k):
-                return states[i][1][k]
+        for value in columns:
             prefix = 0
             for _, run in groupby(sorted(group, key=value), key=value):
                 run = list(run)
@@ -431,37 +434,49 @@ def _refutation(c: CounterAutomaton, budget: int):
     locations and at ancestor-dominated states, then restart from each
     accepting leaf.  Termination with no root revisited proves emptiness;
     a revisited root closes an accepting cycle and is itself a witness.
+
+    Each tree is searched depth first, a node's children last first.  A path
+    is a link ``(link, t)`` back to None at the root, made a tuple only for
+    the lasso, and each root links to the root that spawned it.  ``levels``
+    holds, per location, the valuations on the current branch, so the
+    ancestor test looks only at the ancestors at the successor's location.
     """
+    accepting = c.accepting
     start = initial_state(c)
-    root_paths = {start: ()}
+    spawned_by = {start: None}  # root -> (its parent root, path link from it)
     pending = deque([start])
     spawn_edges: dict = {}
     steps = 0
     while pending:
         root = pending.popleft()
-        spawn_edges.setdefault(root, [])
-        # (state, path-from-root, ancestors on branch)
-        stack = [(root, (), [root])]
+        edges = spawn_edges[root] = []
+        levels: dict = {}
+        branch: list = []  # the levels list of each state on the branch
+        stack = [(root, None, 0)]  # (state, path link, depth on the branch)
         while stack:
             steps += 1
             if steps > budget:
                 return Verdict("unknown",
                                reason=f"refutation budget of {budget} spent")
-            st, path, anc = stack.pop()
+            st, link, depth = stack.pop()
+            while len(branch) > depth:
+                branch.pop().pop()
+            here = levels.setdefault(st[0], [])
+            here.append(st[1])
+            branch.append(here)
+            depth += 1
             for w, t, nxt in step_incrementing(c, st):
-                path2 = path + (t,)
-                if nxt[0] in c.accepting:
-                    spawn_edges[root].append((nxt, path2))
-                    if nxt in root_paths:
-                        # a previously seen root reached again
-                        continue
-                    root_paths[nxt] = root_paths[root] + path2
-                    pending.append(nxt)
+                if nxt[0] in accepting:
+                    edges.append((nxt, (link, t)))
+                    if nxt not in spawned_by:
+                        spawned_by[nxt] = (root, (link, t))
+                        pending.append(nxt)
                     continue
                 q2, v2 = nxt
-                if any(a[0] == q2 and leq(a[1], v2) for a in anc):
+                seen = levels.get(q2)
+                if seen and any(leq(a, v2) for a in seen):
                     continue
-                stack.append((nxt, path2, anc + [nxt]))
+                stack.append((nxt, (link, t), depth))
     # terminated: emptiness unless the spawn graph has a reachable cycle
     color: dict = {}
 
@@ -493,10 +508,15 @@ def _refutation(c: CounterAutomaton, budget: int):
     def hop(a, b):
         for (child, cpath) in spawn_edges[a]:
             if child == b:
-                return cpath
+                return _unlink(cpath)
         raise AssertionError("spawn edge vanished")
 
-    stem = root_paths[cyc_nodes[0]]
+    hops = []
+    node = cyc_nodes[0]
+    while spawned_by[node] is not None:
+        node, link = spawned_by[node]
+        hops.append(_unlink(link))
+    stem = tuple(t for path in reversed(hops) for t in path)
     cycle: tuple = ()
     for a, b in zip(cyc_nodes, cyc_nodes[1:]):
         cycle += hop(a, b)
@@ -504,6 +524,15 @@ def _refutation(c: CounterAutomaton, budget: int):
     if verify_lasso(c, lasso):
         return Verdict("nonempty", lasso=lasso)
     return Verdict("unknown", reason="spawn cycle failed to replay")
+
+
+def _unlink(link) -> tuple:
+    """The transitions of a path link, first to last."""
+    out = []
+    while link is not None:
+        link, t = link
+        out.append(t)
+    return tuple(reversed(out))
 
 
 def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -> Verdict:

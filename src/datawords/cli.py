@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Verdict-producing commands exit 0 for false/empty and 1 for true/nonempty;
-usage errors and inputs nested too deeply to process exit 2, parse errors
-(including a letter outside the alphabet, an empty or repeated alphabet and
-an automaton that fails validation) 3, exhausted budgets 4.  With
---json each result is printed as one JSON object per line.
+usage errors (including ``accepts`` without --ra or --ca, or without the
+--word or --letters its automaton reads) and inputs nested too deeply to
+process exit 2, parse errors (including a letter outside the alphabet, an
+empty or repeated alphabet and an automaton that fails validation) 3,
+exhausted budgets 4.  With --json each result is printed as one JSON object
+per line.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.
@@ -224,13 +226,23 @@ def cmd_translate(args, out: _Out) -> int:
 
 def cmd_accepts(args, out: _Out) -> int:
     if args.ra:
+        if args.word is None:
+            raise DatawordsError("accepts --ra needs --word")
         a = _load_ra(args.ra)
         w = parse_data_word(args.word)
         value = accepts(a, w, max_states=args.max_states)
         out.emit("accepts" if value else "rejects", verdict=value)
         return _verdict_exit(value)
+    if not args.ca:
+        raise DatawordsError("pass --ra or --ca")
+    if args.letters is None:
+        raise DatawordsError("accepts --ca needs --letters")
     c = _load_ca(args.ca)
-    verdict = accepts_word(c, tuple(args.letters), args.semantics, args.budget)
+    letters = tuple(args.letters.split(",") if "," in args.letters else args.letters)
+    for w in letters:
+        if w not in c.alphabet:
+            raise ParseError(f"letter {w!r} not in the alphabet")
+    verdict = accepts_word(c, letters, args.semantics, args.budget)
     if verdict.kind == "unknown":
         out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
         return EXIT_BUDGET
@@ -410,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ra")
     sp.add_argument("--ca")
     sp.add_argument("--word", help="data word (register automata)")
-    sp.add_argument("--letters", help="plain word (counter automata)")
+    sp.add_argument("--letters", help="plain word (counter automata): its characters, "
+                    "or comma-separated letters")
     sp.add_argument("--semantics", choices=["minsky", "incrementing"],
                     default="incrementing")
     sp.add_argument("--budget", type=int, default=100_000)

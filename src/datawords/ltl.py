@@ -190,7 +190,12 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 
 def size(phi: Formula) -> int:
     """Node count of the formula tree (shared subtrees counted repeatedly)."""
-    return 1 + sum(size(c) for c in children(phi))
+    n = 0
+    stack = [phi]
+    while stack:
+        n += 1
+        stack.extend(children(stack.pop()))
+    return n
 
 
 def atoms(phi: Formula) -> frozenset[str]:

@@ -361,3 +361,38 @@ def test_bad_alphabet_or_count_is_a_parse_error(tmp_path, monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith(f"parse error: {message}"), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["accepts", "--ca", f"{CORPUS}/ca_fin.ca"], "accepts --ca needs --letters"),
+    (["accepts", "--ra", f"{CORPUS}/matching.ra"], "accepts --ra needs --word"),
+    (["accepts"], "pass --ra or --ca"),
+])
+def test_accepts_misuse_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_accepts_letter_outside_the_alphabet_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "accepts", "--ca", f"{CORPUS}/ca_fin.ca", "--letters", "zz")
+    assert code == 3 and out == ""
+    assert err.strip() == "parse error: letter 'z' not in the alphabet"
+
+
+def test_accepts_comma_separated_letters(tmp_path, capsys):
+    f = tmp_path / "updown.ca"
+    f.write_text("""alphabet: up down
+counters: 1
+init: q0
+accepting: q2
+q0 up inc 1 q1
+q1 down dec 1 q2
+""")
+    code, out, _ = run(capsys, "accepts", "--ca", str(f), "--letters", "up,down")
+    assert code == 1 and out.strip() == "accepts"
+    code, out, _ = run(capsys, "accepts", "--ca", str(f), "--letters", "down,up")
+    assert code == 0 and out.strip() == "rejects"
+    # without a comma the value is read character by character
+    code, _, err = run(capsys, "accepts", "--ca", str(f), "--letters", "updown")
+    assert code == 3 and err.strip() == "parse error: letter 'u' not in the alphabet"

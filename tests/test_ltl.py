@@ -4,7 +4,7 @@ from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
     And, Atom, Bottom, Freeze, Future, Next, Not, Or, Reg, Top, Until,
     classify, desugar, eval_ltl, format_ltl, is_simple_in, nnf, parse_ltl,
-    sat_bounded,
+    sat_bounded, size,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -152,3 +152,12 @@ def test_sat_bounded(phi):
 
     f = parse_ltl("a & store1 F (b & up1)", AB)
     assert sat_bounded(f, AB, 2) == make_data_word("ab", [{0, 1}])
+
+
+def test_size_of_a_deep_chain():
+    # built in code: the parser still recurses once per level
+    f = Atom("a")
+    for _ in range(5000):
+        f = Next(f)
+    assert size(f) == 5001
+    assert size(And(f, f)) == 10003  # a shared subtree counts once per occurrence
