@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import le
 from typing import Optional, Sequence
 
@@ -173,46 +173,72 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
     suffices.  Minsky semantics can only explore exactly; exhausting the
     finite reachable space is a definite no, otherwise the budget may run
     out with verdict unknown.
+
+    The search is breadth first over (position, location, valuation); a
+    transition reading a letter other than the word's next one is skipped
+    before its valuation is computed.
     """
     if semantics not in ("incrementing", "minsky"):
         raise PreconditionViolation(f"unknown semantics {semantics!r}")
     word = tuple(word)
-    step = step_incrementing if semantics == "incrementing" else step_minsky
-    start = (0, c.initial, (0,) * c.n_counters, False)
-    seen_chain = Antichain()
-    seen_exact: set = set()
+    n = len(word)
+    exact = semantics == "minsky"
+    accepting = c.accepting
+    zero = (0,) * c.n_counters
+    # incrementing: per position, per location, the minimal valuations seen;
+    # minsky: every (position, location, valuation, moved) seen
+    chains: list = [{} for _ in range(n + 1)]
+    chains[0][c.initial] = [zero]
+    seen_exact = {(0, c.initial, zero, False)}
     explored = 0
-    queue = deque([start])
-    if semantics == "incrementing":
-        seen_chain.add((0, c.initial), (0,) * c.n_counters)
-    else:
-        seen_exact.add(start)
+    queue = deque([(0, c.initial, zero, False)])
     while queue:
         pos, q, v, moved = queue.popleft()
         explored += 1
         if explored > budget:
             return Verdict("unknown", reason=f"budget of {budget} states spent")
-        if pos == len(word) and moved and q in c.accepting:
+        if pos == n and moved and q in accepting:
             return Verdict("nonempty", witness=word)
-        for w, _t, (q2, v2) in step(c, (q, v)):
-            if w is not None:
-                if pos >= len(word) or word[pos] != w:
-                    continue
+        letter = word[pos] if pos < n else None
+        for _q, w, op, ctr, q2 in c.outgoing(q):
+            if w is None:
+                pos2 = pos
+            elif w == letter:
                 pos2 = pos + 1
             else:
-                pos2 = pos
-            nxt = (pos2, q2, v2, True)
-            if semantics == "incrementing":
-                if not seen_chain.add((pos2, q2), v2):
+                continue
+            k = ctr - 1
+            if op == "inc":
+                v2 = v[:k] + (v[k] + 1,) + v[k + 1:]
+            elif op == "dec":
+                if v[k]:
+                    v2 = v[:k] + (v[k] - 1,) + v[k + 1:]
+                elif exact:
                     continue
+                else:
+                    v2 = v  # truncated at zero
+            elif v[k]:
+                continue
             else:
+                v2 = v
+            if exact:
+                nxt = (pos2, q2, v2, True)
                 if nxt in seen_exact:
                     continue
                 seen_exact.add(nxt)
-            queue.append(nxt)
-    if semantics == "incrementing":
-        return Verdict("empty", reason="search space exhausted")
-    return Verdict("empty", reason="exact state space exhausted")
+            else:  # Antichain.add, at (pos2, q2)
+                vs = chains[pos2].get(q2)
+                if vs is None:
+                    chains[pos2][q2] = [v2]
+                elif any(map(leq, vs, repeat(v2))):
+                    continue
+                else:
+                    vs[:] = [u for u in vs if not leq(v2, u)]
+                    vs.append(v2)
+            queue.append((pos2, q2, v2, True))
+    if exact:
+        return Verdict("empty", reason="exact state space exhausted")
+    return Verdict("empty", reason="search space exhausted")
 
 
 def nonempty_finite_incrementing(c: CounterAutomaton,
@@ -603,7 +629,8 @@ def _minsky_cycle(c: CounterAutomaton, anchor, budget: int) -> Optional[tuple]:
 
 def rename_locations(c: CounterAutomaton) -> CounterAutomaton:
     """A copy with locations q0..qN, in location order; handy before
-    serializing machines whose locations are structured values."""
+    serializing machines whose locations are not names, such as the
+    integers of machines compiled by ``ra2ca``."""
     names = {q: f"q{k}" for k, q in enumerate(c.locations)}
     return CounterAutomaton(
         c.alphabet, tuple(names[q] for q in c.locations), names[c.initial],
@@ -672,6 +699,9 @@ def format_ca(c: CounterAutomaton) -> str:
 
 
 def ca_to_dot(c: CounterAutomaton, name: str = "ca") -> str:
+    """Graphviz text of the machine, each node labelled by its location:
+    machines compiled by ``ra2ca`` are located at 0..n-1, so their nodes
+    are labelled by those integers."""
     names = {q: f"n{k}" for k, q in enumerate(c.locations)}
     lines = [f"digraph {name} {{"]
     for q in c.locations:

@@ -238,7 +238,11 @@ def cmd_accepts(args, out: _Out) -> int:
     if args.letters is None:
         raise DatawordsError("accepts --ca needs --letters")
     c = _load_ca(args.ca)
-    letters = tuple(args.letters.split(",") if "," in args.letters else args.letters)
+    # one character per letter only while every letter is one character
+    if "," in args.letters or any(len(x) > 1 for x in c.alphabet.letters):
+        letters = tuple(args.letters.split(","))
+    else:
+        letters = tuple(args.letters)
     for w in letters:
         if w not in c.alphabet:
             raise ParseError(f"letter {w!r} not in the alphabet")
@@ -422,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ra")
     sp.add_argument("--ca")
     sp.add_argument("--word", help="data word (register automata)")
-    sp.add_argument("--letters", help="plain word (counter automata): its characters, "
-                    "or comma-separated letters")
+    sp.add_argument("--letters", help="plain word (counter automata): comma-separated "
+                    "letters, or its characters when it has no comma and every letter "
+                    "is one character")
     sp.add_argument("--semantics", choices=["minsky", "incrementing"],
                     default="incrementing")
     sp.add_argument("--budget", type=int, default=100_000)

@@ -261,6 +261,7 @@ class _Builder:
         self.pairs: list = []
         self.pset: set = set()
         self.fold_cache: dict = {}
+        self.choice_cache: dict = {}
         self.stats = {"succ_entries": 0}
 
     # --- item plumbing (items are locations, or (location, marked) pairs)
@@ -281,6 +282,10 @@ class _Builder:
     def item_choices(self, letter: str, uu: bool, item, mode) -> list:
         """(kept items, refreshed items, mark survived) per choice; choices
         that would keep a mark alive are dropped in fresh mode."""
+        key = (letter, uu, item, mode)
+        hit = self.choice_cache.get(key)
+        if hit is not None:
+            return hit
         q = item[0] if self.infinite else item
         tag = item[1] if self.infinite else False
         out = []
@@ -309,6 +314,7 @@ class _Builder:
             y2, z2 = convert(y), convert(z)
             if not blocked:
                 out.append((y2, z2, nat))
+        self.choice_cache[key] = out
         return out
 
     def fold(self, letter: str, uu: bool, items: frozenset, mode) -> list:
@@ -394,15 +400,20 @@ class _Builder:
         base = 2 + len(self.groups)
         self.c_pair = {p: base + k for k, p in enumerate(self.pairs)}
         self.n_counters = 1 + len(self.groups) + len(self.pairs)
+        self.sorted_groups = [sorted(g) for g in self.groups]
 
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
         trans: dict = {}
+        # each program point becomes the next integer on first sight, so a
+        # transition hashes its structured endpoints once
         locs: dict = {}
 
-        def loc(x):
-            locs[x] = None
-            return x
+        def loc(x) -> int:
+            k = locs.get(x)
+            if k is None:
+                k = locs[x] = len(locs)
+            return k
 
         def add(src, letter, op, ctr, dst):
             trans[(loc(src), letter, op, ctr, loc(dst))] = None
@@ -478,20 +489,19 @@ class _Builder:
             for mode in self.modes:
                 self.emit_subroutine(core, mode, add, noop)
 
-        order = tuple(locs)
         initial = ("ready", frozenset(), self.init_items(), False)
         assert initial in locs
         if self.infinite:
             accepting = frozenset(
-                x for x in locs
+                k for x, k in locs.items()
                 if x == sink or (x[0] == "main" and x[4])
             )
         else:
-            accepting = frozenset(x for x in locs if x in (accept_end, sink))
-        ca = CounterAutomaton(self.a.alphabet, order, initial,
+            accepting = frozenset(k for x, k in locs.items() if x in (accept_end, sink))
+        ca = CounterAutomaton(self.a.alphabet, range(len(locs)), locs[initial],
                               self.n_counters, tuple(trans), accepting)
         self.stats.update({
-            "locations": len(order),
+            "locations": len(locs),
             "transitions": len(trans),
             "counters": self.n_counters,
             "groups": len(self.groups),
@@ -528,7 +538,7 @@ class _Builder:
                 continue
             seen_dmap.add(key)
             src = ("dmap", core, mode, gi, k, u1, u2, nat)
-            items = sorted(self.groups[gi])
+            items = self.sorted_groups[gi]
             if k == len(items):
                 assert (u1, u2) in self.pset, "pair escaped discovery"
                 add(src, None, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
@@ -539,6 +549,7 @@ class _Builder:
                 stack.append((gi, k + 1, nu1, nu2, nn))
 
         # choose the current-class and empty-row maps
+        eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
         stack = [("eq", 0, frozenset(), nat)
                  for nat in ((False, True) if self.infinite else (False,))]
@@ -551,7 +562,7 @@ class _Builder:
             if kind == "eq":
                 _, k, u2, nat = entry
                 src = ("eqmap", core, mode, k, u2, nat)
-                items = sorted(qeq)
+                items = eq_items
                 if k == len(items):
                     nxt = ("empmap", core, mode, 0, frozenset(), u2, nat)
                     noop(src, nxt)
@@ -565,7 +576,7 @@ class _Builder:
             elif kind == "emp":
                 _, k, u1, u2, nat = entry
                 src = ("empmap", core, mode, k, u1, u2, nat)
-                items = sorted(qemp)
+                items = emp_items
                 if k == len(items):
                     nxt = ("pair", core, mode, 0, u2, u1, nat)
                     noop(src, nxt)

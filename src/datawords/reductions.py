@@ -39,61 +39,88 @@ def projection_map(c: CounterAutomaton) -> dict:
             for t in c.transitions}
 
 
-def _atoms(ts) -> ltl.Formula:
-    return _big_or([ltl.Atom(transition_letter(t)) for t in ts])
-
-
 def _big_or(parts) -> ltl.Formula:
-    parts = list(parts)
-    if not parts:
-        return ltl.BOT
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = ltl.Or(p, out)
-    return out
+    return _balanced(parts, ltl.Or, ltl.BOT)
 
 
 def _big_and(parts) -> ltl.Formula:
+    return _balanced(parts, ltl.And, ltl.TOP)
+
+
+def _balanced(parts, node, unit) -> ltl.Formula:
+    """The parts joined left to right by a binary node into a tree of
+    logarithmic depth: the sentences of large machines join thousands."""
     parts = list(parts)
     if not parts:
-        return ltl.TOP
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = ltl.And(p, out)
-    return out
+        return unit
+    while len(parts) > 1:
+        joined = [node(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        if len(parts) % 2:
+            joined.append(parts[-1])
+        parts = joined
+    return parts[0]
 
 
-def _with_instr(c: CounterAutomaton, op: str, ctr: int) -> list:
-    return [t for t in c.transitions if t[2] == op and t[3] == ctr]
+class _Table:
+    """One machine's lookups, each built once: the letter atom of every
+    transition, the transitions of every instruction, and the disjunctions
+    of the transitions leaving a location and of those of an instruction."""
+
+    def __init__(self, c: CounterAutomaton):
+        self.c = c
+        self.atom = {t: ltl.Atom(transition_letter(t)) for t in c.transitions}
+        self.by_instr: dict = {}
+        for t in c.transitions:
+            self.by_instr.setdefault((t[2], t[3]), []).append(t)
+        self.leaving_memo: dict = {}
+        self.instr_memo: dict = {}
+
+    def atoms(self, ts) -> ltl.Formula:
+        return _big_or([self.atom[t] for t in ts])
+
+    def with_instr(self, op: str, ctr: int) -> list:
+        return self.by_instr.get((op, ctr), [])
+
+    def leaving(self, q) -> ltl.Formula:
+        f = self.leaving_memo.get(q)
+        if f is None:
+            f = self.leaving_memo[q] = self.atoms(self.c.outgoing(q))
+        return f
+
+    def of(self, op: str, ctr: int) -> ltl.Formula:
+        f = self.instr_memo.get((op, ctr))
+        if f is None:
+            f = self.instr_memo[(op, ctr)] = self.atoms(self.with_instr(op, ctr))
+        return f
 
 
 def _not_last() -> ltl.Formula:
     return ltl.Next(ltl.TOP)
 
 
-def _chain_conjuncts(c: CounterAutomaton):
+def _chain_conjuncts(tab: _Table):
     """Conditions on letters alone: well-formedness, chaining and start."""
-    ts = c.transitions
-    yield ltl.Always(_atoms(ts))  # every letter is a transition
-    yield _atoms(c.outgoing(c.initial))  # starts at the initial
+    c = tab.c
+    yield ltl.Always(tab.atoms(c.transitions))  # every letter is a transition
+    yield tab.leaving(c.initial)  # starts at the initial
     chain = []
-    for t in ts:
+    for t in c.transitions:
         chain.append(ltl.Implies(
-            ltl.Atom(transition_letter(t)),
-            ltl.Or(ltl.Not(_not_last()), ltl.Next(_atoms(c.outgoing(t[4]))))))
+            tab.atom[t], ltl.Or(ltl.Not(_not_last()), ltl.Next(tab.leaving(t[4])))))
     yield ltl.Always(_big_and(chain))
 
 
-def _class_conjuncts(c: CounterAutomaton):
+def _class_conjuncts(tab: _Table):
     """Class constraints (no repeated increments or decrements, zero tests
     not preceded by an unconsumed increment), future operators only."""
+    of, counters = tab.of, range(1, tab.c.n_counters + 1)
+
     def once(kind):
         return ltl.Not(_big_or([
             ltl.Future(ltl.And(
-                _atoms(_with_instr(c, kind, ctr)),
-                ltl.Freeze(1, ltl.Next(ltl.Future(ltl.And(
-                    _atoms(_with_instr(c, kind, ctr)), ltl.Reg(1)))))))
-            for ctr in range(1, c.n_counters + 1)
+                of(kind, ctr),
+                ltl.Freeze(1, ltl.Next(ltl.Future(ltl.And(of(kind, ctr), ltl.Reg(1)))))))
+            for ctr in counters
         ]))
 
     yield once("inc")
@@ -101,49 +128,49 @@ def _class_conjuncts(c: CounterAutomaton):
     # an increment before a zero test must be consumed in between
     yield ltl.Not(_big_or([
         ltl.Future(ltl.And(
-            _atoms(_with_instr(c, "inc", ctr)),
+            of("inc", ctr),
             ltl.Freeze(1, ltl.And(
-                ltl.Next(ltl.Future(_atoms(_with_instr(c, "ifz", ctr)))),
-                ltl.Not(ltl.Next(ltl.Future(ltl.And(
-                    _atoms(_with_instr(c, "dec", ctr)), ltl.Reg(1)))))))))
-        for ctr in range(1, c.n_counters + 1)
+                ltl.Next(ltl.Future(of("ifz", ctr))),
+                ltl.Not(ltl.Next(ltl.Future(ltl.And(of("dec", ctr), ltl.Reg(1)))))))))
+        for ctr in counters
     ]))
     # and never consumed only on the far side of the zero test
     yield ltl.Not(_big_or([
         ltl.Future(ltl.And(
-            _atoms(_with_instr(c, "inc", ctr)),
+            of("inc", ctr),
             ltl.Freeze(1, ltl.Next(ltl.Future(ltl.And(
-                _atoms(_with_instr(c, "ifz", ctr)),
-                ltl.Next(ltl.Future(ltl.And(
-                    _atoms(_with_instr(c, "dec", ctr)), ltl.Reg(1))))))))))
-        for ctr in range(1, c.n_counters + 1)
+                of("ifz", ctr),
+                ltl.Next(ltl.Future(ltl.And(of("dec", ctr), ltl.Reg(1))))))))))
+        for ctr in counters
     ]))
 
 
 def ca_to_ltl_finite(c: CounterAutomaton) -> ltl.Formula:
     """A sentence over the transition alphabet whose models project to
     exactly the finite words the incrementing machine accepts."""
+    tab = _Table(c)
     final = ltl.Always(ltl.Implies(
-        ltl.Not(_not_last()), _atoms([t for t in c.transitions if t[4] in c.accepting])))
-    return _big_and(list(_chain_conjuncts(c)) + [final] + list(_class_conjuncts(c)))
+        ltl.Not(_not_last()), tab.atoms([t for t in c.transitions if t[4] in c.accepting])))
+    return _big_and(list(_chain_conjuncts(tab)) + [final] + list(_class_conjuncts(tab)))
 
 
 def ca_to_ltl_infinite(c: CounterAutomaton) -> ltl.Formula:
     """The infinitary variant: the final-location conjunct becomes a
     recurrence of transitions leaving accepting locations."""
+    tab = _Table(c)
     recur = ltl.Always(ltl.Future(
-        _atoms([t for t in c.transitions if t[0] in c.accepting])))
-    return _big_and(list(_chain_conjuncts(c)) + [recur] + list(_class_conjuncts(c)))
+        tab.atoms([t for t in c.transitions if t[0] in c.accepting])))
+    return _big_and(list(_chain_conjuncts(tab)) + [recur] + list(_class_conjuncts(tab)))
 
 
 def minsky_to_ltl_xffp(c: CounterAutomaton) -> ltl.Formula:
     """The error-free strengthening: every decrement looks back to a
     same-class increment, eliminating faulty decrements."""
+    tab = _Table(c)
     back = _big_and([
         ltl.Always(ltl.Implies(
-            _atoms(_with_instr(c, "dec", ctr)),
-            ltl.Freeze(1, ltl.Past(ltl.And(
-                _atoms(_with_instr(c, "inc", ctr)), ltl.Reg(1))))))
+            tab.of("dec", ctr),
+            ltl.Freeze(1, ltl.Past(ltl.And(tab.of("inc", ctr), ltl.Reg(1))))))
         for ctr in range(1, c.n_counters + 1)
     ])
     return ltl.And(ca_to_ltl_finite(c), back)
@@ -204,6 +231,7 @@ def violation_automata(c: CounterAutomaton) -> list[RegisterAutomaton]:
     run encoding, each accepting exactly the words violating it."""
     sigma = hat_alphabet(c)
     ts = c.transitions
+    tab = _Table(c)
     out = []
 
     # every letter a transition: nothing to violate over this alphabet
@@ -244,7 +272,7 @@ def violation_automata(c: CounterAutomaton) -> list[RegisterAutomaton]:
         top, bot = b.const(True), b.const(False)
         starts = []
         for ctr in range(1, c.n_counters + 1):
-            letters = _letters_of(_with_instr(c, kind, ctr))
+            letters = _letters_of(tab.with_instr(kind, ctr))
             if not letters:
                 continue
             hunt = b.fresh("h")
@@ -265,9 +293,9 @@ def violation_automata(c: CounterAutomaton) -> list[RegisterAutomaton]:
     top, bot = b.const(True), b.const(False)
     starts = []
     for ctr in range(1, c.n_counters + 1):
-        incs = _letters_of(_with_instr(c, "inc", ctr))
-        decs = _letters_of(_with_instr(c, "dec", ctr))
-        ifzs = _letters_of(_with_instr(c, "ifz", ctr))
+        incs = _letters_of(tab.with_instr("inc", ctr))
+        decs = _letters_of(tab.with_instr("dec", ctr))
+        ifzs = _letters_of(tab.with_instr("ifz", ctr))
         if not incs or not ifzs:
             continue
         fx = b.fresh("x")  # forward reference: move on and chase again
@@ -327,10 +355,11 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
     """
     n = c.n_counters
     ts = c.transitions
+    tab = _Table(c)
     block = 2 * n + 1
     hi = [ltl.Atom(f"hi{ctr}") for ctr in range(1, n + 1)]
     lo = [ltl.Atom(f"lo{ctr}") for ctr in range(1, n + 1)]
-    t_any = _atoms(ts)
+    t_any = tab.atoms(ts)
     conj: list[ltl.Formula] = []
 
     # (i) block shape, anchored at the first position
@@ -347,18 +376,16 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
     conj.append(ltl.TOP)
 
     # (iii) the control chain
-    conj.append(_xk(2 * n, _atoms([t for t in ts if t[0] == c.initial])))
+    conj.append(_xk(2 * n, tab.leaving(c.initial)))
     chain = []
     for t in ts:
-        nexts = [t2 for t2 in ts if t2[0] == t[4]]
-        chain.append(ltl.Implies(ltl.Atom(transition_letter(t)),
-                                 _weak_xk(block, _atoms(nexts))))
+        chain.append(ltl.Implies(tab.atom[t], _weak_xk(block, tab.leaving(t[4]))))
     conj.append(ltl.Always(_big_and(chain)))
 
     # (iv) the final block accepts
     conj.append(ltl.Always(ltl.Implies(
         ltl.And(t_any, ltl.Not(_not_last())),
-        _atoms([t for t in ts if t[4] in c.accepting]))))
+        tab.atoms([t for t in ts if t[4] in c.accepting]))))
 
     # (v) initially every counter is zero: hi and lo share a class
     for cix in range(n):
@@ -366,11 +393,9 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
 
     for cix in range(n):
         ctr = cix + 1
-        incs = _atoms(_with_instr(c, "inc", ctr))
-        decs = _atoms(_with_instr(c, "dec", ctr))
-        ifzs = _atoms(_with_instr(c, "ifz", ctr))
-        others_inc = _atoms([t for t in ts if not (t[2] == "inc" and t[3] == ctr)])
-        others_dec = _atoms([t for t in ts if not (t[2] == "dec" and t[3] == ctr)])
+        incs, decs, ifzs = tab.of("inc", ctr), tab.of("dec", ctr), tab.of("ifz", ctr)
+        others_inc = tab.atoms([t for t in ts if not (t[2] == "inc" and t[3] == ctr)])
+        others_dec = tab.atoms([t for t in ts if not (t[2] == "dec" and t[3] == ctr)])
         to_t_from_hi = 2 * (n - cix - 1) + 2
         to_t_from_lo = 2 * (n - cix - 1) + 1
 

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import ca_fin, ca_inf, every_a_matched
 from datawords.ca import (
     Antichain, CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
     leq, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
-    validate_ca, verify_lasso, ca_to_dot, _witness_search,
+    rename_locations, validate_ca, verify_lasso, ca_to_dot, _witness_search,
 )
 from datawords.errors import PreconditionViolation
 from datawords.words import Alphabet, alphabet
@@ -283,3 +284,38 @@ def test_parse_format_round_trip():
     assert back.transitions == c.transitions
     assert back.accepting == c.accepting
     assert "digraph" in ca_to_dot(c)
+
+
+@st.composite
+def any_machine(draw):
+    """A machine with named or integer locations (compiled machines have
+    integers), letters of one or several characters, and any transitions."""
+    n = draw(st.integers(1, 5))
+    locs = tuple(range(n)) if draw(st.booleans()) else tuple(f"s{k}x" for k in range(n))
+    letters = draw(st.sampled_from([("a", "b"), ("up", "down", "x")]))
+    counters = draw(st.integers(1, 3))
+    loc = st.sampled_from(locs)
+    trans = draw(st.lists(
+        st.tuples(loc, st.sampled_from(letters + (None,)),
+                  st.sampled_from(["inc", "dec", "ifz"]), st.integers(1, counters), loc),
+        max_size=8))
+    return CounterAutomaton(Alphabet(letters), locs, draw(loc), counters, tuple(trans),
+                            frozenset(draw(st.sets(loc))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_machine())
+def test_format_parse_round_trip(c):
+    """The .ca text keeps everything but the location list: names are kept,
+    non-string locations are named q0.. by position, and parse_ca lists the
+    locations the text mentions in order of first mention."""
+    named = c if isinstance(c.initial, str) else rename_locations(c)
+    back = parse_ca(format_ca(c))
+    assert back.alphabet == c.alphabet and back.n_counters == c.n_counters
+    assert back.initial == named.initial
+    assert back.accepting == named.accepting
+    assert back.transitions == named.transitions
+    mentioned = {named.initial} | set(named.accepting) | \
+        {q for t in named.transitions for q in (t[0], t[4])}
+    assert set(back.locations) == mentioned
+    assert format_ca(back) == format_ca(c)

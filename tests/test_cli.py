@@ -393,6 +393,23 @@ q1 down dec 1 q2
     assert code == 1 and out.strip() == "accepts"
     code, out, _ = run(capsys, "accepts", "--ca", str(f), "--letters", "down,up")
     assert code == 0 and out.strip() == "rejects"
-    # without a comma the value is read character by character
+    # letters of several characters: the value is split on commas even
+    # without one, so it is never read character by character
     code, _, err = run(capsys, "accepts", "--ca", str(f), "--letters", "updown")
-    assert code == 3 and err.strip() == "parse error: letter 'u' not in the alphabet"
+    assert code == 3 and err.strip() == "parse error: letter 'updown' not in the alphabet"
+
+
+def test_accepts_one_letter_of_several_characters(tmp_path, capsys):
+    f = tmp_path / "up.ca"
+    f.write_text("""alphabet: up down
+counters: 1
+init: q0
+accepting: q1
+q0 up inc 1 q1
+""")
+    code, out, _ = run(capsys, "accepts", "--ca", str(f), "--letters", "up")
+    assert code == 1 and out.strip() == "accepts"
+    code, out, _ = run(capsys, "accepts", "--ca", str(f), "--letters", "down")
+    assert code == 0 and out.strip() == "rejects"
+    code, _, err = run(capsys, "accepts", "--ca", str(f), "--letters", "up,")
+    assert code == 3 and err.strip() == "parse error: letter '' not in the alphabet"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from datawords.ca import (
-    accepts_word, nonempty_finite_incrementing, nonempty_infinite_incrementing,
+    accepts_word, format_ca, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     validate_ca, verify_lasso,
 )
 from datawords.corpus import every_a_matched, matching_ra
@@ -381,6 +382,29 @@ def test_machines_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("alphabet: a b") == 3
+
+
+# sha256 of format_ca on the running example's machines, taken while their
+# locations were still the builder's structured program points
+_RUNNING_EXAMPLE_TEXT = {
+    "finite": "18ff5748db3bdabc7d3b11d2cbcca55825f39ae40a6365b9e39143c36e30ddfa",
+    "infinite": "54a8abab8810e1d51884e2b503c999ef3043ebebd230c0c00c1c43919ac53080",
+}
+
+
+@pytest.mark.parametrize("variant, build", [("finite", build_ca_finite),
+                                            ("infinite", build_ca_infinite)])
+def test_compiled_machines_are_integer_located(phi_ca, variant, build):
+    """Program points become 0..n-1 in discovery order, which is the order
+    format_ca names locations by, so the machine text did not change."""
+    _phi, a, _ca = phi_ca
+    c = build(a)
+    assert c.locations == tuple(range(len(c.locations)))
+    assert c.initial in c.locations and c.accepting <= set(c.locations)
+    assert hashlib.sha256(format_ca(c).encode()).hexdigest() == _RUNNING_EXAMPLE_TEXT[variant]
+    c = build(matching_ra())
+    assert c.locations == tuple(range(len(c.locations)))
+    assert validate_ca(c) == []
 
 
 def test_build_finite_empty_language():

@@ -4,14 +4,14 @@ import pytest
 
 from datawords import ltl
 from datawords.ca import CounterAutomaton, accepts_word, nonempty_finite_incrementing, \
-    nonempty_infinite_incrementing, validate_ca
+    nonempty_infinite_incrementing, rename_locations, validate_ca
 from datawords.errors import PreconditionViolation
 from datawords.ltl import eval_ltl
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import accepts, classify_ra, validate
 from datawords.ra2ca import build_ca_finite
 from datawords.reductions import (
-    ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
+    _big_and, ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
     projection_map, tilde_alphabet, transition_letter, violation_automata,
 )
@@ -293,3 +293,43 @@ def test_circle_closure_three_way():
         ca2 = build_ca_finite(a)
         round_trip = nonempty_finite_incrementing(ca2, budget=2_000_000)
         assert direct.is_nonempty == sat == round_trip.is_nonempty, c.transitions
+
+
+def _depth(phi) -> int:
+    """Nesting depth, counted without recursion."""
+    deepest, stack = 0, [(phi, 1)]
+    while stack:
+        f, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((g, d + 1) for g in ltl.children(f))
+    return deepest
+
+
+def test_running_example_sentence_is_shallow():
+    """The back-translation of the running example's machine joins
+    thousands of conjuncts and disjuncts; joined as balanced trees they stay
+    far below the recursion limit (right-nested, the sentence was 657 deep),
+    so the recursive formatter, parser and nnf can handle it."""
+    ab = alphabet("a", "b")
+    phi = ltl.parse_ltl("G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))", ab)
+    c = rename_locations(build_ca_finite(ltl_to_ara(phi, ab)))
+    back = ca_to_ltl_finite(c)
+    assert ltl.size(back) == 11_893
+    assert _depth(back) <= 32
+    assert ltl.parse_ltl(ltl.format_ltl(back), hat_alphabet(c)) == back
+    assert ltl.atoms(ltl.nnf(back)) == ltl.atoms(back)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 1000])
+def test_big_and_keeps_the_parts_in_order(n):
+    parts = [ltl.Atom(f"p{k}") for k in range(n)]
+    phi = _big_and(parts)
+    leaves, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if type(f) is ltl.And:
+            stack += [f.right, f.left]
+        else:
+            leaves.append(f)
+    assert leaves == (parts or [ltl.TOP])
+    assert _depth(phi) == max(n - 1, 0).bit_length() + 1
