@@ -6,6 +6,9 @@ becomes truncated subtraction and a zero test still demands a true zero.
 Every state simulates every larger one step for step (pick the same witness
 valuation), so minimal-error reachability, closed upwards, is the full
 reachability set; that downward simulation justifies all the pruning below.
+
+The finite-word deciders share one breadth-first search, ``_search``; a
+search budget counts the states taken off the queue.
 """
 
 from __future__ import annotations
@@ -112,26 +115,6 @@ def leq(v1: Sequence[int], v2: Sequence[int]) -> bool:
     return all(map(le, v1, v2))
 
 
-class Antichain:
-    """Per-location store of minimal valuations."""
-
-    def __init__(self):
-        self._data: dict = {}
-
-    def add(self, q, v: tuple) -> bool:
-        """Insert unless dominated; drops dominated entries.  True if kept."""
-        vs = self._data.setdefault(q, [])
-        for u in vs:
-            if leq(u, v):
-                return False
-        vs[:] = [u for u in vs if not leq(v, u)]
-        vs.append(v)
-        return True
-
-    def __len__(self):
-        return sum(len(vs) for vs in self._data.values())
-
-
 @dataclass(frozen=True)
 class Lasso:
     """A replayable certificate of an accepting infinite run: transitions of
@@ -164,47 +147,44 @@ class Verdict:
 EMPTY = Verdict("empty")
 
 
-def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "incrementing",
-                 budget: int = 100_000) -> Verdict:
-    """Does the machine accept this finite word?
-
-    Incrementing semantics prunes with a per-position antichain, so the
-    search space is finite and the answer is complete whenever the budget
-    suffices.  Minsky semantics can only explore exactly; exhausting the
-    finite reachable space is a definite no, otherwise the budget may run
-    out with verdict unknown.
-
-    The search is breadth first over (position, location, valuation); a
-    transition reading a letter other than the word's next one is skipped
-    before its valuation is computed.
+def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int):
+    """Breadth-first search over (position, location, valuation) for a run
+    that reads ``word`` and then, after at least one transition, is at an
+    accepting location.  Returns its path link (see ``_unlink``), False when
+    the space is exhausted, or None when more than ``budget`` states were
+    taken off the queue.  A transition reading a letter other than the
+    word's next one is skipped before its valuation is computed.  With
+    ``word=None`` any letters are read, and the position only records
+    whether one has been: a state reached by a letter is never pruned by the
+    start state, which may be at an accepting location.
     """
-    if semantics not in ("incrementing", "minsky"):
-        raise PreconditionViolation(f"unknown semantics {semantics!r}")
-    word = tuple(word)
-    n = len(word)
-    exact = semantics == "minsky"
+    free = word is None
+    n = 0 if free else len(word)
     accepting = c.accepting
     zero = (0,) * c.n_counters
     # incrementing: per position, per location, the minimal valuations seen;
     # minsky: every (position, location, valuation, moved) seen
-    chains: list = [{} for _ in range(n + 1)]
+    chains: list = [{} for _ in range(n + 1 + free)]
     chains[0][c.initial] = [zero]
     seen_exact = {(0, c.initial, zero, False)}
     explored = 0
-    queue = deque([(0, c.initial, zero, False)])
+    queue = deque([(0, c.initial, zero, False, None)])
     while queue:
-        pos, q, v, moved = queue.popleft()
+        pos, q, v, moved, link = queue.popleft()
         explored += 1
         if explored > budget:
-            return Verdict("unknown", reason=f"budget of {budget} states spent")
-        if pos == n and moved and q in accepting:
-            return Verdict("nonempty", witness=word)
+            return None
+        if pos >= n and moved and q in accepting:
+            return link
         letter = word[pos] if pos < n else None
-        for _q, w, op, ctr, q2 in c.outgoing(q):
+        for t in c.outgoing(q):
+            _q, w, op, ctr, q2 = t
             if w is None:
                 pos2 = pos
             elif w == letter:
                 pos2 = pos + 1
+            elif free:
+                pos2 = 1
             else:
                 continue
             k = ctr - 1
@@ -226,7 +206,7 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
                 if nxt in seen_exact:
                     continue
                 seen_exact.add(nxt)
-            else:  # Antichain.add, at (pos2, q2)
+            else:  # insert unless dominated, dropping what it dominates
                 vs = chains[pos2].get(q2)
                 if vs is None:
                     chains[pos2][q2] = [v2]
@@ -235,40 +215,52 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
                 else:
                     vs[:] = [u for u in vs if not leq(v2, u)]
                     vs.append(v2)
-            queue.append((pos2, q2, v2, True))
-    if exact:
-        return Verdict("empty", reason="exact state space exhausted")
-    return Verdict("empty", reason="search space exhausted")
+            queue.append((pos2, q2, v2, True, (link, t)))
+    return False
+
+
+def _letters(link) -> tuple:
+    """The word a path link reads."""
+    return tuple(t[1] for t in _unlink(link) if t[1] is not None)
+
+
+def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "incrementing",
+                 budget: int = 100_000) -> Verdict:
+    """Does the machine accept this finite word?
+
+    Incrementing semantics prunes with a per-position antichain, so the
+    answer is complete whenever the budget suffices.  Minsky semantics can
+    only explore exactly: exhausting the reachable space is a definite no,
+    otherwise the budget, of states taken off the queue, may run out.
+    """
+    if semantics not in ("incrementing", "minsky"):
+        raise PreconditionViolation(f"unknown semantics {semantics!r}")
+    word = tuple(word)
+    found = _search(c, word, semantics == "minsky", budget)
+    if found is None:
+        return Verdict("unknown", reason=f"budget of {budget} states spent")
+    if found:
+        return Verdict("nonempty", witness=word)
+    space = "exact state space" if semantics == "minsky" else "search space"
+    return Verdict("empty", reason=f"{space} exhausted")
 
 
 def nonempty_finite_incrementing(c: CounterAutomaton,
                                  budget: int = 1_000_000) -> Verdict:
-    """Complete nonemptiness over finite words for incrementing machines.
-
-    Forward minimal-error search with a global antichain per location; the
-    store only ever shrinks valuations, so the exploration is finite and a
-    reachable accepting location (after at least one transition) decides.
-    The witness is re-checked with accepts_word before being reported.
-    """
-    store = Antichain()
-    start = initial_state(c)
-    queue = deque([(start, ())])
-    store.add(start[0], start[1])
-    explored = 0
-    while queue:
-        (q, v), word = queue.popleft()
-        explored += 1
-        if explored > budget:
-            return Verdict("unknown", reason=f"budget of {budget} states spent")
-        for w, _t, (q2, v2) in step_incrementing(c, (q, v)):
-            word2 = word + (w,) if w is not None else word
-            if q2 in c.accepting:
-                if not accepts_word(c, word2, "incrementing").is_nonempty:
-                    raise CertificateError(f"witness {word2} failed to replay")
-                return Verdict("nonempty", witness=word2)
-            if store.add(q2, v2):
-                queue.append(((q2, v2), word2))
-    return Verdict("empty", reason="antichain exploration exhausted")
+    """Complete nonemptiness over finite words for incrementing machines:
+    the minimal-error search with antichains is finite, and a reachable
+    accepting location (after at least one transition) decides.  The budget
+    counts states taken off the queue.  The witness is re-checked with
+    accepts_word before being reported."""
+    found = _search(c, None, False, budget)
+    if found is None:
+        return Verdict("unknown", reason=f"budget of {budget} states spent")
+    if not found:
+        return Verdict("empty", reason="antichain exploration exhausted")
+    word = _letters(found)
+    if not accepts_word(c, word, "incrementing").is_nonempty:
+        raise CertificateError(f"witness {word} failed to replay")
+    return Verdict("nonempty", witness=word)
 
 
 def verify_lasso(c: CounterAutomaton, lasso: Lasso) -> bool:
@@ -301,10 +293,11 @@ def _apply_min(c: CounterAutomaton, state, t) -> Optional[tuple]:
     return None
 
 
-def _explore_min_graph(c: CounterAutomaton, budget: int):
-    """Bounded BFS of the minimal-error graph: (states, edges, parent), with
-    ``edges[i] = [(t, j), ...]`` and ``parent[i] = (j, t)`` (None at the
-    start) over state indices.  Successors beyond the budget are dropped."""
+def _explore_min_graph(c: CounterAutomaton, budget: int, step=step_incrementing):
+    """Bounded BFS of the minimal-error graph (the exact one with
+    ``step_minsky``): (states, edges, parent), with ``edges[i] = [(t, j),
+    ...]`` and ``parent[i] = (j, t)`` (None at the start) over state indices.
+    Successors beyond the budget are dropped."""
     start = initial_state(c)
     states = [start]
     index = {start: 0}
@@ -312,7 +305,7 @@ def _explore_min_graph(c: CounterAutomaton, budget: int):
     parent: list = [None]
     for k, st in enumerate(states):  # grows while it is walked: a BFS queue
         out = []
-        for w, t, nxt in step_incrementing(c, st):
+        for w, t, nxt in step(c, st):
             j = index.get(nxt)
             if j is None:
                 if len(states) >= budget:
@@ -333,7 +326,7 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
     The stages bound the memory of the scan's reachability bitsets, which is
     quadratic in the explored graph.
     """
-    caps = [cap for cap in (200, 1500, 6000) if cap <= budget] or [budget]
+    caps = [cap for cap in _STAGES if cap <= budget] or [budget]
     for cap in caps:
         states, edges, parent = _explore_min_graph(c, cap)
         lasso = _scan_for_lasso(c, states, edges, parent)
@@ -342,6 +335,19 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
         if len(states) < cap:  # the whole graph fit: no point deepening
             break
     return None
+
+
+_STAGES = (200, 1500, 6000)  # the graph sizes a lasso search explores afresh
+
+
+def _path(back, key) -> list:
+    """The transitions to ``key`` in back-pointers ``back[key] = (key', t)``."""
+    out = []
+    while back[key] is not None:
+        key, t = back[key]
+        out.append(t)
+    out.reverse()
+    return out
 
 
 # The scan searches from every source in index order until its searches have
@@ -364,15 +370,6 @@ def _scan_for_lasso(c, states, edges, parent) -> Optional[Lasso]:
     pass_after = _PASS_AFTER_EDGE_SCANS * sum(map(len, edges))
     scanned = 0
     candidates = None
-
-    def path(back, key) -> list:
-        out = []
-        while back[key] is not None:
-            key, t = back[key]
-            out.append(t)
-        out.reverse()
-        return out
-
     for src, (q, v) in enumerate(states):
         if candidates is None and scanned > pass_after:
             candidates = _lasso_sources(states, edges, accepting)
@@ -390,7 +387,7 @@ def _scan_for_lasso(c, states, edges, parent) -> Optional[Lasso]:
                 nkey = 2 * j + ((key & 1) or accepting[j])
                 # tested before the skip: the start key may be hit itself
                 if nkey & 1 and states[j][0] == q and leq(states[j][1], v):
-                    lasso = Lasso(tuple(path(parent, src)), tuple(path(back, key) + [t]))
+                    lasso = Lasso(tuple(_path(parent, src)), tuple(_path(back, key) + [t]))
                     if verify_lasso(c, lasso):
                         return lasso
                 if nkey in back:
@@ -576,55 +573,56 @@ def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -
 
 def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
                             budget: int = 100_000) -> Verdict:
-    """Semi-decision for Minsky machines: exact breadth-first search.  A
-    definite yes when found; never claims emptiness."""
-    start = initial_state(c)
-    seen = {(start, False)}
-    queue = deque([(start, False, ())])
-    explored = 0
-    while queue:
-        state, moved, path = queue.popleft()
-        explored += 1
-        if explored > budget:
-            return Verdict("unknown", reason=f"budget of {budget} states spent")
-        if over == "infinite" and moved and state[0] in c.accepting:
-            # look for an exact cycle back to this state through letters
-            l = _minsky_cycle(c, state, budget)
-            if l is not None:
-                stem = tuple(t for t in path)
-                return Verdict("nonempty", lasso=Lasso(stem, l))
-        for w, t, nxt in step_minsky(c, state):
-            if over == "finite" and nxt[0] in c.accepting:
-                word = tuple(x[1] for x in path + (t,) if x[1] is not None)
-                return Verdict("nonempty", witness=word)
-            key = (nxt, True)
-            if key not in seen:
-                seen.add(key)
-                queue.append((nxt, True, path + (t,)))
+    """Semi-decision for Minsky machines by exact breadth-first search.  A
+    definite yes when found; never claims emptiness.  The budget counts
+    states taken off the queue.  Over infinite words, stages of growing size,
+    the last of ``budget`` states and fewer than three times it in all, look
+    for an accepting state on a cycle that reads a letter."""
+    if over not in ("finite", "infinite"):
+        raise PreconditionViolation(f"unknown word kind {over!r}")
     if over == "finite":
+        found = _search(c, None, True, budget)
+        if found is None:
+            return Verdict("unknown", reason=f"budget of {budget} states spent")
+        if found:
+            return Verdict("nonempty", witness=_letters(found))
         # exhausting exact reachability without an accepting hit is still
         # only reported as unknown: the search is a semi-decision by contract
         return Verdict("unknown", reason="exact exploration exhausted")
-    return Verdict("unknown", reason="no exact accepting cycle found")
+    for cap in [cap for cap in _STAGES if cap < budget] + [budget]:
+        states, edges, parent = _explore_min_graph(c, cap, step_minsky)
+        lasso = _exact_lasso(c, states, edges, parent)
+        if lasso is not None:
+            return Verdict("nonempty", lasso=lasso)
+        if len(states) < cap:  # the whole graph fit
+            return Verdict("unknown", reason="no exact accepting cycle found")
+    return Verdict("unknown", reason=f"budget of {budget} states spent")
 
 
-def _minsky_cycle(c: CounterAutomaton, anchor, budget: int) -> Optional[tuple]:
-    seen = {anchor}
-    queue = deque([(anchor, ())])
-    explored = 0
-    while queue:
-        state, path = queue.popleft()
-        explored += 1
-        if explored > budget:
-            return None
-        for w, t, nxt in step_minsky(c, state):
-            path2 = path + (t,)
-            if nxt == anchor and any(x[1] is not None for x in path2):
-                return path2
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path2))
-    return None
+def _exact_lasso(c: CounterAutomaton, states, edges, parent) -> Optional[Lasso]:
+    """The first accepting state on a cycle that reads a letter, with its
+    shortest one: such a cycle exists when the state's strongly connected
+    component has an edge that reads a letter, and stays in it."""
+    src = None
+    for scc in _sccs(range(len(states)), [[j for _, j in out] for out in edges]):
+        if any(t[1] is not None and j in scc for i in scc for t, j in edges[i]):
+            first = min((i for i in scc if states[i][0] in c.accepting), default=None)
+            if first is not None and (src is None or first < src):
+                src, home = first, scc
+    if src is None:
+        return None
+    # a BFS over (state, a letter read) within the component, back to src
+    back: dict = {(src, False): None}
+    queue = deque(back)
+    while True:
+        key = queue.popleft()
+        for t, j in edges[key[0]]:
+            nkey = (j, key[1] or t[1] is not None)
+            if nkey == (src, True):
+                return Lasso(tuple(_path(parent, src)), tuple(_path(back, key) + [t]))
+            if j in home and nkey not in back:
+                back[nkey] = (key, t)
+                queue.append(nkey)
 
 
 def rename_locations(c: CounterAutomaton) -> CounterAutomaton:

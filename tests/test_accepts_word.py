@@ -4,10 +4,11 @@ speeds up.
 ``reference_accepts_word`` steps with the generic ``step_incrementing`` /
 ``step_minsky``, which compute every enabled transition's valuation, drops
 the ones reading another letter afterwards, and keeps an ``Antichain`` keyed
-by (position, location).  ``ca.accepts_word`` skips a transition reading
-another letter before computing its valuation and keeps one antichain per
-position; it visits the same states in the same order, so the two must give
-the same verdict, ``unknown`` under a budget included.
+by (position, location).  ``ca.accepts_word`` runs ``ca._search``, which
+skips a transition reading another letter before computing its valuation
+and keeps one antichain per position; it visits the same states in the same
+order, so the two must give the same verdict, ``unknown`` under a budget
+included.
 """
 
 from collections import deque
@@ -16,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datawords.ca import (
-    Antichain, CounterAutomaton, Verdict, accepts_word, step_incrementing, step_minsky,
+    CounterAutomaton, Verdict, accepts_word, step_incrementing, step_minsky,
 )
 from datawords.ltl import parse_ltl
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra2ca import build_ca_finite
 from datawords.words import Alphabet
 
+from test_finite_nonempty import Antichain
 from test_lasso_scan import machines
 
 

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datawords import ca
 from datawords.corpus import ca_fin, ca_inf, every_a_matched
 from datawords.ca import (
-    Antichain, CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
+    CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
     leq, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
     rename_locations, validate_ca, verify_lasso, ca_to_dot, _witness_search,
@@ -168,6 +169,43 @@ def test_nonempty_minsky_bounded():
     assert v.is_nonempty and v.witness == ("a", "a", "a")
     none = tiny([("q0", "a", "inc", 1, "q0")], set())
     assert nonempty_minsky_bounded(none, "finite", budget=500).kind == "unknown"
+    with pytest.raises(PreconditionViolation):
+        nonempty_minsky_bounded(none, "omega")
+
+
+def replay_exact(c, path, state):
+    """The states an exact run visits from ``state`` along ``path``."""
+    out = []
+    for t in path:
+        (state,) = [nxt for _w, t2, nxt in step_minsky(c, state) if t2 == t]
+        out.append(state)
+    return out
+
+
+@pytest.mark.parametrize("machine", [ca_fin, ca_inf])
+def test_minsky_infinite_lasso_replays_exactly(machine):
+    c = machine()
+    v = nonempty_minsky_bounded(c, "infinite")
+    assert v.is_nonempty
+    anchor = (replay_exact(c, v.lasso.stem, initial_state(c)) or [initial_state(c)])[-1]
+    cycle = replay_exact(c, v.lasso.cycle, anchor)
+    assert cycle[-1] == anchor
+    assert any(t[1] is not None for t in v.lasso.cycle)
+    assert any(q in c.accepting for q, _ in cycle)
+
+
+@pytest.mark.parametrize("budget", [250, 2000])
+def test_minsky_infinite_budget_bounds_the_call(monkeypatch, budget):
+    pump = tiny([("q0", "a", "inc", 1, "q0")], {"q0"})
+    calls = []
+
+    def counted(c, state):
+        calls.append(state)
+        return step_minsky(c, state)
+
+    monkeypatch.setattr(ca, "step_minsky", counted)
+    assert nonempty_minsky_bounded(pump, "infinite", budget).kind == "unknown"
+    assert 0 < len(calls) <= 3 * budget
 
 
 def random_machine(rng, n_locs=3, n_counters=2, n_trans=4):
@@ -266,15 +304,6 @@ def test_minimal_error_adequacy():
                         frontier.append(nxt)
         up = {(q, v) for (q, m) in mins for v in box(c.n_counters, cap) if leq(m, v)}
         assert dag == up, c.transitions
-
-
-def test_antichain():
-    ac = Antichain()
-    assert ac.add("q", (1, 1))
-    assert not ac.add("q", (2, 1))
-    assert ac.add("q", (0, 2))
-    assert ac.add("q", (1, 0))
-    assert len(ac) == 2  # (1,0) evicts (1,1)
 
 
 def test_parse_format_round_trip():

@@ -59,9 +59,30 @@ except CertificateError:
 """
 
 
-def test_witness_check_survives_optimize():
-    proc = subprocess.run([sys.executable, "-O", "-c", PROBE],
+CA_PROBE = """
+from datawords import ca
+from datawords.corpus import ca_fin
+from datawords.errors import CertificateError
+
+ca.accepts_word = lambda *args, **kw: ca.EMPTY
+try:
+    ca.nonempty_finite_incrementing(ca_fin())
+except CertificateError:
+    print("raised; asserts on:", __debug__)
+"""
+
+
+def run_optimized(probe: str) -> str:
+    proc = subprocess.run([sys.executable, "-O", "-c", probe],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised; asserts on: False"
+    return proc.stdout.strip()
+
+
+def test_witness_check_survives_optimize():
+    assert run_optimized(PROBE) == "raised; asserts on: False"
+
+
+def test_ca_witness_check_survives_optimize():
+    assert run_optimized(CA_PROBE) == "raised; asserts on: False"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datawords import ltl
 from datawords.errors import NotSimpleFragment, UnboundVariable, WrongFreeVariable
@@ -10,6 +11,8 @@ from datawords.fo import (
     parse_fo, simple_ltl_to_fo2,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
+
+from test_acceptance import _random_fo2
 
 AB = alphabet("a", "b")
 
@@ -202,3 +205,10 @@ def test_round_trip_fo_to_ltl():
         for w in words:
             for i in range(len(w)):
                 assert ltl.eval_ltl(w, i, {}, out) == eval_fo(w, {0: i}, f), (f, w, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4))
+def test_format_parse_round_trip_random(rng, depth):
+    psi = _random_fo2(rng, depth=depth)
+    assert parse_fo(format_fo(psi)) == psi

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
@@ -7,6 +8,8 @@ from datawords.ltl import (
     sat_bounded, size,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
+
+from test_acceptance import _random_simple_sentence, _random_xu_sentence
 
 AB = alphabet("a", "b")
 
@@ -161,3 +164,10 @@ def test_size_of_a_deep_chain():
         f = Next(f)
     assert size(f) == 5001
     assert size(And(f, f)) == 10003  # a shared subtree counts once per occurrence
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 24))
+def test_format_parse_round_trip_random(rng, size):
+    for phi in (_random_xu_sentence(rng, size), _random_simple_sentence(rng, max_size=size)):
+        assert parse_ltl(format_ltl(phi), AB) == phi

@@ -2,17 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import matching_ra
 from datawords.errors import ClassMismatch, StateSpaceBudgetExceeded
 from datawords.ltl import eval_ltl
+from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import (
     BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest,
     TTop, accepting_strategy, acceptance_game, accepts, assign_annotations,
     classify_ra, complement, dual, format_ra, intersect, parse_ra, product_1nra,
-    ra_to_dot, union, validate,
+    ra_to_dot, relabel, union, validate,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
+
+from test_acceptance import _random_xu_sentence
 
 AB = alphabet("a", "b")
 
@@ -241,3 +245,13 @@ def test_unique_successor_owner_is_irrelevant(mra):
         flipped = WeakGame(list(game.positions), flipped_owner,
                            dict(game.succ), dict(game.rank))
         assert solve(game, init)[0] == solve(flipped, init)[0], w
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 16))
+def test_format_parse_round_trip_translated(rng, size):
+    """The text keeps everything; locations that are not names, such as the
+    formulas of translated automata, are named q0.. by position."""
+    a = ltl_to_ara(_random_xu_sentence(rng, size), AB)
+    names = {q: q if isinstance(q, str) else f"q{k}" for k, q in enumerate(a.locations)}
+    assert parse_ra(format_ra(a)) == relabel(a, names.__getitem__)

@@ -5,7 +5,9 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -22,8 +24,7 @@ from datawords.ra import (
     TTop, accepts, assign_annotations, validate,
 )
 from datawords.ra2ca import (
-    AbstractSet, big_step, big_step_successors, build_ca_finite,
-    build_ca_infinite, embeds, make_counts, succ_table,
+    SuccTable, _require_1ara1, build_ca_finite, build_ca_infinite, succ_table,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -87,6 +88,138 @@ def test_succ_table_test_and_or():
     assert succ_table(a, "b", False, False, "q") == frozenset()
     assert succ_table(a, "b", False, True, "q") == frozenset(
         {(frozenset(), frozenset())})
+
+
+# --- abstract sets and the big-step relation --------------------------------
+# A direct implementation of the abstraction that the counter machine encodes
+# with unbounded bags; only suitable for small instances.
+
+
+@dataclass(frozen=True)
+class AbstractSet:
+    letter: str
+    at_end: bool
+    q_eq: frozenset      # locations whose register holds the current class
+    q_empty: frozenset   # locations with an undefined register
+    counts: tuple        # sorted ((location set, multiplicity), ...), all > 0
+
+    def __post_init__(self):
+        assert self.q_eq or self.q_empty or self.counts, "the empty set is spelled None"
+
+    def count_map(self) -> dict:
+        return dict(self.counts)
+
+
+def make_counts(mapping: dict) -> tuple:
+    return tuple(sorted(((g, c) for g, c in mapping.items() if c > 0),
+                        key=lambda t: repr(t[0])))
+
+
+def _fold_choices(succ: SuccTable, letter: str, at_end: bool, uu: bool, items) -> set:
+    """All (kept union, refreshed union) values over per-location choices."""
+    acc = {(frozenset(), frozenset())}
+    for q in items:
+        choices = succ.get(letter, at_end, uu, q)
+        if not choices:
+            return set()
+        acc = {(u1 | y, u2 | z) for (u1, u2) in acc for (y, z) in choices}
+    return acc
+
+
+def _combos(a: RegisterAutomaton, h: AbstractSet):
+    """All map combinations: yields (refreshed-union, next empty row, bag)."""
+    succ = SuccTable(a)
+    eqs = _fold_choices(succ, h.letter, h.at_end, True, h.q_eq)
+    emps = _fold_choices(succ, h.letter, h.at_end, False, h.q_empty)
+    unit_folds = []
+    for g, c in h.counts:
+        s = _fold_choices(succ, h.letter, h.at_end, False, g)
+        unit_folds.extend([s] * c)
+    for eq in eqs:
+        for emp in emps:
+            for units in itertools.product(*unit_folds):
+                u2_all = eq[1] | emp[1]
+                bag: Counter = Counter()
+                for (uy, uz) in units:
+                    u2_all = u2_all | uz
+                    if uy:
+                        bag[uy] += 1
+                if u2_all:
+                    bag[u2_all] += 1
+                yield emp[0], bag
+
+
+def big_step(a: RegisterAutomaton, h: AbstractSet, h2: Optional[AbstractSet]) -> bool:
+    """Whether h can step to h2 (None meaning all obligations discharged)."""
+    _require_1ara1(a)
+    for q_empty2, bag in _combos(a, h):
+        if h2 is None:
+            if not q_empty2 and not bag:
+                return True
+            continue
+        if h2.q_empty != q_empty2:
+            continue
+        want = Counter(dict(h2.counts))
+        if h2.q_eq:
+            want[h2.q_eq] += 1
+        if bag == want:
+            return True
+    return False
+
+
+def big_step_successors(a: RegisterAutomaton, h: AbstractSet, cap: int,
+                        letters: Optional[tuple] = None) -> list:
+    """All successors with bag values within cap (None stands for the
+    discharged end).  Only suitable for small instances."""
+    _require_1ara1(a)
+    if any(c > cap for _g, c in h.counts):
+        raise CapExceeded(f"input bag exceeds cap {cap}")
+    letters = letters or a.alphabet.letters
+    out = set()
+    saw_none = False
+    for q_empty2, bag in _combos(a, h):
+        if not q_empty2 and not bag:
+            saw_none = True
+        if any(c > cap for c in bag.values()):
+            continue
+        for letter in letters:
+            for at_end in (False, True):
+                counts = make_counts(bag)
+                if q_empty2 or counts:
+                    out.add(AbstractSet(letter, at_end, frozenset(), q_empty2, counts))
+                for g in bag:
+                    rest = Counter(bag)
+                    rest[g] -= 1
+                    out.add(AbstractSet(letter, at_end, g, q_empty2, make_counts(rest)))
+    result = sorted(out, key=repr)
+    return ([None] if saw_none else []) + result
+
+
+def embeds(h: Optional[AbstractSet], h2: Optional[AbstractSet]) -> bool:
+    """The subsumption order: componentwise containment plus an injective,
+    containment-respecting map between the bag units.  The discharged set
+    embeds into everything."""
+    if h is None:
+        return True
+    if h2 is None:
+        return False
+    if (h.letter, h.at_end) != (h2.letter, h2.at_end):
+        return False
+    if not (h.q_eq <= h2.q_eq and h.q_empty <= h2.q_empty):
+        return False
+    units = [g for g, c in h.counts for _ in range(c)]
+    slots = [g for g, c in h2.counts for _ in range(c)]
+
+    def match(k: int, used: int) -> bool:
+        if k == len(units):
+            return True
+        for j, s in enumerate(slots):
+            if not used >> j & 1 and units[k] <= s:
+                if match(k + 1, used | 1 << j):
+                    return True
+        return False
+
+    return match(0, 0)
 
 
 # --- the big-step relation ---------------------------------------------------
