@@ -69,10 +69,6 @@ class StateSpaceBudgetExceeded(DatawordsError):
     pass
 
 
-class CapExceeded(DatawordsError):
-    pass
-
-
 class PreconditionViolation(DatawordsError):
     pass
 

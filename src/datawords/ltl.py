@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
 from .errors import ForeignValuation, ParseError, UnknownAtom
@@ -547,6 +548,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return out
 
 
+_PREFIX = {"!": Not, "X": Next, "Xp": Prev, "F": Future, "Fp": Past,
+           "G": Always, "Gp": PastAlways}
+
+
 class _LtlParser:
     """Recursive descent for the surface grammar.
 
@@ -618,19 +623,22 @@ class _LtlParser:
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
+        # the chain of prefix operators is gathered first and folded onto its
+        # operand, so a long chain costs no recursion depth
+        chain = []
+        while True:
+            tok = self.peek()
+            if tok in _PREFIX:
+                chain.append(_PREFIX[tok])
+            elif tok is not None and re.fullmatch(r"store\d+", tok):
+                chain.append(partial(Freeze, int(tok[5:])))
+            else:
+                break
             self.take()
-            return Not(self.unary())
-        if tok in ("X", "Xp", "F", "Fp", "G", "Gp"):
-            self.take()
-            ctor = {"X": Next, "Xp": Prev, "F": Future, "Fp": Past,
-                    "G": Always, "Gp": PastAlways}[tok]
-            return ctor(self.unary())
-        if tok is not None and re.fullmatch(r"store\d+", tok):
-            self.take()
-            return Freeze(int(tok[5:]), self.unary())
-        return self.primary()
+        f = self.primary()
+        for op in reversed(chain):
+            f = op(f)
+        return f
 
     def primary(self) -> Formula:
         tok = self.peek()

@@ -7,7 +7,7 @@ the locations with an undefined register, and a bag counting, for every
 location set, how many other classes are held by exactly that set.  One
 abstraction step ("big step") follows a strategy of the automaton until it
 moves to the next position; the table of per-location successor pairs is
-computed by recursion over heights.
+computed bottom-up over heights.
 
 The counter machine stores the bag in counters indexed by location sets and
 realizes a big step by a silent subroutine: drain each bag counter choosing
@@ -33,20 +33,52 @@ from .ra import (
     TTop, classify_ra, relabel, validate,
 )
 
+EMPTY = frozenset()
+
+
 class SuccTable:
     """Per-location big-step successor pairs (kept set, refreshed set),
-    computed by recursion over heights and memoized."""
+    computed bottom-up over heights and memoized."""
 
     def __init__(self, a: RegisterAutomaton):
         self.a = a
         self.memo: dict = {}
 
     def get(self, letter: str, at_end: bool, uu: bool, q) -> frozenset:
-        key = (letter, at_end, uu, q)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        tf = self.a.delta[q]
+        memo = self.memo
+        top = (letter, at_end, uu, q)
+        out = memo.get(top)
+        if out is not None:
+            return out
+        # an explicit stack instead of recursion, since chains of in-place
+        # steps can be thousands long: an entry stays on the stack below the
+        # entries its row is made of until they are all memoized, so one
+        # that is still missing some on its second visit lies on a cycle
+        delta = self.a.delta
+        stack = [(uu, q)]
+        waiting: set = set()
+        while stack:
+            uu, q = stack[-1]
+            key = (letter, at_end, uu, q)
+            if key in memo:
+                stack.pop()
+                continue
+            tf = delta[q]
+            parts = self._parts(letter, at_end, uu, tf)
+            rows = [memo.get((letter, at_end) + p) for p in parts]
+            if None in rows:
+                if key in waiting:
+                    raise ClassMismatch(f"cycle of in-place steps through {q!r}")
+                waiting.add(key)
+                stack.extend(p for p, row in zip(parts, rows) if row is None)
+                continue
+            stack.pop()
+            memo[key] = self._row(at_end, uu, tf, rows)
+        return memo[top]
+
+    @staticmethod
+    def _parts(letter: str, at_end: bool, uu: bool, tf) -> tuple:
+        """The (uu, location) entries whose rows make up the row of tf."""
         t = type(tf)
         if t is TTest:
             g = tf.guard
@@ -58,30 +90,34 @@ class SuccTable:
                 val = uu
             else:
                 raise ClassMismatch("beginning test in a one-way automaton")
-            out = self.get(letter, at_end, uu, tf.then if val else tf.other)
-        elif t is TStore:
-            out = self.get(letter, at_end, True, tf.target)
-        elif t is TAnd:
-            left = self.get(letter, at_end, uu, tf.left)
-            right = self.get(letter, at_end, uu, tf.right)
-            out = frozenset((y1 | y2, z1 | z2) for (y1, z1) in left for (y2, z2) in right)
-        elif t is TOr:
-            out = self.get(letter, at_end, uu, tf.left) | self.get(letter, at_end, uu, tf.right)
-        elif t is TTop:
-            out = frozenset({(frozenset(), frozenset())})
-        elif t is TBottom:
-            out = frozenset()
-        else:
-            if not tf.forward:
-                raise ClassMismatch("backward move in a one-way automaton")
-            if at_end:
-                out = frozenset({(frozenset(), frozenset())}) if tf.weak else frozenset()
-            elif uu:
-                out = frozenset({(frozenset(), frozenset({tf.target}))})
-            else:
-                out = frozenset({(frozenset({tf.target}), frozenset())})
-        self.memo[key] = out
-        return out
+            return ((uu, tf.then if val else tf.other),)
+        if t is TStore:
+            return ((True, tf.target),)
+        if t is TAnd or t is TOr:
+            return ((uu, tf.left), (uu, tf.right))
+        return ()
+
+    @staticmethod
+    def _row(at_end: bool, uu: bool, tf, rows: list) -> frozenset:
+        t = type(tf)
+        if t is TAnd:
+            left, right = rows
+            return frozenset((y1 | y2, z1 | z2) for (y1, z1) in left for (y2, z2) in right)
+        if t is TOr:
+            return rows[0] | rows[1]
+        if rows:  # a test or a store: the row of the location it continues at
+            return rows[0]
+        if t is TTop:
+            return frozenset({(frozenset(), frozenset())})
+        if t is TBottom:
+            return frozenset()
+        if not tf.forward:
+            raise ClassMismatch("backward move in a one-way automaton")
+        if at_end:
+            return frozenset({(frozenset(), frozenset())}) if tf.weak else frozenset()
+        if uu:
+            return frozenset({(frozenset(), frozenset({tf.target}))})
+        return frozenset({(frozenset({tf.target}), frozenset())})
 
 
 def succ_table(a: RegisterAutomaton, letter: str, at_end: bool, uu: bool, q) -> frozenset:
@@ -125,6 +161,8 @@ class _Builder:
         self.pset: set = set()
         self.fold_cache: dict = {}
         self.choice_cache: dict = {}
+        self.union_cache: dict = {}
+        self.blocks: dict = {}
         self.stats = {"succ_entries": 0}
 
     # --- item plumbing (items are locations, or (location, marked) pairs)
@@ -141,6 +179,15 @@ class _Builder:
         for q, t in items:
             best[q] = best.get(q, False) or t
         return frozenset(best.items())
+
+    def union(self, u: frozenset, y: frozenset) -> frozenset:
+        """norm(u | y), memoized: the same unions recur in every fold and
+        every core."""
+        key = (u, y)
+        out = self.union_cache.get(key)
+        if out is None:
+            out = self.union_cache[key] = self.norm(u | y)
+        return out
 
     def item_choices(self, letter: str, uu: bool, item, mode) -> list:
         """(kept items, refreshed items, mark survived) per choice; choices
@@ -192,7 +239,7 @@ class _Builder:
             if not per:
                 acc = {}
                 break
-            acc = dict.fromkeys((self.norm(u1 | y), self.norm(u2 | z), n1 or n2)
+            acc = dict.fromkeys((self.union(u1, y), self.union(u2, z), n1 or n2)
                                 for (u1, u2, n1) in acc for (y, z, n2) in per)
         out = list(acc)
         self.fold_cache[key] = out
@@ -237,10 +284,10 @@ class _Builder:
                     for g in list(self.groups):
                         for (u1, u2, _n) in self.fold(letter, False, g, mode):
                             changed |= self.add_pair((u1, u2))
-                    qddags = dict.fromkeys(self.norm(e2 | m2)
+                    qddags = dict.fromkeys(self.union(e2, m2)
                                            for (_e1, e2, _n1) in eqf for (_m1, m2, _n2) in empf)
                     for (pu1, pu2) in list(self.pairs):
-                        qddags.update(dict.fromkeys([self.norm(v | pu2) for v in qddags]))
+                        qddags.update(dict.fromkeys([self.union(v, pu2) for v in qddags]))
                         changed |= self.add_group(pu1)
                     for v in qddags:
                         changed |= self.add_group(v)
@@ -265,24 +312,30 @@ class _Builder:
         self.n_counters = 1 + len(self.groups) + len(self.pairs)
         self.sorted_groups = [sorted(g) for g in self.groups]
 
+    def loc(self, x) -> int:
+        k = self.locs.get(x)
+        if k is None:
+            k = self.locs[x] = self.n_locs
+            self.n_locs += 1
+        return k
+
+    def add(self, src, letter, op, ctr, dst) -> None:
+        self.trans[(self.loc(src), letter, op, ctr, self.loc(dst))] = None
+
+    def noop(self, src, dst, letter=None) -> None:
+        self.add(src, letter, "ifz", self.c_zero, dst)
+
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
-        trans: dict = {}
-        # each program point becomes the next integer on first sight, so a
-        # transition hashes its structured endpoints once
-        locs: dict = {}
-
-        def loc(x) -> int:
-            k = locs.get(x)
-            if k is None:
-                k = locs[x] = len(locs)
-            return k
-
-        def add(src, letter, op, ctr, dst):
-            trans[(loc(src), letter, op, ctr, loc(dst))] = None
-
-        def noop(src, dst, letter=None):
-            add(src, letter, "ifz", self.c_zero, dst)
+        # locations are numbered in discovery order.  A named program point
+        # (a tuple; abstract cores appear by their index in self.mains)
+        # becomes the next integer on first sight; the points of a drain
+        # phase are named by nothing else, so each core gets a copy of the
+        # phase of its (letter, mode) as a run of fresh integers (emit_drain)
+        self.locs: dict = {}
+        self.trans: dict = {}
+        self.n_locs = 0
+        locs, loc, add, noop = self.locs, self.loc, self.add, self.noop
 
         sink = ("accept_sink",)
         for letter in self.letters:
@@ -294,8 +347,6 @@ class _Builder:
             for letter in self.letters:
                 noop(accept_more, sink, letter)
 
-        ok_eq_cache: dict = {}
-        ok_emp_cache: dict = {}
         bad_groups_cache: dict = {}
 
         def discharged(letter, at_end, uu, q) -> bool:
@@ -337,7 +388,7 @@ class _Builder:
                         noop(cur, accept_end if at_end else accept_more, letter)
 
         # main locations: run the big-step subroutine
-        for core in self.mains:
+        for ci, core in enumerate(self.mains):
             letter, qeq, qemp = core
             for flag in ((False, True) if self.infinite else (False,)):
                 m = ("main", letter, qeq, qemp, flag)
@@ -345,12 +396,14 @@ class _Builder:
                     continue  # unreachable flag variant
                 for mode in self.modes:
                     if self.groups:
-                        entry = ("drain", core, mode, 0, False)
+                        entry = ("drain", ci, mode, 0, False)
                     else:
-                        entry = ("eqmap", core, mode, 0, frozenset(), False)
+                        entry = ("eqmap", ci, mode, 0, EMPTY, False)
                     noop(m, entry)
             for mode in self.modes:
-                self.emit_subroutine(core, mode, add, noop)
+                if self.groups:
+                    self.emit_drain(ci, letter, mode)
+                self.emit_maps(ci, core, mode)
 
         initial = ("ready", frozenset(), self.init_items(), False)
         assert initial in locs
@@ -361,11 +414,11 @@ class _Builder:
             )
         else:
             accepting = frozenset(k for x, k in locs.items() if x in (accept_end, sink))
-        ca = CounterAutomaton(self.a.alphabet, range(len(locs)), locs[initial],
-                              self.n_counters, tuple(trans), accepting)
+        ca = CounterAutomaton(self.a.alphabet, range(self.n_locs), locs[initial],
+                              self.n_counters, tuple(self.trans), accepting)
         self.stats.update({
-            "locations": len(locs),
-            "transitions": len(trans),
+            "locations": self.n_locs,
+            "transitions": len(self.trans),
             "counters": self.n_counters,
             "groups": len(self.groups),
             "pairs": len(self.pairs),
@@ -373,48 +426,84 @@ class _Builder:
         })
         return ca
 
-    def emit_subroutine(self, core, mode, add, noop):
-        letter, qeq, qemp = core
+    def drain_block(self, letter: str, mode) -> tuple:
+        """The drain phase of a core, which depends on its letter and the
+        mode only: drain each bag counter, choosing a map ("dmap") for every
+        drained unit.  Returns the transitions over local ids, the number of
+        local ids after the entry 0, and the (mark, local id) of each exit
+        into the eqmap phase.  Local ids follow first sight, the order in
+        which emit would number the points."""
+        hit = self.blocks.get((letter, mode))
+        if hit is not None:
+            return hit
+        ids: dict = {}
+        trans: dict = {}
+
+        def lid(x) -> int:
+            k = ids.get(x)
+            if k is None:
+                k = ids[x] = len(ids)
+            return k
+
+        def add(src, op, ctr, dst):
+            trans[(lid(src), op, ctr, lid(dst))] = None
+
+        n_groups = len(self.groups)
+        nats = (False, True) if self.infinite else (False,)
 
         def drain(gi, nat):
-            if gi == len(self.groups):
-                return ("eqmap", core, mode, 0, frozenset(), nat)
-            return ("drain", core, mode, gi, nat)
+            return ("drain", gi, nat) if gi < n_groups else ("exit", nat)
 
-        for nat in ((False, True) if self.infinite else (False,)):
+        lid(drain(0, False))  # the entry, local id 0
+        for nat in nats:
             for gi, g in enumerate(self.groups):
-                d = ("drain", core, mode, gi, nat)
-                add(d, None, "ifz", self.c_group[g], drain(gi + 1, nat))
-                add(d, None, "dec", self.c_group[g],
-                    ("dmap", core, mode, gi, 0, frozenset(), frozenset(), nat))
+                d = drain(gi, nat)
+                add(d, "ifz", self.c_group[g], drain(gi + 1, nat))
+                add(d, "dec", self.c_group[g], ("dmap", gi, 0, EMPTY, EMPTY, nat))
 
         # choose a map for one drained unit
-        seen_dmap: set = set()
-        stack: list = []
-        for nat in ((False, True) if self.infinite else (False,)):
-            for gi in range(len(self.groups)):
-                stack.append((gi, 0, frozenset(), frozenset(), nat))
+        seen: set = set()
+        stack = [("dmap", gi, 0, EMPTY, EMPTY, nat) for nat in nats for gi in range(n_groups)]
         while stack:
-            gi, k, u1, u2, nat = stack.pop()
-            key = (gi, k, u1, u2, nat)
-            if key in seen_dmap:
+            src = stack.pop()
+            if src in seen:
                 continue
-            seen_dmap.add(key)
-            src = ("dmap", core, mode, gi, k, u1, u2, nat)
+            seen.add(src)
+            _, gi, k, u1, u2, nat = src
             items = self.sorted_groups[gi]
             if k == len(items):
                 assert (u1, u2) in self.pset, "pair escaped discovery"
-                add(src, None, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
+                add(src, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
                 continue
             for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
-                nu1, nu2, nn = self.norm(u1 | y), self.norm(u2 | z), nat or n2
-                noop(src, ("dmap", core, mode, gi, k + 1, nu1, nu2, nn))
-                stack.append((gi, k + 1, nu1, nu2, nn))
+                dst = ("dmap", gi, k + 1, self.union(u1, y), self.union(u2, z), nat or n2)
+                add(src, "ifz", self.c_zero, dst)
+                stack.append(dst)
 
-        # choose the current-class and empty-row maps
+        exits = tuple((nat, ids[("exit", nat)]) for nat in nats)
+        out = self.blocks[(letter, mode)] = (tuple(trans), len(ids) - 1, exits)
+        return out
+
+    def emit_drain(self, ci: int, letter: str, mode) -> None:
+        """Core ci's copy of the drain phase: the entry is named by the main
+        locations, the other points follow as fresh integers, and the exits
+        are named for the eqmap phase."""
+        block, size, exits = self.drain_block(letter, mode)
+        base = self.n_locs
+        ids = [self.locs[("drain", ci, mode, 0, False)], *range(base, base + size)]
+        self.n_locs = base + size
+        self.trans.update(dict.fromkeys([(ids[s], None, op, c, ids[d]) for s, op, c, d in block]))
+        for nat, k in exits:
+            self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
+
+    def emit_maps(self, ci: int, core: tuple, mode) -> None:
+        """Choose the current-class and empty-row maps, collect the refreshed
+        group, then refill the bag from the pair counters."""
+        letter, qeq, qemp = core
+        add, noop, union = self.add, self.noop, self.union
         eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
-        stack = [("eq", 0, frozenset(), nat)
+        stack = [("eq", 0, EMPTY, nat)
                  for nat in ((False, True) if self.infinite else (False,))]
         while stack:
             entry = stack.pop()
@@ -424,36 +513,36 @@ class _Builder:
             kind = entry[0]
             if kind == "eq":
                 _, k, u2, nat = entry
-                src = ("eqmap", core, mode, k, u2, nat)
+                src = ("eqmap", ci, mode, k, u2, nat)
                 items = eq_items
                 if k == len(items):
-                    nxt = ("empmap", core, mode, 0, frozenset(), u2, nat)
+                    nxt = ("empmap", ci, mode, 0, EMPTY, u2, nat)
                     noop(src, nxt)
-                    stack.append(("emp", 0, frozenset(), u2, nat))
+                    stack.append(("emp", 0, EMPTY, u2, nat))
                     continue
                 for (y, z, n2) in self.item_choices(letter, True, items[k], mode):
                     assert not y
-                    nu2, nn = self.norm(u2 | z), nat or n2
-                    noop(src, ("eqmap", core, mode, k + 1, nu2, nn))
+                    nu2, nn = union(u2, z), nat or n2
+                    noop(src, ("eqmap", ci, mode, k + 1, nu2, nn))
                     stack.append(("eq", k + 1, nu2, nn))
             elif kind == "emp":
                 _, k, u1, u2, nat = entry
-                src = ("empmap", core, mode, k, u1, u2, nat)
+                src = ("empmap", ci, mode, k, u1, u2, nat)
                 items = emp_items
                 if k == len(items):
-                    nxt = ("pair", core, mode, 0, u2, u1, nat)
+                    nxt = ("pair", ci, mode, 0, u2, u1, nat)
                     noop(src, nxt)
                     stack.append(("pair", 0, u2, u1, nat))
                     continue
                 for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
-                    nu1, nu2, nn = self.norm(u1 | y), self.norm(u2 | z), nat or n2
-                    noop(src, ("empmap", core, mode, k + 1, nu1, nu2, nn))
+                    nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
+                    noop(src, ("empmap", ci, mode, k + 1, nu1, nu2, nn))
                     stack.append(("emp", k + 1, nu1, nu2, nn))
             elif kind == "pair":
                 _, pi, qddag, qemp1, nat = entry
-                src = ("pair", core, mode, pi, qddag, qemp1, nat)
+                src = ("pair", ci, mode, pi, qddag, qemp1, nat)
                 if pi == len(self.pairs):
-                    nxt = ("refill", core, mode, 0, qemp1, nat)
+                    nxt = ("refill", ci, mode, 0, qemp1, nat)
                     if qddag:
                         assert qddag in self.gset, "group escaped discovery"
                         add(src, None, "inc", self.c_group[qddag], nxt)
@@ -463,17 +552,17 @@ class _Builder:
                     continue
                 p = self.pairs[pi]
                 add(src, None, "ifz", self.c_pair[p],
-                    ("pair", core, mode, pi + 1, qddag, qemp1, nat))
+                    ("pair", ci, mode, pi + 1, qddag, qemp1, nat))
                 stack.append(("pair", pi + 1, qddag, qemp1, nat))
-                mid = ("bump", core, mode, pi, qddag, qemp1, nat)
+                mid = ("bump", ci, mode, pi, qddag, qemp1, nat)
                 add(src, None, "dec", self.c_pair[p], mid)
-                qd2 = self.norm(qddag | p[1])
+                qd2 = union(qddag, p[1])
                 add(mid, None, "inc", self.c_pair[p],
-                    ("pair", core, mode, pi + 1, qd2, qemp1, nat))
+                    ("pair", ci, mode, pi + 1, qd2, qemp1, nat))
                 stack.append(("pair", pi + 1, qd2, qemp1, nat))
             elif kind == "refill":
                 _, pi, qemp1, nat = entry
-                src = ("refill", core, mode, pi, qemp1, nat)
+                src = ("refill", ci, mode, pi, qemp1, nat)
                 if pi == len(self.pairs):
                     if self.infinite and mode == "stay" and not nat:
                         continue  # an unmarked step must be declared fresh
@@ -485,15 +574,15 @@ class _Builder:
                     continue
                 p = self.pairs[pi]
                 add(src, None, "ifz", self.c_pair[p],
-                    ("refill", core, mode, pi + 1, qemp1, nat))
+                    ("refill", ci, mode, pi + 1, qemp1, nat))
                 stack.append(("refill", pi + 1, qemp1, nat))
-                mid = ("refillmid", core, mode, pi, qemp1, nat)
+                mid = ("refillmid", ci, mode, pi, qemp1, nat)
                 add(src, None, "dec", self.c_pair[p], mid)
                 if p[0]:
                     add(mid, None, "inc", self.c_group[p[0]],
-                        ("refill", core, mode, pi, qemp1, nat))
+                        ("refill", ci, mode, pi, qemp1, nat))
                 else:
-                    noop(mid, ("refill", core, mode, pi, qemp1, nat))
+                    noop(mid, ("refill", ci, mode, pi, qemp1, nat))
 
 
 def build_ca_finite(a: RegisterAutomaton) -> CounterAutomaton:

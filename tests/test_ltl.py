@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
-    And, Atom, Bottom, Freeze, Future, Next, Not, Or, Reg, Top, Until,
+    Always, And, Atom, Bottom, Freeze, Future, Next, Not, Or, Past, PastAlways, Prev,
+    Reg, Top, Until,
     classify, desugar, eval_ltl, format_ltl, is_simple_in, nnf, parse_ltl,
     sat_bounded, size,
 )
@@ -52,6 +53,28 @@ def test_precedence():
     assert parse_ltl("a U b U a") == parse_ltl("a U (b U a)")
     assert parse_ltl("!a U b") == Until(Not(Atom("a")), Atom("b"))
     assert parse_ltl("X a U b") == Until(Next(Atom("a")), Atom("b"))
+
+
+def test_parse_long_prefix_chains():
+    """A chain of prefix operators costs the parser no recursion depth; the
+    result is walked in a loop, since format_ltl and == still recurse."""
+    f = parse_ltl("X " * 1000 + "a", AB)
+    for _ in range(1000):
+        assert type(f) is Next
+        f = f.body
+    assert f == Atom("a")
+    ops = [("!", Not), ("X", Next), ("Xp", Prev), ("F", Future), ("Fp", Past),
+           ("G", Always), ("Gp", PastAlways), ("store2", Freeze)]
+    chain = [ops[k % len(ops)] for k in range(1200)]
+    f = parse_ltl(" ".join(tok for tok, _ in chain) + " a U b")
+    assert type(f) is Until and f.right == Atom("b")
+    f = f.left
+    for _tok, ctor in chain:
+        assert type(f) is ctor
+        if ctor is Freeze:
+            assert f.register == 2
+        f = f.body
+    assert f == Atom("a")
 
 
 def test_eval_example(phi, sigma_word):
@@ -158,7 +181,7 @@ def test_sat_bounded(phi):
 
 
 def test_size_of_a_deep_chain():
-    # built in code: the parser still recurses once per level
+    # built in code: == on the parsed chain would recurse once per level
     f = Atom("a")
     for _ in range(5000):
         f = Next(f)

@@ -10,23 +10,29 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from datawords.ca import (
     accepts_word, format_ca, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     validate_ca, verify_lasso,
 )
 from datawords.corpus import every_a_matched, matching_ra
-from datawords.errors import CapExceeded, ClassMismatch
-from datawords.ltl import eval_ltl, parse_ltl
+from datawords.errors import ClassMismatch
+from datawords.ltl import (
+    Always, And, Atom, Freeze, Future, Implies, Next, Reg, eval_ltl, parse_ltl,
+)
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import (
-    BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest,
+    BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest,
     TTop, accepts, assign_annotations, validate,
 )
 from datawords.ra2ca import (
-    SuccTable, _require_1ara1, build_ca_finite, build_ca_infinite, succ_table,
+    SuccTable, _Builder, _require_1ara1, build_ca_finite, build_ca_finite_with_stats,
+    build_ca_infinite, build_ca_infinite_with_stats, succ_table,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
+
+from test_acceptance import _random_xu_sentence
 
 AB = alphabet("a", "b")
 
@@ -90,6 +96,99 @@ def test_succ_table_test_and_or():
         {(frozenset(), frozenset())})
 
 
+def _recursive_rows(a: RegisterAutomaton, memo: dict):
+    """The successor table by plain recursion over heights, filling memo with
+    every entry it visits: the reference for SuccTable.get."""
+    def get(letter, at_end, uu, q):
+        key = (letter, at_end, uu, q)
+        if key in memo:
+            return memo[key]
+        tf = a.delta[q]
+        t = type(tf)
+        if t is TTest:
+            g = tf.guard
+            if isinstance(g, BLetter):
+                val = g.letter == letter
+            else:
+                val = at_end if isinstance(g, BEnd) else uu
+            out = get(letter, at_end, uu, tf.then if val else tf.other)
+        elif t is TStore:
+            out = get(letter, at_end, True, tf.target)
+        elif t is TAnd:
+            left = get(letter, at_end, uu, tf.left)
+            right = get(letter, at_end, uu, tf.right)
+            out = frozenset((y1 | y2, z1 | z2) for (y1, z1) in left for (y2, z2) in right)
+        elif t is TOr:
+            out = get(letter, at_end, uu, tf.left) | get(letter, at_end, uu, tf.right)
+        elif t is TTop:
+            out = frozenset({(frozenset(), frozenset())})
+        elif t is TBottom:
+            out = frozenset()
+        elif at_end:
+            out = frozenset({(frozenset(), frozenset())}) if tf.weak else frozenset()
+        elif uu:
+            out = frozenset({(frozenset(), frozenset({tf.target}))})
+        else:
+            out = frozenset({(frozenset({tf.target}), frozenset())})
+        memo[key] = out
+        return out
+
+    return get
+
+
+def test_succ_table_matches_recursion():
+    """Same rows, and the same memo entries, as the recursive table."""
+    rng = random.Random(11)
+    for _ in range(40):
+        a = random_1ara1(rng, n_locs=rng.randint(2, 7))
+        table, memo = SuccTable(a), {}
+        get = _recursive_rows(a, memo)
+        queries = [(letter, at_end, uu, q) for letter in "ab" for at_end in (False, True)
+                   for uu in (False, True) for q in a.locations]
+        rng.shuffle(queries)
+        for key in queries:
+            assert table.get(*key) == get(*key), (a.delta, key)
+            assert table.memo == memo
+            assert list(table.get(*key)) == list(get(*key))  # same iteration order
+
+
+def in_place_chain(n: int) -> RegisterAutomaton:
+    """A one-way automaton whose initial location starts a chain of n
+    in-place steps (disjunctions, stores, conjunctions and tests) that ends
+    in a move; built in code, since assign_annotations recurses too."""
+    delta: dict = {"acc": TTop(), "rej": TBottom(), "end": TMove(True, False, "acc")}
+    height = {"acc": 0, "rej": 0, "end": 0}
+    for i in range(n):
+        nxt = f"c{i + 1}" if i + 1 < n else "end"
+        delta[f"c{i}"] = (TOr(nxt, "rej"), TStore(1, nxt), TAnd(nxt, "acc"),
+                          TTest(BUp(1), nxt, "rej"))[i % 4]
+        height[f"c{i}"] = n - i
+    locs = tuple(delta)
+    a = RegisterAutomaton(AB, locs, "c0", 1, delta, dict.fromkeys(locs, 0), height)
+    assert validate(a) == []
+    return a
+
+
+def test_succ_table_long_in_place_chain():
+    a = in_place_chain(3000)
+    assert succ_table(a, "a", False, False, "c0") == frozenset(
+        {(frozenset(), frozenset({"acc"}))})
+    ca = build_ca_finite(a)
+    assert validate_ca(ca) == []
+    assert accepts_word(ca, ("a", "b")).is_nonempty
+    assert not accepts_word(ca, ("a",)).is_nonempty
+
+
+def test_succ_table_refuses_in_place_cycles():
+    # validate() rejects such an automaton; succ_table does not run it
+    delta = {"q": TOr("p", "acc"), "p": TTest(BLetter("a"), "q", "acc"), "acc": TTop()}
+    a = RegisterAutomaton(AB, tuple(delta), "q", 1, delta, dict.fromkeys(delta, 0),
+                          {"q": 1, "p": 1, "acc": 0})
+    assert validate(a) != []
+    with pytest.raises(ClassMismatch):
+        succ_table(a, "a", False, False, "q")
+
+
 # --- abstract sets and the big-step relation --------------------------------
 # A direct implementation of the abstraction that the counter machine encodes
 # with unbounded bags; only suitable for small instances.
@@ -108,6 +207,10 @@ class AbstractSet:
 
     def count_map(self) -> dict:
         return dict(self.counts)
+
+
+class CapExceeded(Exception):
+    """A bag value above the cap given to big_step_successors."""
 
 
 def make_counts(mapping: dict) -> tuple:
@@ -485,7 +588,40 @@ def test_build_finite_running_example(phi_ca):
             assert accepts_word(ca, w).is_nonempty == every_a_matched(w), w
 
 
+# The seven structured sentences of the circle benchmark
+_PHI = "G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))"
+CIRCLE_SENTENCES = {
+    "phi": _PHI,
+    "phi-Fa-Gnotb": f"({_PHI}) & F a & G !b",
+    "b-never-again": "G (a -> store1 X F (b & up1)) & G (b -> store1 X G !up1) & F a",
+    "phi-b-distinct": f"({_PHI}) & G (b -> store1 X G (b -> !up1))",
+    "phi-b-then-a": f"({_PHI}) & G (b -> X a)",
+    "a-then-no-b": "G (a -> store1 X G (b -> !up1))",
+    "some-match": "F (a & store1 X F (b & up1))",
+}
+
+# sha256 of format_ca on their machines, taken from builders that named every
+# program point (the running example's pair while locations were still those
+# names), so that emitting in a new way cannot change the machines
+_MACHINE_TEXT = {
+    ("phi", "finite"): "18ff5748db3bdabc7d3b11d2cbcca55825f39ae40a6365b9e39143c36e30ddfa",
+    ("phi", "infinite"): "54a8abab8810e1d51884e2b503c999ef3043ebebd230c0c00c1c43919ac53080",
+    ("phi-Fa-Gnotb", "finite"): "09b1691f0b84845f8ecdac8037aac2330960ce641b7a1db0b5318ad163975c59",
+    ("phi-Fa-Gnotb", "infinite"): "16d5ab1c42a3d3224472373c984d9e57df23df79ed43e0a151e0a22a139dde8f",
+    ("b-never-again", "finite"): "3137aa74fb134f6eb832c76f16cc4ca855b5a9beed96c1e2ec8f3b50f5ae9eff",
+    ("b-never-again", "infinite"): "07be65cab744e0d7220ae8d029ed11d05bb24312eb90179a6b6d555e808b9a7e",
+    ("phi-b-distinct", "finite"): "e3e9c84fb892bef3d8756ee9f427f778346fc81e77b5b79ac08e7493a2dc900b",
+    ("phi-b-distinct", "infinite"): "c78d2a4435092fdf59d712dbb379e9571be64befe25428f3242f1075a59ca110",
+    ("phi-b-then-a", "finite"): "1aa8de55014e65fe65e789966ba2d36ef804c84f0238bc756f0165b228b58b51",
+    ("phi-b-then-a", "infinite"): "30ba3c9a0d94455c2593f44bdbbcf122ee496d8fc1e86ae3cabd551960ef5368",
+    ("a-then-no-b", "finite"): "48286ed213186035a0d83ba10c4443496cc15e54bb49380a6487bb3f9ead356e",
+    ("a-then-no-b", "infinite"): "dc94e6c002eccca0efb8d125e6f4117a4f63537b378c4bdb5662a0c25c9344dc",
+    ("some-match", "finite"): "b27bebe67695a89aaab5a30d21c445690d98c294b4cf37e66cd04a53259a451f",
+    ("some-match", "infinite"): "570514e452215b1e55d2afa28b0c9ee73dc9e2ad4cc6f78f6bc8fa9a22a1e565",
+}
+
 _PRINT_MACHINES = """
+import sys
 from datawords.ca import format_ca, rename_locations
 from datawords.ltl import parse_ltl
 from datawords.ltl2ra import ltl_to_ara
@@ -494,10 +630,11 @@ from datawords.ra2ca import build_ca_finite, build_ca_infinite
 from datawords.words import alphabet
 
 ab = alphabet("a", "b")
-a = ltl_to_ara(parse_ltl("G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))", ab), ab)
-print(format_ra(a))
-for build in (build_ca_finite, build_ca_infinite):
-    print(format_ca(rename_locations(build(a))))
+for text in sys.argv[1:]:
+    a = ltl_to_ara(parse_ltl(text, ab), ab)
+    print(format_ra(a))
+    for build in (build_ca_finite, build_ca_infinite):
+        print(format_ca(rename_locations(build(a))))
 """
 
 
@@ -508,21 +645,13 @@ def test_machines_independent_of_hash_seed():
     outputs = []
     for seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-c", _PRINT_MACHINES],
+            [sys.executable, "-c", _PRINT_MACHINES, *CIRCLE_SENTENCES.values()],
             env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("alphabet: a b") == 3
-
-
-# sha256 of format_ca on the running example's machines, taken while their
-# locations were still the builder's structured program points
-_RUNNING_EXAMPLE_TEXT = {
-    "finite": "18ff5748db3bdabc7d3b11d2cbcca55825f39ae40a6365b9e39143c36e30ddfa",
-    "infinite": "54a8abab8810e1d51884e2b503c999ef3043ebebd230c0c00c1c43919ac53080",
-}
+    assert outputs[0].count("alphabet: a b") == 3 * len(CIRCLE_SENTENCES)
 
 
 @pytest.mark.parametrize("variant, build", [("finite", build_ca_finite),
@@ -534,10 +663,96 @@ def test_compiled_machines_are_integer_located(phi_ca, variant, build):
     c = build(a)
     assert c.locations == tuple(range(len(c.locations)))
     assert c.initial in c.locations and c.accepting <= set(c.locations)
-    assert hashlib.sha256(format_ca(c).encode()).hexdigest() == _RUNNING_EXAMPLE_TEXT[variant]
+    assert hashlib.sha256(format_ca(c).encode()).hexdigest() == _MACHINE_TEXT[("phi", variant)]
     c = build(matching_ra())
     assert c.locations == tuple(range(len(c.locations)))
     assert validate_ca(c) == []
+
+
+# --- the drain phase, point by point ------------------------------------------
+# The builder emits the drain phase of each (letter, mode) once and copies it
+# into every abstract core as a run of fresh location numbers.  This reference
+# emits it for every core afresh and names each of its points, so that every
+# location is a key of locs and numbered len(locs) on first sight.
+
+
+class PointwiseBuilder(_Builder):
+    def emit_drain(self, ci, letter, mode):
+        add, noop = self.add, self.noop
+        nats = (False, True) if self.infinite else (False,)
+
+        def drain(gi, nat):
+            if gi == len(self.groups):
+                return ("eqmap", ci, mode, 0, frozenset(), nat)
+            return ("drain", ci, mode, gi, nat)
+
+        for nat in nats:
+            for gi, g in enumerate(self.groups):
+                d = ("drain", ci, mode, gi, nat)
+                add(d, None, "ifz", self.c_group[g], drain(gi + 1, nat))
+                add(d, None, "dec", self.c_group[g],
+                    ("dmap", ci, mode, gi, 0, frozenset(), frozenset(), nat))
+
+        # choose a map for one drained unit
+        seen: set = set()
+        stack = [(gi, 0, frozenset(), frozenset(), nat)
+                 for nat in nats for gi in range(len(self.groups))]
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            gi, k, u1, u2, nat = key
+            src = ("dmap", ci, mode, gi, k, u1, u2, nat)
+            items = self.sorted_groups[gi]
+            if k == len(items):
+                add(src, None, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
+                continue
+            for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
+                nu1, nu2, nn = self.norm(u1 | y), self.norm(u2 | z), nat or n2
+                noop(src, ("dmap", ci, mode, gi, k + 1, nu1, nu2, nn))
+                stack.append((gi, k + 1, nu1, nu2, nn))
+
+
+def assert_same_as_pointwise(a) -> dict:
+    """Both emitters give the same machine text and stats; returns the
+    texts by variant."""
+    texts = {}
+    for variant, build in (("finite", build_ca_finite_with_stats),
+                           ("infinite", build_ca_infinite_with_stats)):
+        ref = PointwiseBuilder(a, variant == "infinite")
+        ref.discover()
+        ref_text = format_ca(ref.emit())
+        assert ref.n_locs == len(ref.locs)
+        ca, stats = build(a)
+        texts[variant] = format_ca(ca)
+        assert texts[variant] == ref_text
+        assert stats == ref.stats
+    return texts
+
+
+@pytest.mark.parametrize("name", list(CIRCLE_SENTENCES))
+def test_circle_machines_match_pointwise_and_pins(name):
+    a = ltl_to_ara(parse_ltl(CIRCLE_SENTENCES[name], AB), AB)
+    for variant, text in assert_same_as_pointwise(a).items():
+        assert hashlib.sha256(text.encode()).hexdigest() == _MACHINE_TEXT[(name, variant)]
+
+
+def bag_sentence(rng, size: int):
+    """A random sentence that most often keeps classes in the bag, which a
+    plain random sentence seldom does: every a stores its class and asks for
+    a later position in that class where a random sentence holds."""
+    psi = _random_xu_sentence(rng, size)
+    keep = Always(Implies(Atom("a"), Freeze(1, Next(Future(And(Reg(1), psi))))))
+    return And(keep, _random_xu_sentence(rng, rng.randint(1, 8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_drain_copies_match_pointwise(rng, size):
+    assert_same_as_pointwise(ltl_to_ara(bag_sentence(rng, size), AB))
+    assert_same_as_pointwise(ltl_to_ara(_random_xu_sentence(rng, size), AB))
+    assert_same_as_pointwise(random_1ara1(rng, n_locs=rng.randint(2, 6)))
 
 
 def test_build_finite_empty_language():
