@@ -7,14 +7,20 @@ Every state simulates every larger one step for step (pick the same witness
 valuation), so minimal-error reachability, closed upwards, is the full
 reachability set; that downward simulation justifies all the pruning below.
 
-The finite-word deciders share one breadth-first search, ``_search``; a
-search budget counts the states taken off the queue.
+The finite-word deciders share one breadth-first search, ``_search``.  It
+is guided by the counter-free control graph (``CounterAutomaton._guide``):
+a successor whose location cannot, ignoring the counters, read the rest of
+the word and then accept is dropped before its valuation is computed.  Its
+descendants could not pass either, so the states that remain keep their
+order and antichains, and a search budget counts the states taken off the
+queue among those that remain.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby, repeat
 from operator import le
 from typing import Optional, Sequence
@@ -28,6 +34,9 @@ Transition = tuple  # (source, letter-or-None, op, counter, target)
 
 @dataclass
 class CounterAutomaton:
+    """Read-only once built: ``outgoing`` and the search guide are derived
+    from the fields once."""
+
     alphabet: Alphabet
     locations: tuple
     initial: object
@@ -45,6 +54,43 @@ class CounterAutomaton:
 
     def outgoing(self, q) -> list:
         return self._out[q]
+
+    @cached_property
+    def _guide(self) -> dict:
+        """Built on the first search: for each location that can reach an
+        accepting location, the bits (see ``_letter_bits``) of the letters
+        it can read, after silent steps only, on a transition into such a
+        location, plus bit 0 if a silent path, maybe empty, leads it into an
+        accepting location.  The other locations are absent."""
+        bits = _letter_bits(self.alphabet)
+        into: dict = {}
+        for t in self.transitions:
+            into.setdefault(t[4], []).append(t)
+        guide = {q: 1 for q in self.accepting}
+        stack = list(guide)
+        while stack:  # every location with a path into an accepting one
+            for t in into.get(stack.pop(), ()):
+                if t[0] not in guide:
+                    guide[t[0]] = 0
+                    stack.append(t[0])
+        for q, w, _op, _ctr, q2 in self.transitions:
+            if w is not None and q2 in guide:
+                guide[q] |= bits.get(w, -2)
+        stack = list(guide)
+        while stack:  # pass each mask back along silent transitions
+            m = guide[q := stack.pop()]
+            for t in into.get(q, ()):
+                if t[1] is None and m & ~guide[t[0]]:
+                    guide[t[0]] |= m
+                    stack.append(t[0])
+        return guide
+
+
+def _letter_bits(alphabet: Alphabet) -> dict:
+    """The guide's bit of each letter, above bit 0.  Callers look a letter
+    up with default -2, all of them: a letter outside the alphabet, which
+    ``validate_ca`` rejects, is then never pruned on."""
+    return {a: 2 << k for k, a in enumerate(alphabet.letters)}
 
 
 def validate_ca(c: CounterAutomaton) -> list[str]:
@@ -153,13 +199,20 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
     accepting location.  Returns its path link (see ``_unlink``), False when
     the space is exhausted, or None when more than ``budget`` states were
     taken off the queue.  A transition reading a letter other than the
-    word's next one is skipped before its valuation is computed.  With
-    ``word=None`` any letters are read, and the position only records
-    whether one has been: a state reached by a letter is never pruned by the
-    start state, which may be at an accepting location.
+    word's next one is skipped before its valuation is computed, and so is
+    one into a location whose guide mask lacks the bit of the word's letter
+    at the new position, or bit 0 at the word's end.  With ``word=None`` any
+    letters are read, a location outside the guide is skipped, and the
+    position only records whether a letter has been read: a state reached
+    by a letter is never pruned by the start state, which may be at an
+    accepting location.  The budget counts only states the guide kept.
     """
     free = word is None
     n = 0 if free else len(word)
+    guide = c._guide
+    bits = _letter_bits(c.alphabet)
+    # per position, the guide bits a successor there must have one of
+    need = [-1, -1] if free else [bits.get(a, -2) for a in word] + [1]
     accepting = c.accepting
     zero = (0,) * c.n_counters
     # incrementing: per position, per location, the minimal valuations seen;
@@ -186,6 +239,8 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
             elif free:
                 pos2 = 1
             else:
+                continue
+            if not guide.get(q2, 0) & need[pos2]:
                 continue
             k = ctr - 1
             if op == "inc":
@@ -573,9 +628,10 @@ def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -
 
 def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
                             budget: int = 100_000) -> Verdict:
-    """Semi-decision for Minsky machines by exact breadth-first search.  A
-    definite yes when found; never claims emptiness.  The budget counts
-    states taken off the queue.  Over infinite words, stages of growing size,
+    """Bounded search of Minsky machines by exact breadth-first search.  A
+    definite yes when found.  Over finite words, exhausting the exact state
+    space is a definite no, as in ``accepts_word``; the budget counts states
+    taken off the queue.  Over infinite words, stages of growing size,
     the last of ``budget`` states and fewer than three times it in all, look
     for an accepting state on a cycle that reads a letter."""
     if over not in ("finite", "infinite"):
@@ -586,9 +642,7 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
             return Verdict("unknown", reason=f"budget of {budget} states spent")
         if found:
             return Verdict("nonempty", witness=_letters(found))
-        # exhausting exact reachability without an accepting hit is still
-        # only reported as unknown: the search is a semi-decision by contract
-        return Verdict("unknown", reason="exact exploration exhausted")
+        return Verdict("empty", reason="exact state space exhausted")
     for cap in [cap for cap in _STAGES if cap < budget] + [budget]:
         states, edges, parent = _explore_min_graph(c, cap, step_minsky)
         lasso = _exact_lasso(c, states, edges, parent)

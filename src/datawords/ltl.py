@@ -532,6 +532,9 @@ def sat_bounded(phi: Formula, sigma: Alphabet, max_len: int) -> Optional[DataWor
 _TOKEN = re.compile(r"\s*(->|[()&|!]|[A-Za-z_][A-Za-z0-9_.]*)")
 
 _KEYWORDS = {"X", "Xp", "F", "Fp", "G", "Gp", "U", "Up", "true", "false"}
+_STORE = re.compile(r"store\d+")
+_UP = re.compile(r"up\d+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -552,12 +555,20 @@ _PREFIX = {"!": Not, "X": Next, "Xp": Prev, "F": Future, "Fp": Past,
            "G": Always, "Gp": PastAlways}
 
 
-class _LtlParser:
-    """Recursive descent for the surface grammar.
+# infix operators by token: (binding level, constructor); -> binds loosest
+_INFIX = {"->": (0, Implies), "|": (1, Or), "&": (2, And), "U": (3, Until),
+          "Up": (3, Since)}
+_RIGHT = (0, 3)  # the levels that group to the right: ->, U and Up
 
-    Infix precedence (low to high): ``->``, ``|``, ``&``, ``U``/``Up``.
-    The prefix operators (!, X, Xp, F, Fp, G, Gp, store<r>) form a single
-    tier binding tighter than the infix ones, so ``X a U b`` is
+
+class _LtlParser:
+    """Operator precedence over explicit stacks, so neither a long chain of
+    operators nor deep parentheses costs recursion depth.
+
+    Infix precedence (low to high): ``->``, ``|``, ``&``, ``U``/``Up``;
+    ``->``, ``U`` and ``Up`` group to the right, ``|`` and ``&`` to the
+    left.  The prefix operators (!, X, Xp, F, Fp, G, Gp, store<r>) form a
+    single tier binding tighter than the infix ones, so ``X a U b`` is
     ``(X a) U b`` and ``store1 X p`` is ``store1 (X p)``.
     """
 
@@ -579,90 +590,82 @@ class _LtlParser:
         self.k += 1
         return tok
 
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
-        self.k += 1
-
     def parse(self) -> Formula:
-        f = self.implies()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return f
+        # per open parenthesis, the (prefixes, operands, operators) around it
+        groups: list = []
+        prefixes, operands, ops = self.prefixes(), [], []
+        while True:
+            if self.peek() == "(":
+                self.k += 1
+                groups.append((prefixes, operands, ops))
+                prefixes, operands, ops = self.prefixes(), [], []
+                continue
+            f = self.primary()
+            while True:  # f is an operand, but for its prefixes
+                for op in reversed(prefixes):
+                    f = op(f)
+                operands.append(f)
+                tok = self.peek()
+                if tok in _INFIX:
+                    break
+                _reduce(operands, ops, -1)
+                f = operands.pop()
+                if not groups:
+                    if tok is not None:
+                        raise ParseError(f"trailing input {tok!r}", self.pos())
+                    return f
+                if tok != ")":
+                    raise ParseError(f"expected ')', found {tok!r}", self.pos())
+                self.k += 1
+                prefixes, operands, ops = groups.pop()
+            self.k += 1
+            level, op = _INFIX[tok]
+            _reduce(operands, ops, level)
+            ops.append((level, op))
+            prefixes = self.prefixes()
 
-    def implies(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.until()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def until(self) -> Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok == "U":
-            self.take()
-            return Until(left, self.until())
-        if tok == "Up":
-            self.take()
-            return Since(left, self.until())
-        return left
-
-    def unary(self) -> Formula:
-        # the chain of prefix operators is gathered first and folded onto its
-        # operand, so a long chain costs no recursion depth
+    def prefixes(self) -> list:
+        """The chain of prefix operators before an operand, outermost first."""
         chain = []
         while True:
             tok = self.peek()
             if tok in _PREFIX:
                 chain.append(_PREFIX[tok])
-            elif tok is not None and re.fullmatch(r"store\d+", tok):
+            elif tok is not None and _STORE.fullmatch(tok):
                 chain.append(partial(Freeze, int(tok[5:])))
             else:
-                break
+                return chain
             self.take()
-        f = self.primary()
-        for op in reversed(chain):
-            f = op(f)
-        return f
 
     def primary(self) -> Formula:
+        """An atom, a register test or a constant."""
         tok = self.peek()
-        if tok == "(":
-            self.take()
-            f = self.implies()
-            self.expect(")")
-            return f
         if tok == "true":
             self.take()
             return TOP
         if tok == "false":
             self.take()
             return BOT
-        if tok is not None and re.fullmatch(r"up\d+", tok):
+        if tok is not None and _UP.fullmatch(tok):
             self.take()
             return Reg(int(tok[2:]))
-        if tok is not None and tok not in _KEYWORDS and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", tok):
+        if tok is not None and tok not in _KEYWORDS and _NAME.fullmatch(tok):
             pos = self.pos()
             self.take()
             if self.sigma is not None and tok not in self.sigma:
                 raise UnknownAtom(f"atom {tok!r} not in the alphabet", pos)
             return Atom(tok)
         raise ParseError(f"unexpected token {tok!r}", self.pos())
+
+
+def _reduce(operands: list, ops: list, level: int) -> None:
+    """Apply the stacked operators that take their right operand before an
+    operator at ``level`` comes: those binding tighter, and those of its
+    level when it groups to the left.  ``level=-1`` applies them all."""
+    while ops and (ops[-1][0] > level or ops[-1][0] == level and level not in _RIGHT):
+        _, op = ops.pop()
+        right = operands.pop()
+        operands.append(op(operands.pop(), right))
 
 
 def parse_ltl(text: str, sigma: Optional[Alphabet] = None) -> Formula:

@@ -143,14 +143,26 @@ def _require_1ara1(a: RegisterAutomaton) -> None:
 
 class _Builder:
     def __init__(self, a: RegisterAutomaton, infinite: bool):
-        _require_1ara1(a)
-        errs = validate(a)
-        if errs:
-            raise ClassMismatch(f"invalid automaton: {errs[0]}")
         # program points embed location sets, and hashing deep formula
-        # locations over and over dominates the build: use small integers
-        a = relabel(a, {q: k for k, q in enumerate(a.locations)}.__getitem__)
-        self.a = a
+        # locations over and over dominates the build: use small integers,
+        # checked on the copy.  A location outside the list, such as a
+        # dangling target, gets a number past it, which validate reports.
+        # Most mentions of a location are the very object in the list, so
+        # objects are looked up by identity before they are hashed.
+        index: dict = {}
+        by_id: dict = {}
+
+        def number(q):
+            k = by_id.get(id(q))
+            if k is None:
+                k = by_id[id(q)] = index.setdefault(q, len(index))
+            return k
+
+        b = relabel(a, number)
+        _require_1ara1(b)
+        if validate(b):  # the first violation, in the caller's names
+            raise ClassMismatch(f"invalid automaton: {validate(a)[0]}")
+        self.a = a = b
         self.infinite = infinite
         self.succ = SuccTable(a)
         self.letters = a.alphabet.letters

@@ -10,7 +10,7 @@ from datawords.ca import (
     CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
     leq, nonempty_finite_incrementing, nonempty_infinite_incrementing,
     nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
-    rename_locations, validate_ca, verify_lasso, ca_to_dot, _witness_search,
+    Verdict, rename_locations, validate_ca, verify_lasso, ca_to_dot, _witness_search,
 )
 from datawords.errors import PreconditionViolation
 from datawords.words import Alphabet, alphabet
@@ -167,8 +167,18 @@ def test_nonempty_minsky_bounded():
               ("q2", "a", "ifz", 1, "q3")], {"q3"}, n_counters=2)
     v = nonempty_minsky_bounded(c, "finite")
     assert v.is_nonempty and v.witness == ("a", "a", "a")
+    # exhausting the exact state space is a definite no
     none = tiny([("q0", "a", "inc", 1, "q0")], set())
-    assert nonempty_minsky_bounded(none, "finite", budget=500).kind == "unknown"
+    assert nonempty_minsky_bounded(none, "finite", budget=500) == \
+        Verdict("empty", reason="exact state space exhausted")
+    c = tiny([("q0", "a", "inc", 1, "q1"), ("q1", "b", "dec", 2, "q2")], {"q2"}, n_counters=2)
+    assert nonempty_minsky_bounded(c, "finite").is_empty
+    # counter 2 blocks the way to q1, and counter 1 pumps without end
+    blocked = tiny([("q0", "a", "inc", 1, "q0"), ("q0", "b", "dec", 2, "q1")], {"q1"},
+                   n_counters=2)
+    assert nonempty_minsky_bounded(blocked, "finite", budget=500) == \
+        Verdict("unknown", reason="budget of 500 states spent")
+    assert nonempty_finite_incrementing(blocked).witness == ("b",)
     with pytest.raises(PreconditionViolation):
         nonempty_minsky_bounded(none, "omega")
 

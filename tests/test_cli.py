@@ -246,12 +246,14 @@ def test_python_m_datawords():
 
 
 def test_budget_exit_code(tmp_path, capsys):
+    # q1 is reachable but for counter 2, which a Minsky run cannot decrement
     ca_file = tmp_path / "loop.ca"
-    ca_file.write_text("""alphabet: a
-counters: 1
+    ca_file.write_text("""alphabet: a b
+counters: 2
 init: q0
-accepting:
+accepting: q1
 q0 a inc 1 q0
+q0 b dec 2 q1
 """)
     code, out, _ = run(capsys, "empty", "ca", str(ca_file), "--semantics",
                        "minsky", "--budget", "50")

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
-    Always, And, Atom, Bottom, Freeze, Future, Next, Not, Or, Past, PastAlways, Prev,
-    Reg, Top, Until,
+    Always, And, Atom, Bottom, Freeze, Future, Implies, Next, Not, Or, Past, PastAlways,
+    Prev, Reg, Since, Top, Until,
     classify, desugar, eval_ltl, format_ltl, is_simple_in, nnf, parse_ltl,
     sat_bounded, size,
 )
@@ -178,6 +178,31 @@ def test_sat_bounded(phi):
 
     f = parse_ltl("a & store1 F (b & up1)", AB)
     assert sat_bounded(f, AB, 2) == make_data_word("ab", [{0, 1}])
+
+
+def test_parse_long_infix_chains_and_deep_parentheses():
+    """Right-nested infix chains and nested parentheses cost the parser no
+    recursion depth either; the results are measured with the iterative
+    size and walked in a loop."""
+    for tok, ctor in (("U", Until), ("Up", Since), ("->", Implies)):
+        f = parse_ltl(f"a {tok} " * 1000 + "a", AB)
+        assert size(f) == 2001
+        for _ in range(1000):
+            assert type(f) is ctor and f.left == Atom("a")
+            f = f.right
+        assert f == Atom("a")
+    assert parse_ltl("(" * 400 + "a" + ")" * 400, AB) == Atom("a")
+    assert size(parse_ltl("(" * 400 + "a" + " & b)" * 400, AB)) == 801
+    f = parse_ltl("X (" * 400 + "a" + " U b)" * 400, AB)
+    assert size(f) == 1201
+    for _ in range(400):
+        assert type(f) is Next and type(f.body) is Until and f.body.right == Atom("b")
+        f = f.body.left
+    assert f == Atom("a")
+    with pytest.raises(ParseError, match="expected '\\)', found None"):
+        parse_ltl("(" * 400 + "a" + ")" * 399, AB)
+    with pytest.raises(ParseError, match="trailing input '\\)'"):
+        parse_ltl("(" * 400 + "a" + ")" * 401, AB)
 
 
 def test_size_of_a_deep_chain():

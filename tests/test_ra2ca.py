@@ -781,6 +781,22 @@ def test_rejects_wrong_class():
         build_ca_finite(two_reg)
 
 
+@pytest.mark.parametrize("build", [build_ca_finite, build_ca_infinite])
+def test_invalid_automaton_is_reported_in_its_own_names(build):
+    # the builder checks an integer copy, but words the error in the
+    # caller's locations; a dangling target is an error, not a KeyError
+    dangling = RegisterAutomaton(AB, ("q", "t"), "q", 1, {"q": TStore(1, "gone"), "t": TTop()},
+                                 {"q": 0, "t": 0}, {"q": 1, "t": 0})
+    with pytest.raises(ClassMismatch, match="^invalid automaton: 'q': target 'gone' missing$"):
+        build(dangling)
+    delta = {"q": TOr("p", "acc"), "p": TTest(BLetter("a"), "q", "acc"), "acc": TTop()}
+    cycle = RegisterAutomaton(AB, tuple(delta), "q", 1, delta, dict.fromkeys(delta, 0),
+                              {"q": 1, "p": 1, "acc": 0})
+    with pytest.raises(ClassMismatch,
+                       match="^invalid automaton: height fails to drop along 'q' -> 'p'$"):
+        build(cycle)
+
+
 def test_build_infinite_running_example(phi_ca):
     phi, a, _ = phi_ca
     ca = build_ca_infinite(a)
