@@ -32,10 +32,10 @@ from .words import Alphabet, parse_alphabet, parse_header_count
 Transition = tuple  # (source, letter-or-None, op, counter, target)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CounterAutomaton:
-    """Read-only once built: ``outgoing`` and the search guide are derived
-    from the fields once."""
+    """Read-only: ``outgoing`` and the search guide are derived from the
+    fields once, so the fields cannot be reassigned."""
 
     alphabet: Alphabet
     locations: tuple
@@ -45,12 +45,13 @@ class CounterAutomaton:
     accepting: frozenset
 
     def __post_init__(self):
-        self.locations = tuple(self.locations)
-        self.transitions = tuple(self.transitions)
-        self.accepting = frozenset(self.accepting)
-        self._out: dict = {q: [] for q in self.locations}
+        object.__setattr__(self, "locations", tuple(self.locations))
+        object.__setattr__(self, "transitions", tuple(self.transitions))
+        object.__setattr__(self, "accepting", frozenset(self.accepting))
+        out: dict = {q: [] for q in self.locations}
         for t in self.transitions:
-            self._out[t[0]].append(t)
+            out[t[0]].append(t)
+        object.__setattr__(self, "_out", out)
 
     def outgoing(self, q) -> list:
         return self._out[q]

@@ -6,7 +6,11 @@ usage errors (including ``accepts`` without --ra or --ca, or without the
 process exit 2, parse errors (including a letter outside the alphabet, an
 empty or repeated alphabet and an automaton that fails validation) 3,
 exhausted budgets 4.  With --json each result is printed as one JSON object
-per line.
+per line.  Parsing and printing take no recursion depth.  Still refused as
+nested too deeply: a deep LTL formula that is hashed or compared (its
+letters read when no alphabet is given, ``classify``, the ``ltl_to_ara``
+closure), and deep input to ``eval_ltl``, ``eval_fo`` and
+``fo2_to_simple_ltl``.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.

@@ -2,13 +2,16 @@
 between its formulas and simple one-register temporal sentences.
 
 Variables are integers (x0, x1, ...).  Position arithmetic atoms are
-``x = y + k`` with k >= 0; k = 0 doubles as plain equality.
+``x = y + k`` with k >= 0; k = 0 doubles as plain equality.  The
+structural walkers go through ``ltl.fold``, so no depth of nesting costs them
+recursion.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import ltl
@@ -124,53 +127,53 @@ def fo_or(parts) -> FoFormula:
     return out
 
 
+_ATOM_VARS = {
+    FoTop: lambda f: frozenset(), FoBottom: lambda f: frozenset(),
+    Pred: lambda f: frozenset([f.var]),
+    Same: lambda f: frozenset([f.left, f.right]),
+    Less: lambda f: frozenset([f.left, f.right]),
+    PlusEq: lambda f: frozenset([f.left, f.right]),
+}
+_CONNECTIVES = (FoAnd, FoOr, FoImplies)
+_QUANTIFIERS = (Exists, Forall)
+
+
 def free_vars(phi: FoFormula) -> frozenset[int]:
-    t = type(phi)
-    if t in (FoTop, FoBottom):
-        return frozenset()
-    if t is Pred:
-        return frozenset([phi.var])
-    if t in (Same, Less):
-        return frozenset([phi.left, phi.right])
-    if t is PlusEq:
-        return frozenset([phi.left, phi.right])
-    if t is FoNot:
-        return free_vars(phi.body)
-    if t in (FoAnd, FoOr, FoImplies):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if t in (Exists, Forall):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError(phi)
+    return _vars(phi, frozenset.difference)
 
 
 def all_vars(phi: FoFormula) -> frozenset[int]:
-    t = type(phi)
-    if t in (FoTop, FoBottom):
-        return frozenset()
-    if t is Pred:
-        return frozenset([phi.var])
-    if t in (Same, Less, PlusEq):
-        return frozenset([phi.left, phi.right])
-    if t is FoNot:
-        return all_vars(phi.body)
-    if t in (FoAnd, FoOr, FoImplies):
-        return all_vars(phi.left) | all_vars(phi.right)
-    if t in (Exists, Forall):
-        return all_vars(phi.body) | {phi.var}
-    raise TypeError(phi)
+    return _vars(phi, frozenset.union)
+
+
+def _vars(phi: FoFormula, leaf) -> frozenset[int]:
+    """The union over the atoms of ``leaf(their variables, those of the
+    quantifiers above them)``: every quantifier has an atom below it."""
+    def visit(f: FoFormula, quantified: frozenset[int]):
+        t = type(f)
+        if t in _ATOM_VARS:
+            return leaf(_ATOM_VARS[t](f), quantified), ()
+        if t in _CONNECTIVES:
+            return frozenset.union, ((f.left, quantified), (f.right, quantified))
+        if t is FoNot:
+            return ltl._same, ((f.body, quantified),)
+        if t in _QUANTIFIERS:
+            return ltl._same, ((f.body, quantified | {f.var}),)
+        raise TypeError(f)
+
+    return ltl.fold(phi, visit, frozenset())
 
 
 def max_offset(phi: FoFormula) -> int:
-    t = type(phi)
-    if t is PlusEq:
-        return phi.offset
-    if t is FoNot:
-        return max_offset(phi.body)
-    if t in (FoAnd, FoOr, FoImplies):
-        return max(max_offset(phi.left), max_offset(phi.right))
-    if t in (Exists, Forall):
-        return max_offset(phi.body)
-    return 0
+    def visit(f: FoFormula, _):
+        t = type(f)
+        if t is FoNot or t in _QUANTIFIERS:
+            return ltl._same, ((f.body, None),)
+        if t in _CONNECTIVES:
+            return max, ((f.left, None), (f.right, None))
+        return (f.offset if t is PlusEq else 0), ()
+
+    return ltl.fold(phi, visit)
 
 
 def is_two_variable(phi: FoFormula) -> bool:
@@ -297,32 +300,36 @@ def simple_ltl_to_fo2(phi: ltl.Formula, j: int, m: Optional[int] = None) -> FoFo
     return _t_fwd(phi, j, m)
 
 
+_FWD_CONNECTIVES = {ltl.Not: FoNot, ltl.And: FoAnd, ltl.Or: FoOr, ltl.Implies: FoImplies}
+
+
 def _t_fwd(phi: ltl.Formula, j: int, m: int) -> FoFormula:
-    t = type(phi)
-    if t is ltl.Atom:
-        return Pred(phi.letter, j)
-    if t is ltl.NAtom:
-        return FoNot(Pred(phi.letter, j))
-    if t is ltl.Top:
-        return FO_TOP
-    if t is ltl.Bottom:
-        return FO_BOT
-    if t is ltl.Reg:
-        return Same(1 - j, j)
-    if t is ltl.NReg:
-        return FoNot(Same(1 - j, j))
-    if t is ltl.Not:
-        return FoNot(_t_fwd(phi.body, j, m))
-    if t is ltl.And:
-        return FoAnd(_t_fwd(phi.left, j, m), _t_fwd(phi.right, j, m))
-    if t is ltl.Or:
-        return FoOr(_t_fwd(phi.left, j, m), _t_fwd(phi.right, j, m))
-    if t is ltl.Implies:
-        return FoImplies(_t_fwd(phi.left, j, m), _t_fwd(phi.right, j, m))
-    if t is ltl.Freeze:
-        k, body = _strip_block(phi)
-        return Exists(1 - j, FoAnd(chi(j, k, m), _t_fwd(body, 1 - j, m)))
-    raise NotSimpleFragment(f"unexpected node in simple formula: {phi}")
+    def visit(f: ltl.Formula, j: int):
+        t = type(f)
+        if t in _FWD_CONNECTIVES:
+            return _FWD_CONNECTIVES[t], ltl._down(f, j)
+        if t is ltl.Freeze:
+            k, body = _strip_block(f)
+            return partial(_jump, 1 - j, chi(j, k, m)), ((body, 1 - j),)
+        if t is ltl.Atom:
+            return Pred(f.letter, j), ()
+        if t is ltl.NAtom:
+            return FoNot(Pred(f.letter, j)), ()
+        if t is ltl.Top:
+            return FO_TOP, ()
+        if t is ltl.Bottom:
+            return FO_BOT, ()
+        if t is ltl.Reg:
+            return Same(1 - j, j), ()
+        if t is ltl.NReg:
+            return FoNot(Same(1 - j, j)), ()
+        raise NotSimpleFragment(f"unexpected node in simple formula: {f}")
+
+    return ltl.fold(phi, visit, j)
+
+
+def _jump(var: int, where: FoFormula, body: FoFormula) -> FoFormula:
+    return Exists(var, FoAnd(where, body))
 
 
 def _strip_block(phi: ltl.Formula) -> tuple[int, ltl.Formula]:
@@ -368,24 +375,25 @@ def fo2_to_simple_ltl(phi: FoFormula, j: int, m: Optional[int] = None) -> ltl.Fo
 
 def _swap(phi: FoFormula) -> FoFormula:
     """Exchange x0 and x1 everywhere (bound and free)."""
-    t = type(phi)
-    if t in (FoTop, FoBottom):
-        return phi
-    if t is Pred:
-        return Pred(phi.letter, 1 - phi.var)
-    if t is Same:
-        return Same(1 - phi.left, 1 - phi.right)
-    if t is Less:
-        return Less(1 - phi.left, 1 - phi.right)
-    if t is PlusEq:
-        return PlusEq(1 - phi.left, 1 - phi.right, phi.offset)
-    if t is FoNot:
-        return FoNot(_swap(phi.body))
-    if t in (FoAnd, FoOr, FoImplies):
-        return t(_swap(phi.left), _swap(phi.right))
-    if t in (Exists, Forall):
-        return t(1 - phi.var, _swap(phi.body))
-    raise TypeError(phi)
+    def visit(f: FoFormula, _):
+        t = type(f)
+        if t is FoNot:
+            return FoNot, ((f.body, None),)
+        if t in _CONNECTIVES:
+            return t, ((f.left, None), (f.right, None))
+        if t in _QUANTIFIERS:
+            return partial(t, 1 - f.var), ((f.body, None),)
+        if t is Pred:
+            return Pred(f.letter, 1 - f.var), ()
+        if t in (Same, Less):
+            return t(1 - f.left, 1 - f.right), ()
+        if t is PlusEq:
+            return PlusEq(1 - f.left, 1 - f.right, f.offset), ()
+        if t in (FoTop, FoBottom):
+            return f, ()
+        raise TypeError(f)
+
+    return ltl.fold(phi, visit)
 
 
 def _and2(a: ltl.Formula, b: ltl.Formula) -> ltl.Formula:
@@ -414,20 +422,6 @@ def _not2(a: ltl.Formula) -> ltl.Formula:
     if isinstance(a, ltl.Bottom):
         return ltl.TOP
     return ltl.Not(a)
-
-
-def _big_and(parts) -> ltl.Formula:
-    out = ltl.TOP
-    for p in reversed(list(parts)):
-        out = _and2(p, out)
-    return out
-
-
-def _big_or(parts) -> ltl.Formula:
-    out = ltl.BOT
-    for p in reversed(list(parts)):
-        out = _or2(p, out)
-    return out
 
 
 def _t_back(phi: FoFormula, j: int, m: int, memo) -> ltl.Formula:
@@ -531,7 +525,7 @@ def _t_exists(body: FoFormula, j: int, m: int, memo) -> ltl.Formula:
             alpha_vals = [_alpha_value(a, j, k, m, b) for a in alphas]
             for mask in range(1 << n_xi):
                 xi_vals = [ltl.TOP if mask >> i & 1 else ltl.BOT for i in range(n_xi)]
-                guard = _big_and(
+                guard = ltl.big_and(
                     xi_tr[i] if mask >> i & 1 else _not2(xi_tr[i])
                     for i in range(n_xi)
                 )
@@ -542,7 +536,7 @@ def _t_exists(body: FoFormula, j: int, m: int, memo) -> ltl.Formula:
                 if isinstance(inner, ltl.Bottom):
                     continue
                 disjuncts.append(_and2(guard, _op_block(k, m, inner)))
-    return _big_or(disjuncts)
+    return ltl.big_or(disjuncts)
 
 
 def _alpha_value(atom: FoFormula, j: int, k: int, m: int, b: bool) -> ltl.Formula:
@@ -575,100 +569,37 @@ def _alpha_value(atom: FoFormula, j: int, k: int, m: int, b: bool) -> ltl.Formul
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
-_FO_TOKEN = re.compile(r"\s*(->|[()&|!~<]|=|\+|\d+|[A-Za-z_][A-Za-z0-9_.]*)")
+_VAR = re.compile(r"x(\d+)")
 
 
-def _fo_tokens(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _FO_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+class _FoParser(ltl._Parser):
+    """Infix precedence (low to high): ``->``, grouping to the right, then
+    ``|`` and ``&``, grouping to the left.  The prefixes ``!``, ``exists
+    xN`` and ``forall xN`` bind tighter than all of them."""
 
-
-class _FoParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.k = 0
-
-    def peek(self, ahead=0):
-        idx = self.k + ahead
-        return self.tokens[idx][0] if idx < len(self.tokens) else None
-
-    def pos(self):
-        return self.tokens[self.k][1] if self.k < len(self.tokens) else -1
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.k += 1
-        return tok
-
-    def expect(self, tok):
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
-        self.k += 1
+    TOKEN = re.compile(r"\s*(->|[()&|!~<]|=|\+|\d+|[A-Za-z_][A-Za-z0-9_.]*)")
+    INFIX = {"->": (0, FoImplies), "|": (1, FoOr), "&": (2, FoAnd)}
+    RIGHT = (0,)
 
     def var(self) -> int:
         tok = self.take()
-        m = re.fullmatch(r"x(\d+)", tok)
+        m = _VAR.fullmatch(tok)
         if not m:
             raise ParseError(f"expected a variable, found {tok!r}", self.pos())
         return int(m.group(1))
 
-    def parse(self):
-        f = self.implies()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", self.pos())
-        return f
-
-    def implies(self):
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return FoImplies(left, self.implies())
-        return left
-
-    def disj(self):
-        f = self.conj()
-        while self.peek() == "|":
-            self.take()
-            f = FoOr(f, self.conj())
-        return f
-
-    def conj(self):
-        f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = FoAnd(f, self.unary())
-        return f
-
-    def unary(self):
+    def prefix(self):
         tok = self.peek()
         if tok == "!":
-            self.take()
-            return FoNot(self.unary())
+            self.k += 1
+            return FoNot
         if tok in ("exists", "forall"):
-            self.take()
-            v = self.var()
-            body = self.unary()
-            return (Exists if tok == "exists" else Forall)(v, body)
-        return self.atom()
+            self.k += 1
+            return partial(Exists if tok == "exists" else Forall, self.var())
+        return None
 
-    def atom(self):
+    def primary(self) -> FoFormula:
         tok = self.peek()
-        if tok == "(":
-            self.take()
-            f = self.implies()
-            self.expect(")")
-            return f
         if tok == "true":
             self.take()
             return FO_TOP
@@ -681,7 +612,7 @@ class _FoParser:
             v = self.var()
             self.expect(")")
             return Pred(letter, v)
-        if tok is not None and re.fullmatch(r"x\d+", tok):
+        if tok is not None and _VAR.fullmatch(tok):
             a = self.var()
             op = self.take()
             if op == "~":
@@ -702,35 +633,35 @@ class _FoParser:
 
 
 def parse_fo(text: str) -> FoFormula:
-    return _FoParser(_fo_tokens(text)).parse()
+    return _FoParser(text).parse()
+
+
+_FORMAT = {FoNot: "!({})".format, FoAnd: "({} & {})".format,
+           FoOr: "({} | {})".format, FoImplies: "({} -> {})".format}
 
 
 def format_fo(phi: FoFormula) -> str:
-    t = type(phi)
-    if t is FoTop:
-        return "true"
-    if t is FoBottom:
-        return "false"
-    if t is Pred:
-        return f"P{phi.letter}(x{phi.var})"
-    if t is Same:
-        return f"x{phi.left} ~ x{phi.right}"
-    if t is Less:
-        return f"x{phi.left} < x{phi.right}"
-    if t is PlusEq:
-        if phi.offset == 0:
-            return f"x{phi.left} = x{phi.right}"
-        return f"x{phi.left} = x{phi.right} + {phi.offset}"
-    if t is FoNot:
-        return f"!({format_fo(phi.body)})"
-    if t is FoAnd:
-        return f"({format_fo(phi.left)} & {format_fo(phi.right)})"
-    if t is FoOr:
-        return f"({format_fo(phi.left)} | {format_fo(phi.right)})"
-    if t is FoImplies:
-        return f"({format_fo(phi.left)} -> {format_fo(phi.right)})"
-    if t is Exists:
-        return f"exists x{phi.var} ({format_fo(phi.body)})"
-    if t is Forall:
-        return f"forall x{phi.var} ({format_fo(phi.body)})"
-    raise TypeError(phi)
+    def visit(f: FoFormula, _):
+        t = type(f)
+        if t is FoNot:
+            return _FORMAT[t], ((f.body, None),)
+        if t in _CONNECTIVES:
+            return _FORMAT[t], ((f.left, None), (f.right, None))
+        if t in _QUANTIFIERS:
+            return f"{t.__name__.lower()} x{f.var} ({{}})".format, ((f.body, None),)
+        if t is FoTop:
+            return "true", ()
+        if t is FoBottom:
+            return "false", ()
+        if t is Pred:
+            return f"P{f.letter}(x{f.var})", ()
+        if t is Same:
+            return f"x{f.left} ~ x{f.right}", ()
+        if t is Less:
+            return f"x{f.left} < x{f.right}", ()
+        if t is PlusEq:
+            plus = f" + {f.offset}" if f.offset else ""
+            return f"x{f.left} = x{f.right}{plus}", ()
+        raise TypeError(f)
+
+    return ltl.fold(phi, visit)

@@ -4,6 +4,8 @@ The AST keeps surface sugar (F, G, their past versions, implication) so that
 fragment classification sees what the user wrote; ``desugar`` eliminates it
 before the automaton translation.  Dual operators (weak next, dual until,
 negated atoms/registers) exist so negation normal form stays inside the AST.
+The structural walkers of this module and of ``fo`` go through ``fold``, so
+no depth of nesting costs them recursion.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from operator import and_, is_
 from typing import Iterator, Optional
 
 from .errors import ForeignValuation, ParseError, UnknownAtom
@@ -161,19 +164,84 @@ class NReg(Formula):
 TOP = Top()
 BOT = Bottom()
 
-_CHILD_FIELDS = {
-    Not: ("body",), Next: ("body",), WNext: ("body",), Prev: ("body",),
-    WPrev: ("body",), Future: ("body",), Past: ("body",), Always: ("body",),
-    PastAlways: ("body",), Freeze: ("body",),
-    And: ("left", "right"), Or: ("left", "right"), Implies: ("left", "right"),
-    Until: ("left", "right"), DualUntil: ("left", "right"),
-    Since: ("left", "right"), DualSince: ("left", "right"),
-}
+_UNARY = frozenset({Not, Next, WNext, Prev, WPrev, Future, Past, Always, PastAlways, Freeze})
+_BINARY = frozenset({And, Or, Implies, Until, DualUntil, Since, DualSince})
+_INNER = _UNARY | _BINARY
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    fields = _CHILD_FIELDS.get(type(phi), ())
-    return tuple(getattr(phi, f) for f in fields)
+    t = type(phi)
+    if t in _BINARY:
+        return (phi.left, phi.right)
+    return (phi.body,) if t in _UNARY else ()
+
+
+def _down(phi: Formula, down) -> tuple:
+    """Each child of an inner node, paired with ``down``."""
+    if type(phi) in _BINARY:
+        return ((phi.left, down), (phi.right, down))
+    return ((phi.body, down),)
+
+
+def fold(root, visit, down=None):
+    """Post-order fold of a formula tree, of either logic, over explicit
+    stacks.
+
+    ``visit(node, down)`` returns ``(build, pairs)``: the ``(child, down)``
+    pairs are folded first, in order, and ``build`` makes the node's value
+    from their values.  A node without pairs returns its value in place of
+    ``build``.
+    """
+    # Visiting the right child first lists the nodes in reverse post-order.
+    visited = []
+    todo = [(root, down)]
+    while todo:
+        visited.append(record := visit(*todo.pop()))
+        todo += record[1]
+    values: list = []
+    for build, pairs in reversed(visited):
+        if not pairs:
+            values.append(build)
+        elif len(pairs) == 1:
+            values[-1] = build(values[-1])
+        else:
+            args = values[-len(pairs):]
+            del values[-len(pairs):]
+            values.append(build(*args))
+    return values[0]
+
+
+def _same(value):
+    return value
+
+
+def big_and(parts) -> Formula:
+    """The conjunction of the parts as a tree of logarithmic depth: the
+    sentences of large machines join thousands.  True parts are dropped, and
+    a false part makes the whole false."""
+    return _balanced(parts, And, TOP, BOT)
+
+
+def big_or(parts) -> Formula:
+    """The disjunction, as ``big_and`` builds the conjunction."""
+    return _balanced(parts, Or, BOT, TOP)
+
+
+def _balanced(parts, node, unit, zero) -> Formula:
+    kept = []
+    for p in parts:
+        if type(p) is type(zero):
+            return zero
+        if type(p) is not type(unit):
+            kept.append(p)
+    if not kept:
+        return unit
+    while len(kept) > 1:  # join neighbours, left to right
+        joined = [node(a, b) for a, b in zip(kept[::2], kept[1::2])]
+        if len(kept) % 2:
+            joined.append(kept[-1])
+        kept = joined
+    return kept[0]
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
@@ -208,17 +276,17 @@ def atoms(phi: Formula) -> frozenset[str]:
 
 
 def free_registers(phi: Formula) -> frozenset[int]:
-    def rec(f: Formula, bound: frozenset[int]) -> frozenset[int]:
-        if isinstance(f, (Reg, NReg)):
-            return frozenset() if f.register in bound else frozenset([f.register])
-        if isinstance(f, Freeze):
-            return rec(f.body, bound | {f.register})
-        out: frozenset[int] = frozenset()
-        for c in children(f):
-            out |= rec(c, bound)
-        return out
+    def visit(f: Formula, bound: frozenset[int]):
+        t = type(f)
+        if t is Reg or t is NReg:
+            return frozenset() if f.register in bound else frozenset([f.register]), ()
+        if t is Freeze:
+            return _same, ((f.body, bound | {f.register}),)
+        if t in _INNER:
+            return frozenset.union, _down(f, bound)
+        return frozenset(), ()
 
-    return rec(phi, frozenset())
+    return fold(phi, visit, frozenset())
 
 
 def max_register(phi: Formula) -> int:
@@ -328,84 +396,65 @@ def _ev(w: DataWord, i: int, v: dict[int, int], phi: Formula) -> bool:
 # Normal forms
 
 
+_SUGAR = {
+    Future: lambda body: Until(TOP, body),
+    Past: lambda body: Since(TOP, body),
+    Always: lambda body: Not(Until(TOP, Not(body))),
+    PastAlways: lambda body: Not(Since(TOP, Not(body))),
+    Implies: lambda left, right: Or(Not(left), right),
+}
+
+
 def desugar(phi: Formula) -> Formula:
     """Eliminate F, G, their past versions and implication.
 
     F phi becomes true U phi; G phi becomes the negation of F of the
-    negation, and similarly for the past.  Duals are left untouched.
+    negation, and similarly for the past.  Duals are left untouched, and a
+    subformula without sugar is returned as the very same object.
     """
+    return fold(phi, _desugar_visit)
+
+
+def _desugar_visit(phi: Formula, _):
     t = type(phi)
-    if t is Future:
-        return Until(TOP, desugar(phi.body))
-    if t is Past:
-        return Since(TOP, desugar(phi.body))
-    if t is Always:
-        return Not(Until(TOP, Not(desugar(phi.body))))
-    if t is PastAlways:
-        return Not(Since(TOP, Not(desugar(phi.body))))
-    if t is Implies:
-        return Or(Not(desugar(phi.left)), desugar(phi.right))
-    fields = _CHILD_FIELDS.get(t)
-    if not fields:
+    if t not in _INNER:
+        return phi, ()
+    return _SUGAR.get(t) or partial(_rebuild, phi), _down(phi, None)
+
+
+def _rebuild(phi: Formula, *new: Formula) -> Formula:
+    if all(map(is_, new, children(phi))):
         return phi
-    new = tuple(desugar(getattr(phi, f)) for f in fields)
-    if new == children(phi):
-        return phi
-    if len(fields) == 1:
-        return t(new[0]) if t is not Freeze else Freeze(phi.register, new[0])
-    return t(*new)
+    return Freeze(phi.register, *new) if type(phi) is Freeze else type(phi)(*new)
+
+
+_DUAL = {
+    And: Or, Or: And, Next: WNext, WNext: Next, Prev: WPrev, WPrev: Prev,
+    Until: DualUntil, DualUntil: Until, Since: DualSince, DualSince: Since,
+    Atom: NAtom, NAtom: Atom, Reg: NReg, NReg: Reg, Top: Bottom, Bottom: Top,
+}
 
 
 def nnf(phi: Formula) -> Formula:
-    """Negation normal form: negations pushed down to dual literals."""
-    return _nnf(desugar(phi), False)
+    """Negation normal form of the desugared formula: negations pushed down
+    to dual literals."""
+    return fold(phi, _nnf_visit, False)
 
 
-def _nnf(phi: Formula, neg: bool) -> Formula:
+def _nnf_visit(phi: Formula, neg: bool):
     t = type(phi)
     if t is Not:
-        return _nnf(phi.body, not neg)
-    if t is Atom:
-        return NAtom(phi.letter) if neg else phi
-    if t is NAtom:
-        return Atom(phi.letter) if neg else phi
-    if t is Top:
-        return BOT if neg else TOP
-    if t is Bottom:
-        return TOP if neg else BOT
-    if t is Reg:
-        return NReg(phi.register) if neg else phi
-    if t is NReg:
-        return Reg(phi.register) if neg else phi
-    if t is And:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Or(l, r) if neg else And(l, r)
-    if t is Or:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return And(l, r) if neg else Or(l, r)
-    if t is Next:
-        return (WNext if neg else Next)(_nnf(phi.body, neg))
-    if t is WNext:
-        return (Next if neg else WNext)(_nnf(phi.body, neg))
-    if t is Prev:
-        return (WPrev if neg else Prev)(_nnf(phi.body, neg))
-    if t is WPrev:
-        return (Prev if neg else WPrev)(_nnf(phi.body, neg))
-    if t is Until:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return DualUntil(l, r) if neg else Until(l, r)
-    if t is DualUntil:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Until(l, r) if neg else DualUntil(l, r)
-    if t is Since:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return DualSince(l, r) if neg else Since(l, r)
-    if t is DualSince:
-        l, r = _nnf(phi.left, neg), _nnf(phi.right, neg)
-        return Since(l, r) if neg else DualSince(l, r)
+        return _same, ((phi.body, not neg),)
     if t is Freeze:
-        return Freeze(phi.register, _nnf(phi.body, neg))
-    raise TypeError(f"cannot normalize {phi!r}; desugar first")
+        return partial(Freeze, phi.register), ((phi.body, neg),)
+    if t in _SUGAR:  # desugar the node on the way down
+        return _nnf_visit(_SUGAR[t](*children(phi)), neg)
+    if t not in _DUAL:
+        raise TypeError(f"cannot normalize {phi!r}")
+    if t in _INNER:
+        return (_DUAL[t] if neg else t), _down(phi, neg)
+    # a literal: its dual has the same fields
+    return (_DUAL[t](*vars(phi).values()) if neg else phi), ()
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +521,7 @@ def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
     pure: set[int] = set()
     fdepths: set[int] = set()
 
-    def block(f: Formula) -> Optional[Formula]:
+    def block(f: Formula) -> Formula:
         # f is the body of a freeze on register 1: strip X^k [F] / Xp^k [Fp]
         k = 0
         fwd = None
@@ -493,25 +542,22 @@ def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
             pure.add(k)
         return f
 
-    def rec(f: Formula) -> bool:
+    def visit(f: Formula, _):
         t = type(f)
         if t in (Atom, NAtom, Top, Bottom):
-            return True
+            return True, ()
         if t in (Reg, NReg):
-            return f.register == 1
+            return f.register == 1, ()
         if t is Not:
-            return rec(f.body)
+            return _same, ((f.body, None),)
         if t in (And, Or, Implies):
-            return rec(f.left) and rec(f.right)
-        if t is Freeze:
-            if f.register != 1:
-                return False
-            rest = block(f.body)
-            return rest is not None and rec(rest)
-        # bare temporal operator (incl. any until/dual) -> not simple
-        return False
+            return and_, ((f.left, None), (f.right, None))
+        if t is Freeze and f.register == 1:
+            return _same, ((block(f.body), None),)
+        # any other freeze or bare temporal operator (incl. until/dual) -> not simple
+        return False, ()
 
-    return (pure, fdepths) if rec(phi) else None
+    return (pure, fdepths) if fold(phi, visit) else None
 
 
 # ---------------------------------------------------------------------------
@@ -529,53 +575,41 @@ def sat_bounded(phi: Formula, sigma: Alphabet, max_len: int) -> Optional[DataWor
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
-_TOKEN = re.compile(r"\s*(->|[()&|!]|[A-Za-z_][A-Za-z0-9_.]*)")
-
 _KEYWORDS = {"X", "Xp", "F", "Fp", "G", "Gp", "U", "Up", "true", "false"}
 _STORE = re.compile(r"store\d+")
 _UP = re.compile(r"up\d+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
-
-
-_PREFIX = {"!": Not, "X": Next, "Xp": Prev, "F": Future, "Fp": Past,
-           "G": Always, "Gp": PastAlways}
-
-
-# infix operators by token: (binding level, constructor); -> binds loosest
-_INFIX = {"->": (0, Implies), "|": (1, Or), "&": (2, And), "U": (3, Until),
-          "Up": (3, Since)}
-_RIGHT = (0, 3)  # the levels that group to the right: ->, U and Up
-
-
-class _LtlParser:
+class _Parser:
     """Operator precedence over explicit stacks, so neither a long chain of
-    operators nor deep parentheses costs recursion depth.
+    operators nor deep parentheses costs recursion depth.  ``parse_fo`` runs
+    it too, with its own tables.
 
-    Infix precedence (low to high): ``->``, ``|``, ``&``, ``U``/``Up``;
-    ``->``, ``U`` and ``Up`` group to the right, ``|`` and ``&`` to the
-    left.  The prefix operators (!, X, Xp, F, Fp, G, Gp, store<r>) form a
-    single tier binding tighter than the infix ones, so ``X a U b`` is
-    ``(X a) U b`` and ``store1 X p`` is ``store1 (X p)``.
+    A subclass gives ``TOKEN``, the pattern of one token after blanks;
+    ``INFIX``, which maps an infix token to its binding level (higher binds
+    tighter) and constructor; ``RIGHT``, the levels that group to the right;
+    ``prefix()``, which reads a prefix operator and returns its constructor,
+    or returns None; and ``primary()``, which reads an operand that is not a
+    parenthesised group.  Prefix operators bind
+    tighter than every infix one.
     """
 
-    def __init__(self, tokens: list[tuple[str, int]], sigma: Optional[Alphabet]):
-        self.tokens = tokens
-        self.k = 0
-        self.sigma = sigma
+    TOKEN: re.Pattern
+    INFIX: dict
+    RIGHT: tuple
+
+    def __init__(self, text: str):
+        tokens, pos, match = [], 0, self.TOKEN.match
+        while pos < len(text):
+            m = match(text, pos)
+            if not m:
+                if text[pos:].strip() == "":
+                    break
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            tokens.append((m.group(1), m.start(1)))
+            pos = m.end()
+        self.tokens, self.k = tokens, 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.k][0] if self.k < len(self.tokens) else None
@@ -590,9 +624,15 @@ class _LtlParser:
         self.k += 1
         return tok
 
-    def parse(self) -> Formula:
+    def expect(self, tok: str) -> None:
+        if self.peek() != tok:
+            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
+        self.k += 1
+
+    def parse(self):
         # per open parenthesis, the (prefixes, operands, operators) around it
         groups: list = []
+        infix = self.INFIX
         prefixes, operands, ops = self.prefixes(), [], []
         while True:
             if self.peek() == "(":
@@ -606,36 +646,70 @@ class _LtlParser:
                     f = op(f)
                 operands.append(f)
                 tok = self.peek()
-                if tok in _INFIX:
+                if tok in infix:
                     break
-                _reduce(operands, ops, -1)
+                self.reduce(operands, ops, -1)
                 f = operands.pop()
                 if not groups:
                     if tok is not None:
                         raise ParseError(f"trailing input {tok!r}", self.pos())
                     return f
-                if tok != ")":
-                    raise ParseError(f"expected ')', found {tok!r}", self.pos())
-                self.k += 1
+                self.expect(")")
                 prefixes, operands, ops = groups.pop()
             self.k += 1
-            level, op = _INFIX[tok]
-            _reduce(operands, ops, level)
+            level, op = infix[tok]
+            self.reduce(operands, ops, level)
             ops.append((level, op))
             prefixes = self.prefixes()
 
     def prefixes(self) -> list:
         """The chain of prefix operators before an operand, outermost first."""
         chain = []
-        while True:
-            tok = self.peek()
-            if tok in _PREFIX:
-                chain.append(_PREFIX[tok])
-            elif tok is not None and _STORE.fullmatch(tok):
-                chain.append(partial(Freeze, int(tok[5:])))
-            else:
-                return chain
-            self.take()
+        while (op := self.prefix()) is not None:
+            chain.append(op)
+        return chain
+
+    def reduce(self, operands: list, ops: list, level: int) -> None:
+        """Apply the stacked operators that take their right operand before an
+        operator at ``level`` comes: those binding tighter, and those of its
+        level when it groups to the left.  ``level=-1`` applies them all."""
+        while ops and (ops[-1][0] > level or ops[-1][0] == level and level not in self.RIGHT):
+            _, op = ops.pop()
+            right = operands.pop()
+            operands.append(op(operands.pop(), right))
+
+
+_PREFIX = {"!": Not, "X": Next, "Xp": Prev, "F": Future, "Fp": Past,
+           "G": Always, "Gp": PastAlways}
+
+
+class _LtlParser(_Parser):
+    """Infix precedence (low to high): ``->``, ``|``, ``&``, ``U``/``Up``;
+    ``->``, ``U`` and ``Up`` group to the right, ``|`` and ``&`` to the
+    left.  The prefix operators (!, X, Xp, F, Fp, G, Gp, store<r>) form a
+    single tier binding tighter than the infix ones, so ``X a U b`` is
+    ``(X a) U b`` and ``store1 X p`` is ``store1 (X p)``.
+    """
+
+    TOKEN = re.compile(r"\s*(->|[()&|!]|[A-Za-z_][A-Za-z0-9_.]*)")
+    INFIX = {"->": (0, Implies), "|": (1, Or), "&": (2, And), "U": (3, Until),
+             "Up": (3, Since)}
+    RIGHT = (0, 3)
+
+    def __init__(self, text: str, sigma: Optional[Alphabet]):
+        super().__init__(text)
+        self.sigma = sigma
+
+    def prefix(self):
+        tok = self.peek()
+        if tok in _PREFIX:
+            op = _PREFIX[tok]
+        elif tok is not None and _STORE.fullmatch(tok):
+            op = partial(Freeze, int(tok[5:]))
+        else:
+            return None
+        self.k += 1
+        return op
 
     def primary(self) -> Formula:
         """An atom, a register test or a constant."""
@@ -658,69 +732,45 @@ class _LtlParser:
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
-def _reduce(operands: list, ops: list, level: int) -> None:
-    """Apply the stacked operators that take their right operand before an
-    operator at ``level`` comes: those binding tighter, and those of its
-    level when it groups to the left.  ``level=-1`` applies them all."""
-    while ops and (ops[-1][0] > level or ops[-1][0] == level and level not in _RIGHT):
-        _, op = ops.pop()
-        right = operands.pop()
-        operands.append(op(operands.pop(), right))
-
-
 def parse_ltl(text: str, sigma: Optional[Alphabet] = None) -> Formula:
     """Parse a formula; atoms are checked against ``sigma`` when given."""
-    return _LtlParser(_tokenize(text), sigma).parse()
+    return _LtlParser(text, sigma).parse()
 
 
-def _fmt(phi: Formula, prec: int) -> str:
-    # precedence levels: 0 implies, 1 or, 2 and, 3 until, 4 unary, 5 atom
+# the parser's tables, by node: a node's operands print at the precedence of
+# its level, or one above on the side it does not group to; prefixes at 4
+_INFIX_FMT = {op: (level, f"{{}} {tok} {{}}") for tok, (level, op) in _LtlParser.INFIX.items()}
+_PREFIX_FMT = {op: f"{tok} " for tok, op in _PREFIX.items()} | {Not: "!"}
+
+
+def _fmt_visit(phi: Formula, prec: int):
     t = type(phi)
-    if t is Atom:
-        return phi.letter
-    if t is NAtom:
-        return f"!{phi.letter}"
-    if t is Top:
-        return "true"
-    if t is Bottom:
-        return "false"
-    if t is Reg:
-        return f"up{phi.register}"
-    if t is NReg:
-        return f"!up{phi.register}"
-    if t is Implies:
-        s = f"{_fmt(phi.left, 1)} -> {_fmt(phi.right, 0)}"
-        return f"({s})" if prec > 0 else s
-    if t is Or:
-        s = f"{_fmt(phi.left, 1)} | {_fmt(phi.right, 2)}"
-        return f"({s})" if prec > 1 else s
-    if t is And:
-        s = f"{_fmt(phi.left, 2)} & {_fmt(phi.right, 3)}"
-        return f"({s})" if prec > 2 else s
-    if t is Until:
-        s = f"{_fmt(phi.left, 4)} U {_fmt(phi.right, 3)}"
-        return f"({s})" if prec > 3 else s
-    if t is Since:
-        s = f"{_fmt(phi.left, 4)} Up {_fmt(phi.right, 3)}"
-        return f"({s})" if prec > 3 else s
-    if t is DualUntil:
-        # no surface token: render via negation
-        return _fmt(Not(Until(Not(phi.left), Not(phi.right))), prec)
-    if t is DualSince:
-        return _fmt(Not(Since(Not(phi.left), Not(phi.right))), prec)
-    if t is WNext:
-        return _fmt(Not(Next(Not(phi.body))), prec)
-    if t is WPrev:
-        return _fmt(Not(Prev(Not(phi.body))), prec)
-    if t is Not:
-        return f"!{_fmt(phi.body, 4)}"
+    if t in (DualUntil, DualSince, WNext, WPrev):  # no token: print via negations
+        return _fmt_visit(Not(_DUAL[t](*map(Not, children(phi)))), prec)
+    if t in _INFIX_FMT:
+        level, s = _INFIX_FMT[t]
+        right = level in _LtlParser.RIGHT
+        pairs = ((phi.left, level + right), (phi.right, level + 1 - right))
+        return (f"({s})" if prec > level else s).format, pairs
+    if t in _PREFIX_FMT:
+        return _PREFIX_FMT[t].__add__, ((phi.body, 4),)
     if t is Freeze:
-        return f"store{phi.register} {_fmt(phi.body, 4)}"
-    op = {Next: "X", Prev: "Xp", Future: "F", Past: "Fp",
-          Always: "G", PastAlways: "Gp"}[t]
-    return f"{op} {_fmt(phi.body, 4)}"
+        return f"store{phi.register} ".__add__, ((phi.body, 4),)
+    if t is Atom:
+        return phi.letter, ()
+    if t is NAtom:
+        return f"!{phi.letter}", ()
+    if t is Top:
+        return "true", ()
+    if t is Bottom:
+        return "false", ()
+    if t is Reg:
+        return f"up{phi.register}", ()
+    if t is NReg:
+        return f"!up{phi.register}", ()
+    raise KeyError(t)
 
 
 def format_ltl(phi: Formula) -> str:
     """Render to the surface grammar; duals print via their negations."""
-    return _fmt(phi, 0)
+    return fold(phi, _fmt_visit, 0)

@@ -39,28 +39,6 @@ def projection_map(c: CounterAutomaton) -> dict:
             for t in c.transitions}
 
 
-def _big_or(parts) -> ltl.Formula:
-    return _balanced(parts, ltl.Or, ltl.BOT)
-
-
-def _big_and(parts) -> ltl.Formula:
-    return _balanced(parts, ltl.And, ltl.TOP)
-
-
-def _balanced(parts, node, unit) -> ltl.Formula:
-    """The parts joined left to right by a binary node into a tree of
-    logarithmic depth: the sentences of large machines join thousands."""
-    parts = list(parts)
-    if not parts:
-        return unit
-    while len(parts) > 1:
-        joined = [node(a, b) for a, b in zip(parts[::2], parts[1::2])]
-        if len(parts) % 2:
-            joined.append(parts[-1])
-        parts = joined
-    return parts[0]
-
-
 class _Table:
     """One machine's lookups, each built once: the letter atom of every
     transition, the transitions of every instruction, and the disjunctions
@@ -76,7 +54,7 @@ class _Table:
         self.instr_memo: dict = {}
 
     def atoms(self, ts) -> ltl.Formula:
-        return _big_or([self.atom[t] for t in ts])
+        return ltl.big_or([self.atom[t] for t in ts])
 
     def with_instr(self, op: str, ctr: int) -> list:
         return self.by_instr.get((op, ctr), [])
@@ -107,7 +85,7 @@ def _chain_conjuncts(tab: _Table):
     for t in c.transitions:
         chain.append(ltl.Implies(
             tab.atom[t], ltl.Or(ltl.Not(_not_last()), ltl.Next(tab.leaving(t[4])))))
-    yield ltl.Always(_big_and(chain))
+    yield ltl.Always(ltl.big_and(chain))
 
 
 def _class_conjuncts(tab: _Table):
@@ -116,7 +94,7 @@ def _class_conjuncts(tab: _Table):
     of, counters = tab.of, range(1, tab.c.n_counters + 1)
 
     def once(kind):
-        return ltl.Not(_big_or([
+        return ltl.Not(ltl.big_or([
             ltl.Future(ltl.And(
                 of(kind, ctr),
                 ltl.Freeze(1, ltl.Next(ltl.Future(ltl.And(of(kind, ctr), ltl.Reg(1)))))))
@@ -126,7 +104,7 @@ def _class_conjuncts(tab: _Table):
     yield once("inc")
     yield once("dec")
     # an increment before a zero test must be consumed in between
-    yield ltl.Not(_big_or([
+    yield ltl.Not(ltl.big_or([
         ltl.Future(ltl.And(
             of("inc", ctr),
             ltl.Freeze(1, ltl.And(
@@ -135,7 +113,7 @@ def _class_conjuncts(tab: _Table):
         for ctr in counters
     ]))
     # and never consumed only on the far side of the zero test
-    yield ltl.Not(_big_or([
+    yield ltl.Not(ltl.big_or([
         ltl.Future(ltl.And(
             of("inc", ctr),
             ltl.Freeze(1, ltl.Next(ltl.Future(ltl.And(
@@ -151,7 +129,7 @@ def ca_to_ltl_finite(c: CounterAutomaton) -> ltl.Formula:
     tab = _Table(c)
     final = ltl.Always(ltl.Implies(
         ltl.Not(_not_last()), tab.atoms([t for t in c.transitions if t[4] in c.accepting])))
-    return _big_and(list(_chain_conjuncts(tab)) + [final] + list(_class_conjuncts(tab)))
+    return ltl.big_and(list(_chain_conjuncts(tab)) + [final] + list(_class_conjuncts(tab)))
 
 
 def ca_to_ltl_infinite(c: CounterAutomaton) -> ltl.Formula:
@@ -160,14 +138,14 @@ def ca_to_ltl_infinite(c: CounterAutomaton) -> ltl.Formula:
     tab = _Table(c)
     recur = ltl.Always(ltl.Future(
         tab.atoms([t for t in c.transitions if t[0] in c.accepting])))
-    return _big_and(list(_chain_conjuncts(tab)) + [recur] + list(_class_conjuncts(tab)))
+    return ltl.big_and(list(_chain_conjuncts(tab)) + [recur] + list(_class_conjuncts(tab)))
 
 
 def minsky_to_ltl_xffp(c: CounterAutomaton) -> ltl.Formula:
     """The error-free strengthening: every decrement looks back to a
     same-class increment, eliminating faulty decrements."""
     tab = _Table(c)
-    back = _big_and([
+    back = ltl.big_and([
         ltl.Always(ltl.Implies(
             tab.of("dec", ctr),
             ltl.Freeze(1, ltl.Past(ltl.And(tab.of("inc", ctr), ltl.Reg(1))))))
@@ -370,7 +348,7 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
         nxt = hi[cix + 1] if cix + 1 < n else t_any
         shape.append(ltl.Implies(lo[cix], ltl.Next(nxt)))
     shape.append(ltl.Implies(t_any, ltl.Or(ltl.Not(_not_last()), ltl.Next(hi[0]))))
-    conj.append(ltl.Always(_big_and(shape)))
+    conj.append(ltl.Always(ltl.big_and(shape)))
 
     # (ii) letters are transitions: vacuous over this alphabet
     conj.append(ltl.TOP)
@@ -380,7 +358,7 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
     chain = []
     for t in ts:
         chain.append(ltl.Implies(tab.atom[t], _weak_xk(block, tab.leaving(t[4]))))
-    conj.append(ltl.Always(_big_and(chain)))
+    conj.append(ltl.Always(ltl.big_and(chain)))
 
     # (iv) the final block accepts
     conj.append(ltl.Always(ltl.Implies(
@@ -428,7 +406,7 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
                 _xk(block, ltl.Implies(
                     ltl.Not(ltl.Reg(1)),
                     ltl.Freeze(2, ltl.Always(ltl.Implies(
-                        _big_and([lo[cix], ltl.Reg(1), _xk(to_t_from_lo, decs)]),
+                        ltl.big_and([lo[cix], ltl.Reg(1), _xk(to_t_from_lo, decs)]),
                         ltl.Or(ltl.Not(_xk(block, ltl.TOP)),
                                _xk(block, ltl.Reg(2)))))))))))))
 
@@ -447,7 +425,7 @@ def minsky_to_ltl_2reg(c: CounterAutomaton) -> ltl.Formula:
             ltl.Or(ltl.Not(_xk(block, ltl.TOP)),
                    ltl.Freeze(1, _xk(block, ltl.Reg(1)))))))
 
-    return _big_and(conj)
+    return ltl.big_and(conj)
 
 
 # ---------------------------------------------------------------------------

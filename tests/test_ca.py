@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -33,6 +34,16 @@ def test_validate_eps_into_accepting():
     assert any("silent" in v for v in validate_ca(c))
     assert validate_ca(ca_fin()) == []
     assert validate_ca(ca_inf()) == []
+
+
+def test_fields_are_read_only():
+    # outgoing() and the search guide are derived from the fields once
+    c = tiny([("q0", "a", "inc", 1, "q1")], set())
+    assert accepts_word(c, ("a",)).is_empty
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.accepting = frozenset({"q1"})
+    assert c.accepting == frozenset()
+    assert accepts_word(tiny([("q0", "a", "inc", 1, "q1")], {"q1"}), ("a",)).is_nonempty
 
 
 def test_step_minsky():

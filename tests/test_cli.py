@@ -219,6 +219,13 @@ def test_deep_nesting_is_a_usage_error():
     assert proc.stderr.strip() == "error: input nested too deeply"
 
 
+def test_deep_fo_negation_chain_parses(capsys):
+    # the FO parser, printer and variable walkers take no recursion depth
+    code, out, err = run(capsys, "parse", "fo", "--fo", "! " * 3000 + "Pa(x0)")
+    assert code == 0 and err == ""
+    assert out == "!(" * 3000 + "Pa(x0)" + ")" * 3000 + "\nfree: [0]  two-variable: True\n"
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export-dot", "--ra", f"{CORPUS}/matching.ra")
     assert code == 0 and out.startswith("digraph")

@@ -1,12 +1,15 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from datawords import fo
 from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
-    Always, And, Atom, Bottom, Freeze, Future, Implies, Next, Not, Or, Past, PastAlways,
-    Prev, Reg, Since, Top, Until,
-    classify, desugar, eval_ltl, format_ltl, is_simple_in, nnf, parse_ltl,
-    sat_bounded, size,
+    BOT, TOP, Always, And, Atom, Bottom, Formula, Freeze, Future, Implies, Next, Not, Or,
+    Past, PastAlways, Prev, Reg, Since, Top, Until,
+    big_and, big_or, classify, desugar, eval_ltl, format_ltl, is_sentence, is_simple_in,
+    nnf, parse_ltl, sat_bounded, size,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -205,13 +208,102 @@ def test_parse_long_infix_chains_and_deep_parentheses():
         parse_ltl("(" * 400 + "a" + ")" * 401, AB)
 
 
-def test_size_of_a_deep_chain():
-    # built in code: == on the parsed chain would recurse once per level
-    f = Atom("a")
-    for _ in range(5000):
-        f = Next(f)
-    assert size(f) == 5001
-    assert size(And(f, f)) == 10003  # a shared subtree counts once per occurrence
+DEEP = 5000
+
+
+def chain(ctor, leaf, n=DEEP):
+    for _ in range(n):
+        leaf = ctor(leaf)
+    return leaf
+
+
+def spine(f):
+    """The nodes from f down through each node's last child, found without
+    recursion (== on a deep tree would recurse once per level)."""
+    out = []
+    while isinstance(f, (Formula, fo.FoFormula)):
+        out.append(f)
+        f = f.body if hasattr(f, "body") else getattr(f, "right", None)
+    return out
+
+
+def kinds(f):
+    return [type(g).__name__ for g in spine(f)]
+
+
+def _deep_size():
+    f = chain(Next, Atom("a"))
+    assert size(f) == DEEP + 1
+    assert size(And(f, f)) == 2 * DEEP + 3  # a shared subtree counts once per occurrence
+
+
+def _deep_nnf():
+    g = nnf(chain(lambda f: Not(Next(f)), Atom("a"), DEEP // 2))
+    assert kinds(g) == ["WNext", "Next"] * (DEEP // 4) + ["Atom"]
+
+
+def _deep_desugar():
+    plain = chain(Next, Atom("a"))
+    assert desugar(plain) is plain
+    g = desugar(chain(Next, Future(Atom("a"))))
+    assert kinds(g) == ["Next"] * DEEP + ["Until", "Atom"] and type(spine(g)[DEEP].left) is Top
+
+
+def _deep_format_ltl():
+    assert format_ltl(chain(Next, Atom("a"))) == "X " * DEEP + "a"
+
+
+def _deep_is_sentence():
+    assert is_sentence(chain(partial(Freeze, 1), Reg(1)))
+    assert not is_sentence(chain(Next, Reg(1)))
+
+
+def _deep_format_fo():
+    assert fo.format_fo(chain(fo.FoNot, fo.Pred("a", 0))) == "!(" * DEEP + "Pa(x0)" + ")" * DEEP
+
+
+def _deep_parse_fo():
+    assert kinds(fo.parse_fo("! " * DEEP + "Pa(x0)")) == ["FoNot"] * DEEP + ["Pred"]
+
+
+def _deep_free_vars():
+    assert fo.free_vars(chain(partial(fo.Exists, 1), fo.Less(0, 1))) == {0}
+
+
+def _deep_all_vars():
+    assert fo.all_vars(chain(partial(fo.Exists, 2), fo.Less(0, 1))) == {0, 1, 2}
+
+
+def _deep_max_offset():
+    assert fo.max_offset(chain(fo.FoNot, fo.PlusEq(0, 1, 3))) == 3
+
+
+def _deep_swap():
+    g = fo._swap(chain(partial(fo.Exists, 1), fo.Pred("a", 0)))
+    assert [h.var for h in spine(g)] == [0] * DEEP + [1]
+
+
+def _deep_simple_ltl_to_fo2():
+    # DEEP / 2 blocks store1 X: each becomes exists x_{1-j} (chi & ...)
+    g = fo.simple_ltl_to_fo2(chain(lambda f: Freeze(1, Next(f)), Atom("a"), DEEP // 2), 0, m=1)
+    assert kinds(g) == ["Exists", "FoAnd"] * (DEEP // 2) + ["Pred"]
+    assert [h.var for h in spine(g)[::2]] == [1, 0] * (DEEP // 4) + [0]
+
+
+DEEP_CASES = {name[len("_deep_"):]: f for name, f in globals().items() if name.startswith("_deep_")}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_CASES))
+def test_deep_chain(case):
+    DEEP_CASES[case]()
+
+
+def test_big_and_drops_true_and_absorbs_false():
+    a, b = Atom("a"), Atom("b")
+    assert big_and([]) is TOP and big_or([]) is BOT
+    assert big_and([TOP, a, TOP]) is a and big_or([BOT, a, BOT]) is a
+    assert big_and([a, BOT, b]) is BOT and big_or([a, TOP, b]) is TOP
+    assert big_and([a, TOP, b]) == And(a, b) and big_or([a, BOT, b]) == Or(a, b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import accepts, classify_ra, validate
 from datawords.ra2ca import build_ca_finite
 from datawords.reductions import (
-    _big_and, ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
+    ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
     projection_map, tilde_alphabet, transition_letter, violation_automata,
 )
@@ -323,7 +323,7 @@ def test_running_example_sentence_is_shallow():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 1000])
 def test_big_and_keeps_the_parts_in_order(n):
     parts = [ltl.Atom(f"p{k}") for k in range(n)]
-    phi = _big_and(parts)
+    phi = ltl.big_and(parts)
     leaves, stack = [], [phi]
     while stack:
         f = stack.pop()
