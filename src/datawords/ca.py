@@ -64,16 +64,8 @@ class CounterAutomaton:
         location, plus bit 0 if a silent path, maybe empty, leads it into an
         accepting location.  The other locations are absent."""
         bits = _letter_bits(self.alphabet)
-        into: dict = {}
-        for t in self.transitions:
-            into.setdefault(t[4], []).append(t)
-        guide = {q: 1 for q in self.accepting}
-        stack = list(guide)
-        while stack:  # every location with a path into an accepting one
-            for t in into.get(stack.pop(), ()):
-                if t[0] not in guide:
-                    guide[t[0]] = 0
-                    stack.append(t[0])
+        into, guide = reaching(self.transitions, self.accepting)
+        guide.update(dict.fromkeys(self.accepting, 1))
         for q, w, _op, _ctr, q2 in self.transitions:
             if w is not None and q2 in guide:
                 guide[q] |= bits.get(w, -2)
@@ -85,6 +77,23 @@ class CounterAutomaton:
                     guide[t[0]] |= m
                     stack.append(t[0])
         return guide
+
+
+def reaching(transitions, targets) -> tuple[dict, dict]:
+    """The transitions into each location, and the locations with a path,
+    maybe empty, into ``targets``, each mapped to 0.  The search guide and
+    ``ra2ca``'s trim of finite machines both start from this walk."""
+    into: dict = {}
+    for t in transitions:
+        into.setdefault(t[4], []).append(t)
+    found = dict.fromkeys(targets, 0)
+    stack = list(found)
+    while stack:
+        for t in into.get(stack.pop(), ()):
+            if t[0] not in found:
+                found[t[0]] = 0
+                stack.append(t[0])
+    return into, found
 
 
 def _letter_bits(alphabet: Alphabet) -> dict:

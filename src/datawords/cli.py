@@ -2,15 +2,15 @@
 
 Verdict-producing commands exit 0 for false/empty and 1 for true/nonempty;
 usage errors (including ``accepts`` without --ra or --ca, or without the
---word or --letters its automaton reads) and inputs nested too deeply to
-process exit 2, parse errors (including a letter outside the alphabet, an
-empty or repeated alphabet and an automaton that fails validation) 3,
-exhausted budgets 4.  With --json each result is printed as one JSON object
-per line.  Parsing and printing take no recursion depth.  Still refused as
-nested too deeply: a deep LTL formula that is hashed or compared (its
-letters read when no alphabet is given, ``classify``, the ``ltl_to_ara``
-closure), and deep input to ``eval_ltl``, ``eval_fo`` and
-``fo2_to_simple_ltl``.
+--word or --letters its automaton reads, and ``reduce`` of a machine without
+transitions) and inputs nested too deeply to process exit 2, parse errors
+(including a letter outside the alphabet, an empty or repeated alphabet and
+an automaton that fails validation) 3, exhausted budgets 4.  With --json
+each result is printed as one JSON object per line.  Parsing and printing
+take no recursion depth.  Still refused as nested too deeply: a deep LTL
+formula that is hashed or compared (its letters read when no alphabet is
+given, ``classify``, the ``ltl_to_ara`` closure), and deep input to
+``eval_ltl``, ``eval_fo`` and ``fo2_to_simple_ltl``.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.
@@ -340,7 +340,8 @@ def cmd_circle(args, out: _Out) -> int:
         return EXIT_BUDGET
     v2 = verdict.is_nonempty
     out.emit(f"[2] counter machine ({stats['locations']} locations, "
-             f"{stats['counters']} counters): {'nonempty' if v2 else 'empty'}",
+             f"{stats['counters']} counters; {stats['trimmed']} locations that "
+             f"cannot accept dropped): {'nonempty' if v2 else 'empty'}",
              stage="counter_machine", nonempty=v2, **stats)
 
     if len(ca.transitions) <= args.back_alphabet_cap:

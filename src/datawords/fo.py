@@ -291,10 +291,9 @@ def simple_ltl_to_fo2(phi: ltl.Formula, j: int, m: Optional[int] = None) -> FoFo
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
     if m is None:
-        info = ltl.classify(phi)
-        if info.is_simple_Om is None:
+        m = ltl.least_simple_m(phi)
+        if m is None:
             raise NotSimpleFragment(f"not simple for any m: {phi}")
-        m = info.is_simple_Om
     elif not ltl.is_simple_in(phi, m):
         raise NotSimpleFragment(f"not simple at m={m}: {phi}")
     return _t_fwd(phi, j, m)

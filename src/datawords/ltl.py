@@ -487,19 +487,22 @@ def classify(phi: Formula) -> FragmentInfo:
     """
     ops = frozenset(_SURFACE_OPS[type(f)] for f in subformulas(phi)
                     if type(f) in _SURFACE_OPS)
+    return FragmentInfo(ops, max_register(phi), is_sentence(phi), least_simple_m(phi))
+
+
+def least_simple_m(phi: Formula) -> Optional[int]:
+    """``classify``'s ``is_simple_Om``: the least m at which phi is simple
+    in the one-register fragment, if any.  A fold, so any depth works."""
     info = _simple_scan(phi)
-    least = None
-    if info is not None:
-        pure, fdepths = info
-        if len(fdepths) > 1:
-            least = None
-        elif len(fdepths) == 1:
-            (fd,) = fdepths
-            m = fd - 1
-            least = m if m >= max(pure, default=0) else None
-        else:
-            least = max(pure, default=0)
-    return FragmentInfo(ops, max_register(phi), is_sentence(phi), least)
+    if info is None:
+        return None
+    pure, fdepths = info
+    if len(fdepths) > 1:
+        return None
+    if fdepths:
+        (fd,) = fdepths
+        return fd - 1 if fd - 1 >= max(pure, default=0) else None
+    return max(pure, default=0)
 
 
 def is_simple_in(phi: Formula, m: int) -> bool:

@@ -22,11 +22,26 @@ the style of breakpoint constructions: a step may be declared fresh, which
 requires no mark to survive at equal rank and restarts the marks on all
 odd-rank successors; accepting locations record fresh steps, and words whose
 obligations die out entirely are absorbed by an accepting sink.
+
+Both machines are emitted forward from the initial ready point, so no
+unreachable point is emitted: a core is run only once a reached ready
+point calls it, a drain phase keeps only the marks it can exit with (a
+fresh step never marks), and the accepting points only exist once a
+discharge guess reaches them.  The finite machine is then cut, by one
+backward pass, to the locations that can reach an accepting one.  Neither
+cut changes the language: an accepted run starts at the initial location
+and ends at an accepting one, so every location on it is both reachable
+and able to accept, and a location off every such path carries no
+accepted run.  The kept locations keep their order and are numbered
+0..n-1.  If the initial location cannot accept, the finite machine is the
+canonical empty one: a single location, not accepting, with a self-loop
+per letter that zero-tests the only counter.  The infinite machine gets no
+backward pass.
 """
 
 from __future__ import annotations
 
-from .ca import CounterAutomaton
+from .ca import CounterAutomaton, reaching
 from .errors import ClassMismatch
 from .ra import (
     BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TOr, TStore, TTest,
@@ -337,6 +352,43 @@ class _Builder:
     def noop(self, src, dst, letter=None) -> None:
         self.add(src, letter, "ifz", self.c_zero, dst)
 
+    def reach(self) -> tuple[dict, set]:
+        """Walk forward from the initial ready point over whole big steps.
+        A step of a core ends at each empty-row set m1 its folds can pick
+        (a stay step only if it ends marked), at the ready points
+        (g, m1, flag) for each group g and for no group.  Returns the
+        reached ready points, in discovery order, and the cores they run."""
+        init = self.init_items()
+        refills = (EMPTY, *self.groups)
+        ends: set = set()  # the (m1, flag) pairs some step ends with
+        cores: set = set()
+        pushed: set = set()
+        stack = [(init, (EMPTY,))]  # (qemp, the qeq it comes with)
+        while stack:
+            qemp, qeqs = stack.pop()
+            for qeq in qeqs:
+                for letter in self.letters:
+                    core = (letter, qeq, qemp)
+                    if core in cores:
+                        continue
+                    cores.add(core)
+                    for mode in self.modes:
+                        flag = mode == "fresh"
+                        must_mark = self.infinite and mode == "stay"
+                        eqf = self.fold(letter, True, qeq, mode)
+                        empf = self.fold(letter, False, qemp, mode)
+                        for nat in self.entry_nats(letter, mode):
+                            for (_e1, _e2, ne) in eqf:
+                                for (m1, _m2, nm) in empf:
+                                    if (m1, flag) in ends or (must_mark and not (nat or ne or nm)):
+                                        continue
+                                    ends.add((m1, flag))
+                                    if m1 not in pushed:
+                                        pushed.add(m1)
+                                        stack.append((m1, refills))
+        start = (EMPTY, init, False)
+        return {r: None for r in self.readys if r == start or (r[1], r[2]) in ends}, cores
+
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
         # locations are numbered in discovery order.  A named program point
@@ -348,17 +400,7 @@ class _Builder:
         self.trans: dict = {}
         self.n_locs = 0
         locs, loc, add, noop = self.locs, self.loc, self.add, self.noop
-
-        sink = ("accept_sink",)
-        for letter in self.letters:
-            noop(sink, sink, letter)
-        accept_end = ("accept_end",)
-        accept_more = ("accept_more",)
-        if not self.infinite:
-            loc(accept_end)
-            for letter in self.letters:
-                noop(accept_more, sink, letter)
-
+        readys, cores = self.reach()
         bad_groups_cache: dict = {}
 
         def discharged(letter, at_end, uu, q) -> bool:
@@ -377,30 +419,46 @@ class _Builder:
                 ]
             return bad_groups_cache[key]
 
+        # the (letter, at end) guesses with which each ready point can
+        # discharge; the accepting points are emitted only if one is made
+        ends = (False,) if self.infinite else (False, True)
+        finals = {r: [(letter, at_end) for letter in self.letters for at_end in ends
+                      if items_ok(r[0], letter, at_end, True)
+                      and items_ok(r[1], letter, at_end, False)]
+                  for r in readys}
+        guessed = {at_end for fins in finals.values() for _letter, at_end in fins}
+        sink = ("accept_sink",)
+        accept_end = ("accept_end",)
+        accept_more = ("accept_more",)
+        if False in guessed:
+            for letter in self.letters:
+                noop(sink, sink, letter)
+        if True in guessed:
+            loc(accept_end)
+        if False in guessed and not self.infinite:
+            for letter in self.letters:
+                noop(accept_more, sink, letter)
+
         # ready locations: read the next letter or guess the discharge
-        for (qeq, qemp, flag) in self.readys:
+        for (qeq, qemp, flag), fins in finals.items():
             r = ("ready", qeq, qemp, flag)
             for letter in self.letters:
                 noop(r, ("main", letter, qeq, qemp, flag), letter)
-            ends = (False,) if self.infinite else (False, True)
-            for letter in self.letters:
-                for at_end in ends:
-                    if not items_ok(qeq, letter, at_end, True):
-                        continue
-                    if not items_ok(qemp, letter, at_end, False):
-                        continue
-                    cur = r
-                    for k, g in enumerate(bad_groups(letter, at_end)):
-                        nxt = ("final", qeq, qemp, flag, letter, at_end, k)
-                        add(cur, None, "ifz", self.c_group[g], nxt)
-                        cur = nxt
-                    if self.infinite:
-                        noop(cur, sink, letter)
-                    else:
-                        noop(cur, accept_end if at_end else accept_more, letter)
+            for letter, at_end in fins:
+                cur = r
+                for k, g in enumerate(bad_groups(letter, at_end)):
+                    nxt = ("final", qeq, qemp, flag, letter, at_end, k)
+                    add(cur, None, "ifz", self.c_group[g], nxt)
+                    cur = nxt
+                if self.infinite:
+                    noop(cur, sink, letter)
+                else:
+                    noop(cur, accept_end if at_end else accept_more, letter)
 
         # main locations: run the big-step subroutine
         for ci, core in enumerate(self.mains):
+            if core not in cores:
+                continue
             letter, qeq, qemp = core
             for flag in ((False, True) if self.infinite else (False,)):
                 m = ("main", letter, qeq, qemp, flag)
@@ -417,34 +475,56 @@ class _Builder:
                     self.emit_drain(ci, letter, mode)
                 self.emit_maps(ci, core, mode)
 
-        initial = ("ready", frozenset(), self.init_items(), False)
-        assert initial in locs
+        initial = locs[("ready", EMPTY, self.init_items(), False)]
         if self.infinite:
             accepting = frozenset(
                 k for x, k in locs.items()
                 if x == sink or (x[0] == "main" and x[4])
             )
+            ca = CounterAutomaton(self.a.alphabet, range(self.n_locs), initial,
+                                  self.n_counters, tuple(self.trans), accepting)
         else:
             accepting = frozenset(k for x, k in locs.items() if x in (accept_end, sink))
-        ca = CounterAutomaton(self.a.alphabet, range(self.n_locs), locs[initial],
-                              self.n_counters, tuple(self.trans), accepting)
+            ca = self.trim(initial, accepting)
         self.stats.update({
-            "locations": self.n_locs,
-            "transitions": len(self.trans),
-            "counters": self.n_counters,
+            "locations": len(ca.locations),
+            "transitions": len(ca.transitions),
+            "counters": ca.n_counters,
             "groups": len(self.groups),
             "pairs": len(self.pairs),
             "succ_entries": len(self.succ.memo),
         })
         return ca
 
+    def trim(self, initial: int, accepting: frozenset) -> CounterAutomaton:
+        """The finite machine cut to the locations that can reach an
+        accepting one, renumbered in order; the canonical empty machine if
+        the initial location cannot."""
+        keep = reaching(self.trans, accepting)[1]
+        self.stats["trimmed"] = self.n_locs - len(keep)
+        if initial not in keep:
+            return empty_machine(self.a.alphabet)
+        new = {q: k for k, q in enumerate(sorted(keep))}
+        trans = tuple((new[q], w, op, c, new[q2]) for q, w, op, c, q2 in self.trans
+                      if q in new and q2 in new)
+        return CounterAutomaton(self.a.alphabet, range(len(new)), new[initial],
+                                self.n_counters, trans, frozenset(map(new.get, accepting)))
+
+    def entry_nats(self, letter: str, mode) -> tuple:
+        """The marks with which a core's step can enter its eqmap phase."""
+        if not self.groups:
+            return (False,)
+        return tuple(nat for nat, _k in self.drain_block(letter, mode)[2])
+
     def drain_block(self, letter: str, mode) -> tuple:
         """The drain phase of a core, which depends on its letter and the
         mode only: drain each bag counter, choosing a map ("dmap") for every
         drained unit.  Returns the transitions over local ids, the number of
         local ids after the entry 0, and the (mark, local id) of each exit
-        into the eqmap phase.  Local ids follow first sight, the order in
-        which emit would number the points."""
+        into the eqmap phase.  Only what the entry reaches is kept (a fresh
+        step never marks, so there the marked half goes), and local ids
+        follow first sight, the order in which emit would number the
+        points."""
         hit = self.blocks.get((letter, mode))
         if hit is not None:
             return hit
@@ -492,8 +572,21 @@ class _Builder:
                 add(src, "ifz", self.c_zero, dst)
                 stack.append(dst)
 
-        exits = tuple((nat, ids[("exit", nat)]) for nat in nats)
-        out = self.blocks[(letter, mode)] = (tuple(trans), len(ids) - 1, exits)
+        succ: dict = {}
+        for s, _op, _c, d in trans:
+            succ.setdefault(s, []).append(d)
+        reached = {0}
+        stack = [0]
+        while stack:
+            for d in succ.get(stack.pop(), ()):
+                if d not in reached:
+                    reached.add(d)
+                    stack.append(d)
+        new = {k: j for j, k in enumerate(sorted(reached))}
+        block = tuple((new[s], op, c, new[d]) for s, op, c, d in trans if s in new)
+        exits = tuple((nat, new[ids[("exit", nat)]]) for nat in nats
+                      if ids[("exit", nat)] in new)
+        out = self.blocks[(letter, mode)] = (block, len(new) - 1, exits)
         return out
 
     def emit_drain(self, ci: int, letter: str, mode) -> None:
@@ -509,14 +602,42 @@ class _Builder:
             self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
 
     def emit_maps(self, ci: int, core: tuple, mode) -> None:
-        """Choose the current-class and empty-row maps, collect the refreshed
-        group, then refill the bag from the pair counters."""
+        """The rest of core ci's step, from the marks its drain exits with.
+        The marked points come first, in the order of a walk from the
+        marked entry, then the unmarked ones: so when the drain exits
+        unmarked only, but a stay step can still mark on the way, the
+        marked points that walk reaches are numbered as a walk from the
+        marked entry would number them."""
+        trans, loc = self.trans, self.loc
+        nats = self.entry_nats(core[0], mode)
+        if nats != (False,) or mode != "stay":
+            for src, op, ctr, dst in self.map_steps(ci, core, mode, nats):
+                trans[(loc(src), None, op, ctr, loc(dst))] = None
+            return
+        steps = list(self.map_steps(ci, core, mode, nats))
+        # the last field of a point is its mark (a ready point's flag is
+        # False in stay mode), and a mark is never dropped on the way
+        marked = {dst for _src, _op, _ctr, dst in steps if dst[-1]}
+        if marked:
+            for src, op, ctr, dst in self.map_steps(ci, core, mode, (True,)):
+                if src in marked:
+                    trans[(loc(src), None, op, ctr, loc(dst))] = None
+                elif dst in marked:
+                    loc(dst)
+        for src, op, ctr, dst in steps:
+            if not src[-1]:
+                trans[(loc(src), None, op, ctr, loc(dst))] = None
+
+    def map_steps(self, ci: int, core: tuple, mode, nats: tuple):
+        """The transitions, as (source, op, counter, target) points, that
+        choose the current-class and empty-row maps, collect the refreshed
+        group, then refill the bag from the pair counters, walked from the
+        eqmap entry of each mark in nats, the last one first."""
         letter, qeq, qemp = core
-        add, noop, union = self.add, self.noop, self.union
+        c_zero, union = self.c_zero, self.union
         eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
-        stack = [("eq", 0, EMPTY, nat)
-                 for nat in ((False, True) if self.infinite else (False,))]
+        stack = [("eq", 0, EMPTY, nat) for nat in nats]
         while stack:
             entry = stack.pop()
             if entry in seen:
@@ -529,13 +650,13 @@ class _Builder:
                 items = eq_items
                 if k == len(items):
                     nxt = ("empmap", ci, mode, 0, EMPTY, u2, nat)
-                    noop(src, nxt)
+                    yield src, "ifz", c_zero, nxt
                     stack.append(("emp", 0, EMPTY, u2, nat))
                     continue
                 for (y, z, n2) in self.item_choices(letter, True, items[k], mode):
                     assert not y
                     nu2, nn = union(u2, z), nat or n2
-                    noop(src, ("eqmap", ci, mode, k + 1, nu2, nn))
+                    yield src, "ifz", c_zero, ("eqmap", ci, mode, k + 1, nu2, nn)
                     stack.append(("eq", k + 1, nu2, nn))
             elif kind == "emp":
                 _, k, u1, u2, nat = entry
@@ -543,12 +664,12 @@ class _Builder:
                 items = emp_items
                 if k == len(items):
                     nxt = ("pair", ci, mode, 0, u2, u1, nat)
-                    noop(src, nxt)
+                    yield src, "ifz", c_zero, nxt
                     stack.append(("pair", 0, u2, u1, nat))
                     continue
                 for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
                     nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
-                    noop(src, ("empmap", ci, mode, k + 1, nu1, nu2, nn))
+                    yield src, "ifz", c_zero, ("empmap", ci, mode, k + 1, nu1, nu2, nn)
                     stack.append(("emp", k + 1, nu1, nu2, nn))
             elif kind == "pair":
                 _, pi, qddag, qemp1, nat = entry
@@ -557,20 +678,18 @@ class _Builder:
                     nxt = ("refill", ci, mode, 0, qemp1, nat)
                     if qddag:
                         assert qddag in self.gset, "group escaped discovery"
-                        add(src, None, "inc", self.c_group[qddag], nxt)
+                        yield src, "inc", self.c_group[qddag], nxt
                     else:
-                        noop(src, nxt)
+                        yield src, "ifz", c_zero, nxt
                     stack.append(("refill", 0, qemp1, nat))
                     continue
                 p = self.pairs[pi]
-                add(src, None, "ifz", self.c_pair[p],
-                    ("pair", ci, mode, pi + 1, qddag, qemp1, nat))
+                yield src, "ifz", self.c_pair[p], ("pair", ci, mode, pi + 1, qddag, qemp1, nat)
                 stack.append(("pair", pi + 1, qddag, qemp1, nat))
                 mid = ("bump", ci, mode, pi, qddag, qemp1, nat)
-                add(src, None, "dec", self.c_pair[p], mid)
+                yield src, "dec", self.c_pair[p], mid
                 qd2 = union(qddag, p[1])
-                add(mid, None, "inc", self.c_pair[p],
-                    ("pair", ci, mode, pi + 1, qd2, qemp1, nat))
+                yield mid, "inc", self.c_pair[p], ("pair", ci, mode, pi + 1, qd2, qemp1, nat)
                 stack.append(("pair", pi + 1, qd2, qemp1, nat))
             elif kind == "refill":
                 _, pi, qemp1, nat = entry
@@ -579,22 +698,27 @@ class _Builder:
                     if self.infinite and mode == "stay" and not nat:
                         continue  # an unmarked step must be declared fresh
                     flag = (mode == "fresh") if self.infinite else False
-                    noop(src, ("ready", frozenset(), qemp1, flag))
+                    yield src, "ifz", c_zero, ("ready", frozenset(), qemp1, flag)
                     for g in self.groups:
-                        add(src, None, "dec", self.c_group[g],
-                            ("ready", g, qemp1, flag))
+                        yield src, "dec", self.c_group[g], ("ready", g, qemp1, flag)
                     continue
                 p = self.pairs[pi]
-                add(src, None, "ifz", self.c_pair[p],
-                    ("refill", ci, mode, pi + 1, qemp1, nat))
+                yield src, "ifz", self.c_pair[p], ("refill", ci, mode, pi + 1, qemp1, nat)
                 stack.append(("refill", pi + 1, qemp1, nat))
                 mid = ("refillmid", ci, mode, pi, qemp1, nat)
-                add(src, None, "dec", self.c_pair[p], mid)
+                yield src, "dec", self.c_pair[p], mid
                 if p[0]:
-                    add(mid, None, "inc", self.c_group[p[0]],
-                        ("refill", ci, mode, pi, qemp1, nat))
+                    yield mid, "inc", self.c_group[p[0]], ("refill", ci, mode, pi, qemp1, nat)
                 else:
-                    noop(mid, ("refill", ci, mode, pi, qemp1, nat))
+                    yield mid, "ifz", c_zero, ("refill", ci, mode, pi, qemp1, nat)
+
+
+def empty_machine(alphabet) -> CounterAutomaton:
+    """The canonical empty machine: one location, not accepting, with a
+    self-loop per letter that zero-tests counter 1, the only counter."""
+    return CounterAutomaton(alphabet, (0,), 0, 1,
+                            tuple((0, letter, "ifz", 1, 0) for letter in alphabet.letters),
+                            frozenset())
 
 
 def build_ca_finite(a: RegisterAutomaton) -> CounterAutomaton:

@@ -30,6 +30,13 @@ def transition_letter(t) -> str:
 
 
 def hat_alphabet(c: CounterAutomaton) -> Alphabet:
+    """The letters of the run encoding, one per transition.  Every
+    reduction that encodes runs reads them, so this is where a machine
+    without transitions, whose encoding would have no letters, is
+    refused."""
+    if not c.transitions:
+        raise PreconditionViolation("the machine has no transitions, so its run "
+                                    "encoding would have an empty alphabet")
     return Alphabet(tuple(transition_letter(t) for t in c.transitions))
 
 

@@ -162,6 +162,20 @@ q1 b dec 1 q2
     assert code == 0 and "hi1" in out
 
 
+@pytest.mark.parametrize("argv", [["ca2ltl"], ["ca2ura"], ["minsky2ltl"],
+                                  ["minsky2ltl", "--variant", "2reg"]],
+                         ids=["ca2ltl", "ca2ura", "minsky2ltl", "minsky2ltl-2reg"])
+def test_reduce_refuses_a_machine_without_transitions(tmp_path, capsys, argv):
+    # the run encoding of such a machine has no letters: a usage error,
+    # not a traceback that exits 1 like a nonempty verdict
+    ca_file = tmp_path / "bare.ca"
+    ca_file.write_text("alphabet: a\ncounters: 1\ninit: q0\naccepting: q0\n")
+    code, out, err = run(capsys, "reduce", *argv[:1], "--ca", str(ca_file), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "error: the machine has no transitions, so its run encoding " \
+        "would have an empty alphabet\n"
+
+
 def test_reduce_fig4_cli(tmp_path, capsys):
     ca_file = tmp_path / "d.ca"
     ca_file.write_text("""alphabet: s
@@ -184,6 +198,22 @@ def test_circle_cli(capsys):
                        "--alphabet", "a,b", "--max-len", "2")
     assert code == 0
     assert "verdicts agree: True" in out
+
+
+def test_circle_json_reports_the_dropped_locations(capsys):
+    code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & store1 X up1",
+                       "--alphabet", "a,b", "--max-len", "3")
+    assert code == 1
+    machine = [json.loads(line) for line in out.splitlines()][1]
+    assert machine["stage"] == "counter_machine"
+    assert (machine["locations"], machine["trimmed"]) == (47, 10)
+    # an empty language leaves the canonical empty machine
+    code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & !a",
+                       "--alphabet", "a,b", "--max-len", "2")
+    assert code == 0
+    machine = [json.loads(line) for line in out.splitlines()][1]
+    assert (machine["locations"], machine["transitions"], machine["counters"]) == (1, 2, 1)
+    assert machine["trimmed"] == 7
 
 
 def test_letter_outside_alphabet_is_a_parse_error(capsys):

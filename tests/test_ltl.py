@@ -9,7 +9,7 @@ from datawords.ltl import (
     BOT, TOP, Always, And, Atom, Bottom, Formula, Freeze, Future, Implies, Next, Not, Or,
     Past, PastAlways, Prev, Reg, Since, Top, Until,
     big_and, big_or, classify, desugar, eval_ltl, format_ltl, is_sentence, is_simple_in,
-    nnf, parse_ltl, sat_bounded, size,
+    least_simple_m, nnf, parse_ltl, sat_bounded, size,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -288,6 +288,14 @@ def _deep_simple_ltl_to_fo2():
     g = fo.simple_ltl_to_fo2(chain(lambda f: Freeze(1, Next(f)), Atom("a"), DEEP // 2), 0, m=1)
     assert kinds(g) == ["Exists", "FoAnd"] * (DEEP // 2) + ["Pred"]
     assert [h.var for h in spine(g)[::2]] == [1, 0] * (DEEP // 4) + [0]
+
+
+def _deep_simple_ltl_to_fo2_least_m():
+    # without m, the least one is read off the same blocks: here m = 1
+    phi = chain(lambda f: Freeze(1, Next(f)), Atom("a"), DEEP // 2)
+    assert least_simple_m(phi) == 1
+    g = fo.simple_ltl_to_fo2(phi, 0)
+    assert kinds(g) == ["Exists", "FoAnd"] * (DEEP // 2) + ["Pred"]
 
 
 DEEP_CASES = {name[len("_deep_"):]: f for name, f in globals().items() if name.startswith("_deep_")}

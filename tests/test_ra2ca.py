@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datawords.ca import (
-    accepts_word, format_ca, nonempty_finite_incrementing, nonempty_infinite_incrementing,
-    validate_ca, verify_lasso,
+    CounterAutomaton, accepts_word, format_ca, nonempty_finite_incrementing,
+    nonempty_infinite_incrementing, validate_ca, verify_lasso,
 )
 from datawords.corpus import every_a_matched, matching_ra
 from datawords.errors import ClassMismatch
@@ -27,7 +27,7 @@ from datawords.ra import (
     TTop, accepts, assign_annotations, validate,
 )
 from datawords.ra2ca import (
-    SuccTable, _Builder, _require_1ara1, build_ca_finite, build_ca_finite_with_stats,
+    EMPTY, SuccTable, _Builder, _require_1ara1, build_ca_finite, build_ca_finite_with_stats,
     build_ca_infinite, build_ca_infinite_with_stats, succ_table,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
@@ -600,24 +600,39 @@ CIRCLE_SENTENCES = {
     "some-match": "F (a & store1 X F (b & up1))",
 }
 
-# sha256 of format_ca on their machines, taken from builders that named every
-# program point (the running example's pair while locations were still those
-# names), so that emitting in a new way cannot change the machines
+# sha256 of format_ca on their machines.  They were taken from builders
+# that named every program point, and re-taken once when the builder learned
+# to emit only reachable points and to cut finite machines to what can
+# accept; the four finite machines with an empty language are then the same
+# canonical machine.  assert_matches_reference ties them to the emitter of
+# the first pins.
 _MACHINE_TEXT = {
-    ("phi", "finite"): "18ff5748db3bdabc7d3b11d2cbcca55825f39ae40a6365b9e39143c36e30ddfa",
-    ("phi", "infinite"): "54a8abab8810e1d51884e2b503c999ef3043ebebd230c0c00c1c43919ac53080",
-    ("phi-Fa-Gnotb", "finite"): "09b1691f0b84845f8ecdac8037aac2330960ce641b7a1db0b5318ad163975c59",
-    ("phi-Fa-Gnotb", "infinite"): "16d5ab1c42a3d3224472373c984d9e57df23df79ed43e0a151e0a22a139dde8f",
-    ("b-never-again", "finite"): "3137aa74fb134f6eb832c76f16cc4ca855b5a9beed96c1e2ec8f3b50f5ae9eff",
-    ("b-never-again", "infinite"): "07be65cab744e0d7220ae8d029ed11d05bb24312eb90179a6b6d555e808b9a7e",
-    ("phi-b-distinct", "finite"): "e3e9c84fb892bef3d8756ee9f427f778346fc81e77b5b79ac08e7493a2dc900b",
-    ("phi-b-distinct", "infinite"): "c78d2a4435092fdf59d712dbb379e9571be64befe25428f3242f1075a59ca110",
-    ("phi-b-then-a", "finite"): "1aa8de55014e65fe65e789966ba2d36ef804c84f0238bc756f0165b228b58b51",
-    ("phi-b-then-a", "infinite"): "30ba3c9a0d94455c2593f44bdbbcf122ee496d8fc1e86ae3cabd551960ef5368",
-    ("a-then-no-b", "finite"): "48286ed213186035a0d83ba10c4443496cc15e54bb49380a6487bb3f9ead356e",
-    ("a-then-no-b", "infinite"): "dc94e6c002eccca0efb8d125e6f4117a4f63537b378c4bdb5662a0c25c9344dc",
+    ("phi", "finite"): "d201110ad03b9e21fbdef2e4681b7e95ead48fe14bcbbed7b9a986dbdde4e15b",
+    ("phi", "infinite"): "547c269c5f846ad7034011760b036f50f6e9c6b65a27cb6217b0bb972ee1b4cf",
+    ("phi-Fa-Gnotb", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
+    ("phi-Fa-Gnotb", "infinite"): "7afa37ab5eedfd9a228b237421f98eadf5f9e732103952efdb7138894a9622e2",
+    ("b-never-again", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
+    ("b-never-again", "infinite"): "c0531cc003ec1eb53b790ff272fdc7557cb57b3dd4650efa1a05f4906ec313f2",
+    ("phi-b-distinct", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
+    ("phi-b-distinct", "infinite"): "82beaf7d34c6b13d06df62ac9ac6c5bc61457e8856c86b883f96bff3fb223341",
+    ("phi-b-then-a", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
+    ("phi-b-then-a", "infinite"): "30ea15f3cdca0c29231d698c5d00971c5688446f5ff6df02ad6bfed83630fc4b",
+    ("a-then-no-b", "finite"): "26fa5dbea745f7d25e8a2dd81193cc61a950355eac8e6f112b00a935688a9026",
+    ("a-then-no-b", "infinite"): "72d3e36521e68776f1658190fd5737c93d8eb563b4940a7d580dd98751aba911",
     ("some-match", "finite"): "b27bebe67695a89aaab5a30d21c445690d98c294b4cf37e66cd04a53259a451f",
-    ("some-match", "infinite"): "570514e452215b1e55d2afa28b0c9ee73dc9e2ad4cc6f78f6bc8fa9a22a1e565",
+    ("some-match", "infinite"): "849fd85d75bf017d881111f5ece56c3fe2d871949a6346fac402bdabad225d6b",
+}
+
+# (locations, transitions, counters) of the same machines; before the trim
+# the seven finite machines had 3,312 locations and the infinite ones 23,231
+MACHINE_SIZES = {
+    "phi": ((366, 513, 8), (2224, 3057, 11)),
+    "phi-Fa-Gnotb": ((1, 2, 1), (1207, 1509, 6)),
+    "b-never-again": ((1, 2, 1), (4141, 5815, 11)),
+    "phi-b-distinct": ((1, 2, 1), (4688, 6142, 18)),
+    "phi-b-then-a": ((1, 2, 1), (4086, 5463, 11)),
+    "a-then-no-b": ((47, 62, 3), (99, 130, 3)),
+    "some-match": ((142, 197, 3), (639, 897, 5)),
 }
 
 _PRINT_MACHINES = """
@@ -669,14 +684,324 @@ def test_compiled_machines_are_integer_located(phi_ca, variant, build):
     assert validate_ca(c) == []
 
 
+# --- the reference emitter ----------------------------------------------------
+# The emitter as it was before it learned to skip unreachable points and to
+# cut finite machines to what can accept: it emits every point discovery
+# allows.  The builder's machine must equal this one after a plain,
+# order-preserving trim (see trimmed), so every search walks the same
+# graph in the same order.
+
+
+class ReferenceBuilder(_Builder):
+    """Emits every program point that discovery allows."""
+
+    def emit(self) -> CounterAutomaton:
+        self.counter_ids()
+        # locations are numbered in discovery order.  A named program point
+        # (a tuple; abstract cores appear by their index in self.mains)
+        # becomes the next integer on first sight; the points of a drain
+        # phase are named by nothing else, so each core gets a copy of the
+        # phase of its (letter, mode) as a run of fresh integers (emit_drain)
+        self.locs: dict = {}
+        self.trans: dict = {}
+        self.n_locs = 0
+        locs, loc, add, noop = self.locs, self.loc, self.add, self.noop
+
+        sink = ("accept_sink",)
+        for letter in self.letters:
+            noop(sink, sink, letter)
+        accept_end = ("accept_end",)
+        accept_more = ("accept_more",)
+        if not self.infinite:
+            loc(accept_end)
+            for letter in self.letters:
+                noop(accept_more, sink, letter)
+
+        bad_groups_cache: dict = {}
+
+        def discharged(letter, at_end, uu, q) -> bool:
+            return (frozenset(), frozenset()) in self.succ.get(letter, at_end, uu, q)
+
+        def items_ok(items, letter, at_end, uu) -> bool:
+            qs = [i[0] if self.infinite else i for i in items]
+            return all(discharged(letter, at_end, uu, q) for q in qs)
+
+        def bad_groups(letter, at_end):
+            key = (letter, at_end)
+            if key not in bad_groups_cache:
+                bad_groups_cache[key] = [
+                    g for g in self.groups
+                    if not items_ok(g, letter, at_end, False)
+                ]
+            return bad_groups_cache[key]
+
+        # ready locations: read the next letter or guess the discharge
+        for (qeq, qemp, flag) in self.readys:
+            r = ("ready", qeq, qemp, flag)
+            for letter in self.letters:
+                noop(r, ("main", letter, qeq, qemp, flag), letter)
+            ends = (False,) if self.infinite else (False, True)
+            for letter in self.letters:
+                for at_end in ends:
+                    if not items_ok(qeq, letter, at_end, True):
+                        continue
+                    if not items_ok(qemp, letter, at_end, False):
+                        continue
+                    cur = r
+                    for k, g in enumerate(bad_groups(letter, at_end)):
+                        nxt = ("final", qeq, qemp, flag, letter, at_end, k)
+                        add(cur, None, "ifz", self.c_group[g], nxt)
+                        cur = nxt
+                    if self.infinite:
+                        noop(cur, sink, letter)
+                    else:
+                        noop(cur, accept_end if at_end else accept_more, letter)
+
+        # main locations: run the big-step subroutine
+        for ci, core in enumerate(self.mains):
+            letter, qeq, qemp = core
+            for flag in ((False, True) if self.infinite else (False,)):
+                m = ("main", letter, qeq, qemp, flag)
+                if m not in locs:
+                    continue  # unreachable flag variant
+                for mode in self.modes:
+                    if self.groups:
+                        entry = ("drain", ci, mode, 0, False)
+                    else:
+                        entry = ("eqmap", ci, mode, 0, EMPTY, False)
+                    noop(m, entry)
+            for mode in self.modes:
+                if self.groups:
+                    self.emit_drain(ci, letter, mode)
+                self.emit_maps(ci, core, mode)
+
+        initial = ("ready", frozenset(), self.init_items(), False)
+        assert initial in locs
+        if self.infinite:
+            accepting = frozenset(
+                k for x, k in locs.items()
+                if x == sink or (x[0] == "main" and x[4])
+            )
+        else:
+            accepting = frozenset(k for x, k in locs.items() if x in (accept_end, sink))
+        ca = CounterAutomaton(self.a.alphabet, range(self.n_locs), locs[initial],
+                              self.n_counters, tuple(self.trans), accepting)
+        self.stats.update({
+            "locations": self.n_locs,
+            "transitions": len(self.trans),
+            "counters": self.n_counters,
+            "groups": len(self.groups),
+            "pairs": len(self.pairs),
+            "succ_entries": len(self.succ.memo),
+        })
+        return ca
+
+    def drain_block(self, letter: str, mode) -> tuple:
+        """The drain phase of a core, which depends on its letter and the
+        mode only: drain each bag counter, choosing a map ("dmap") for every
+        drained unit.  Returns the transitions over local ids, the number of
+        local ids after the entry 0, and the (mark, local id) of each exit
+        into the eqmap phase.  Local ids follow first sight, the order in
+        which emit would number the points."""
+        hit = self.blocks.get((letter, mode))
+        if hit is not None:
+            return hit
+        ids: dict = {}
+        trans: dict = {}
+
+        def lid(x) -> int:
+            k = ids.get(x)
+            if k is None:
+                k = ids[x] = len(ids)
+            return k
+
+        def add(src, op, ctr, dst):
+            trans[(lid(src), op, ctr, lid(dst))] = None
+
+        n_groups = len(self.groups)
+        nats = (False, True) if self.infinite else (False,)
+
+        def drain(gi, nat):
+            return ("drain", gi, nat) if gi < n_groups else ("exit", nat)
+
+        lid(drain(0, False))  # the entry, local id 0
+        for nat in nats:
+            for gi, g in enumerate(self.groups):
+                d = drain(gi, nat)
+                add(d, "ifz", self.c_group[g], drain(gi + 1, nat))
+                add(d, "dec", self.c_group[g], ("dmap", gi, 0, EMPTY, EMPTY, nat))
+
+        # choose a map for one drained unit
+        seen: set = set()
+        stack = [("dmap", gi, 0, EMPTY, EMPTY, nat) for nat in nats for gi in range(n_groups)]
+        while stack:
+            src = stack.pop()
+            if src in seen:
+                continue
+            seen.add(src)
+            _, gi, k, u1, u2, nat = src
+            items = self.sorted_groups[gi]
+            if k == len(items):
+                assert (u1, u2) in self.pset, "pair escaped discovery"
+                add(src, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
+                continue
+            for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
+                dst = ("dmap", gi, k + 1, self.union(u1, y), self.union(u2, z), nat or n2)
+                add(src, "ifz", self.c_zero, dst)
+                stack.append(dst)
+
+        exits = tuple((nat, ids[("exit", nat)]) for nat in nats)
+        out = self.blocks[(letter, mode)] = (tuple(trans), len(ids) - 1, exits)
+        return out
+
+    def emit_drain(self, ci: int, letter: str, mode) -> None:
+        """Core ci's copy of the drain phase: the entry is named by the main
+        locations, the other points follow as fresh integers, and the exits
+        are named for the eqmap phase."""
+        block, size, exits = self.drain_block(letter, mode)
+        base = self.n_locs
+        ids = [self.locs[("drain", ci, mode, 0, False)], *range(base, base + size)]
+        self.n_locs = base + size
+        self.trans.update(dict.fromkeys([(ids[s], None, op, c, ids[d]) for s, op, c, d in block]))
+        for nat, k in exits:
+            self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
+
+    def emit_maps(self, ci: int, core: tuple, mode) -> None:
+        """Choose the current-class and empty-row maps, collect the refreshed
+        group, then refill the bag from the pair counters."""
+        letter, qeq, qemp = core
+        add, noop, union = self.add, self.noop, self.union
+        eq_items, emp_items = sorted(qeq), sorted(qemp)
+        seen: set = set()
+        stack = [("eq", 0, EMPTY, nat)
+                 for nat in ((False, True) if self.infinite else (False,))]
+        while stack:
+            entry = stack.pop()
+            if entry in seen:
+                continue
+            seen.add(entry)
+            kind = entry[0]
+            if kind == "eq":
+                _, k, u2, nat = entry
+                src = ("eqmap", ci, mode, k, u2, nat)
+                items = eq_items
+                if k == len(items):
+                    nxt = ("empmap", ci, mode, 0, EMPTY, u2, nat)
+                    noop(src, nxt)
+                    stack.append(("emp", 0, EMPTY, u2, nat))
+                    continue
+                for (y, z, n2) in self.item_choices(letter, True, items[k], mode):
+                    assert not y
+                    nu2, nn = union(u2, z), nat or n2
+                    noop(src, ("eqmap", ci, mode, k + 1, nu2, nn))
+                    stack.append(("eq", k + 1, nu2, nn))
+            elif kind == "emp":
+                _, k, u1, u2, nat = entry
+                src = ("empmap", ci, mode, k, u1, u2, nat)
+                items = emp_items
+                if k == len(items):
+                    nxt = ("pair", ci, mode, 0, u2, u1, nat)
+                    noop(src, nxt)
+                    stack.append(("pair", 0, u2, u1, nat))
+                    continue
+                for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
+                    nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
+                    noop(src, ("empmap", ci, mode, k + 1, nu1, nu2, nn))
+                    stack.append(("emp", k + 1, nu1, nu2, nn))
+            elif kind == "pair":
+                _, pi, qddag, qemp1, nat = entry
+                src = ("pair", ci, mode, pi, qddag, qemp1, nat)
+                if pi == len(self.pairs):
+                    nxt = ("refill", ci, mode, 0, qemp1, nat)
+                    if qddag:
+                        assert qddag in self.gset, "group escaped discovery"
+                        add(src, None, "inc", self.c_group[qddag], nxt)
+                    else:
+                        noop(src, nxt)
+                    stack.append(("refill", 0, qemp1, nat))
+                    continue
+                p = self.pairs[pi]
+                add(src, None, "ifz", self.c_pair[p],
+                    ("pair", ci, mode, pi + 1, qddag, qemp1, nat))
+                stack.append(("pair", pi + 1, qddag, qemp1, nat))
+                mid = ("bump", ci, mode, pi, qddag, qemp1, nat)
+                add(src, None, "dec", self.c_pair[p], mid)
+                qd2 = union(qddag, p[1])
+                add(mid, None, "inc", self.c_pair[p],
+                    ("pair", ci, mode, pi + 1, qd2, qemp1, nat))
+                stack.append(("pair", pi + 1, qd2, qemp1, nat))
+            elif kind == "refill":
+                _, pi, qemp1, nat = entry
+                src = ("refill", ci, mode, pi, qemp1, nat)
+                if pi == len(self.pairs):
+                    if self.infinite and mode == "stay" and not nat:
+                        continue  # an unmarked step must be declared fresh
+                    flag = (mode == "fresh") if self.infinite else False
+                    noop(src, ("ready", frozenset(), qemp1, flag))
+                    for g in self.groups:
+                        add(src, None, "dec", self.c_group[g],
+                            ("ready", g, qemp1, flag))
+                    continue
+                p = self.pairs[pi]
+                add(src, None, "ifz", self.c_pair[p],
+                    ("refill", ci, mode, pi + 1, qemp1, nat))
+                stack.append(("refill", pi + 1, qemp1, nat))
+                mid = ("refillmid", ci, mode, pi, qemp1, nat)
+                add(src, None, "dec", self.c_pair[p], mid)
+                if p[0]:
+                    add(mid, None, "inc", self.c_group[p[0]],
+                        ("refill", ci, mode, pi, qemp1, nat))
+                else:
+                    noop(mid, ("refill", ci, mode, pi, qemp1, nat))
+
+
+def reference_machine(a, infinite: bool) -> CounterAutomaton:
+    ref = ReferenceBuilder(a, infinite)
+    ref.discover()
+    return ref.emit()
+
+
+def trimmed(c: CounterAutomaton, finite: bool) -> CounterAutomaton:
+    """The machine cut to the locations reachable from the initial one and,
+    for finite words, able to reach an accepting one, renumbered in their
+    order; the canonical empty machine when that drops the initial
+    location."""
+    def closure(start, edges) -> set:
+        seen, stack = set(start), list(start)
+        while stack:
+            for q in edges.get(stack.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    forward, backward = {}, {}
+    for q, _w, _op, _ctr, q2 in c.transitions:
+        forward.setdefault(q, []).append(q2)
+        backward.setdefault(q2, []).append(q)
+    keep = closure({c.initial}, forward)
+    if finite:
+        keep &= closure(c.accepting, backward)
+        if c.initial not in keep:
+            return CounterAutomaton(c.alphabet, (0,), 0, 1,
+                                    [(0, w, "ifz", 1, 0) for w in c.alphabet.letters], ())
+    new = {q: k for k, q in enumerate(q for q in c.locations if q in keep)}
+    return CounterAutomaton(
+        c.alphabet, tuple(new.values()), new[c.initial], c.n_counters,
+        [(new[q], w, op, ctr, new[q2]) for q, w, op, ctr, q2 in c.transitions
+         if q in keep and q2 in keep],
+        [new[q] for q in c.accepting if q in keep])
+
+
 # --- the drain phase, point by point ------------------------------------------
-# The builder emits the drain phase of each (letter, mode) once and copies it
-# into every abstract core as a run of fresh location numbers.  This reference
-# emits it for every core afresh and names each of its points, so that every
-# location is a key of locs and numbered len(locs) on first sight.
+# Both emitters build the drain phase of each (letter, mode) once and copy it
+# into every abstract core as a run of fresh location numbers.  This variant
+# of the reference emits it for every core afresh and names each of its
+# points, so that every location is a key of locs and numbered len(locs) on
+# first sight.
 
 
-class PointwiseBuilder(_Builder):
+class PointwiseBuilder(ReferenceBuilder):
     def emit_drain(self, ci, letter, mode):
         add, noop = self.add, self.noop
         nats = (False, True) if self.infinite else (False,)
@@ -714,28 +1039,97 @@ class PointwiseBuilder(_Builder):
                 stack.append((gi, k + 1, nu1, nu2, nn))
 
 
-def assert_same_as_pointwise(a) -> dict:
-    """Both emitters give the same machine text and stats; returns the
-    texts by variant."""
+def assert_matches_reference(a) -> dict:
+    """The builder's machine is the reference's after a plain trim, and the
+    pointwise reference is the reference; returns the texts by variant."""
     texts = {}
     for variant, build in (("finite", build_ca_finite_with_stats),
                            ("infinite", build_ca_infinite_with_stats)):
-        ref = PointwiseBuilder(a, variant == "infinite")
-        ref.discover()
-        ref_text = format_ca(ref.emit())
-        assert ref.n_locs == len(ref.locs)
+        infinite = variant == "infinite"
+        ref, pointwise = ReferenceBuilder(a, infinite), PointwiseBuilder(a, infinite)
+        for b in (ref, pointwise):
+            b.discover()
+        ref_ca = ref.emit()
+        assert format_ca(pointwise.emit()) == format_ca(ref_ca)
+        assert pointwise.n_locs == len(pointwise.locs)
+        assert pointwise.stats == ref.stats
         ca, stats = build(a)
         texts[variant] = format_ca(ca)
-        assert texts[variant] == ref_text
-        assert stats == ref.stats
+        assert texts[variant] == format_ca(trimmed(ref_ca, not infinite))
+        assert (stats["locations"], stats["transitions"], stats["counters"]) == \
+            (len(ca.locations), len(ca.transitions), ca.n_counters)
+        if not infinite:  # the backward pass drops what it keeps not of the reachable
+            reachable = len(trimmed(ref_ca, finite=False).locations)
+            kept = len(ca.locations) if ca.accepting else 0
+            assert stats["trimmed"] == reachable - kept
     return texts
 
 
 @pytest.mark.parametrize("name", list(CIRCLE_SENTENCES))
 def test_circle_machines_match_pointwise_and_pins(name):
     a = ltl_to_ara(parse_ltl(CIRCLE_SENTENCES[name], AB), AB)
-    for variant, text in assert_same_as_pointwise(a).items():
+    for variant, text in assert_matches_reference(a).items():
         assert hashlib.sha256(text.encode()).hexdigest() == _MACHINE_TEXT[(name, variant)]
+
+
+@pytest.fixture(scope="module")
+def circle_machines():
+    """Per circle sentence and variant, the built machine and the reference
+    machine it is a trim of."""
+    out = {}
+    for name, text in CIRCLE_SENTENCES.items():
+        a = ltl_to_ara(parse_ltl(text, AB), AB)
+        out[name] = {"finite": (build_ca_finite(a), reference_machine(a, False)),
+                     "infinite": (build_ca_infinite(a), reference_machine(a, True))}
+    return out
+
+
+def test_circle_machine_sizes(circle_machines):
+    sizes = {name: tuple((len(c.locations), len(c.transitions), c.n_counters)
+                         for c, _ref in (pair["finite"], pair["infinite"]))
+             for name, pair in circle_machines.items()}
+    assert sizes == MACHINE_SIZES
+
+
+def test_circle_finite_languages_match_reference(circle_machines):
+    words = [w for n in range(6) for w in itertools.product("ab", repeat=n)]
+    for name, pair in circle_machines.items():
+        c, ref = pair["finite"]
+        assert nonempty_finite_incrementing(c).kind == nonempty_finite_incrementing(ref).kind
+        for w in words:
+            assert accepts_word(c, w).kind == accepts_word(ref, w).kind, (name, w)
+
+
+# per circle sentence and budget, the verdict of nonempty_infinite_incrementing
+# and its number of CounterAutomaton.outgoing calls (its states), on the
+# built machine and on the reference alike: the search walks the same graph
+BUCHI_WORK = {
+    "phi": {1000: ("unknown", 1200), 100_000: ("nonempty", 7722)},
+    "phi-Fa-Gnotb": {1000: ("unknown", 1200), 100_000: ("empty", 19_823)},
+    "b-never-again": {1000: ("unknown", 1200), 100_000: ("unknown", 107_700)},
+    "phi-b-distinct": {1000: ("unknown", 1200), 100_000: ("unknown", 107_700)},
+    "phi-b-then-a": {1000: ("unknown", 1200), 100_000: ("unknown", 107_700)},
+    "a-then-no-b": {1000: ("nonempty", 212), 100_000: ("nonempty", 212)},
+    "some-match": {1000: ("unknown", 1200), 100_000: ("nonempty", 1717)},
+}
+
+
+@pytest.mark.parametrize("name", list(CIRCLE_SENTENCES))
+def test_circle_buchi_work_matches_reference(circle_machines, monkeypatch, name):
+    calls = [0]
+    outgoing = CounterAutomaton.outgoing
+
+    def counted(self, q):
+        calls[0] += 1
+        return outgoing(self, q)
+
+    monkeypatch.setattr(CounterAutomaton, "outgoing", counted)
+    for budget, pinned in BUCHI_WORK[name].items():
+        for c in circle_machines[name]["infinite"]:
+            calls[0] = 0
+            v = nonempty_infinite_incrementing(c, budget)
+            assert (v.kind, calls[0]) == pinned, (budget, c is circle_machines[name]["infinite"][1])
+            assert v.lasso is None or verify_lasso(c, v.lasso)
 
 
 def bag_sentence(rng, size: int):
@@ -750,9 +1144,9 @@ def bag_sentence(rng, size: int):
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 12))
 def test_drain_copies_match_pointwise(rng, size):
-    assert_same_as_pointwise(ltl_to_ara(bag_sentence(rng, size), AB))
-    assert_same_as_pointwise(ltl_to_ara(_random_xu_sentence(rng, size), AB))
-    assert_same_as_pointwise(random_1ara1(rng, n_locs=rng.randint(2, 6)))
+    assert_matches_reference(ltl_to_ara(bag_sentence(rng, size), AB))
+    assert_matches_reference(ltl_to_ara(_random_xu_sentence(rng, size), AB))
+    assert_matches_reference(random_1ara1(rng, n_locs=rng.randint(2, 6)))
 
 
 def test_build_finite_empty_language():
