@@ -373,19 +373,19 @@ class _Builder:
                         continue
                     cores.add(core)
                     for mode in self.modes:
-                        flag = mode == "fresh"
-                        must_mark = self.infinite and mode == "stay"
+                        nats = self.entry_nats(letter, mode)
                         eqf = self.fold(letter, True, qeq, mode)
+                        if not (nats and eqf):
+                            continue
                         empf = self.fold(letter, False, qemp, mode)
-                        for nat in self.entry_nats(letter, mode):
-                            for (_e1, _e2, ne) in eqf:
-                                for (m1, _m2, nm) in empf:
-                                    if (m1, flag) in ends or (must_mark and not (nat or ne or nm)):
-                                        continue
-                                    ends.add((m1, flag))
-                                    if m1 not in pushed:
-                                        pushed.add(m1)
-                                        stack.append((m1, refills))
+                        if (self.infinite and mode == "stay" and True not in nats
+                                and not any(ne for _e1, _e2, ne in eqf)):
+                            empf = [m for m in empf if m[2]]  # the step must end marked
+                        for (m1, _m2, _nm) in empf:
+                            ends.add((m1, mode == "fresh"))
+                            if m1 not in pushed:
+                                pushed.add(m1)
+                                stack.append((m1, refills))
         start = (EMPTY, init, False)
         return {r: None for r in self.readys if r == start or (r[1], r[2]) in ends}, cores
 
@@ -572,16 +572,9 @@ class _Builder:
                 add(src, "ifz", self.c_zero, dst)
                 stack.append(dst)
 
-        succ: dict = {}
-        for s, _op, _c, d in trans:
-            succ.setdefault(s, []).append(d)
-        reached = {0}
-        stack = [0]
-        while stack:
-            for d in succ.get(stack.pop(), ()):
-                if d not in reached:
-                    reached.add(d)
-                    stack.append(d)
+        # what the entry reaches: the backward walk of ca.reaching over the
+        # reversed edges
+        reached = reaching([(d, None, None, None, s) for s, _op, _c, d in trans], (0,))[1]
         new = {k: j for j, k in enumerate(sorted(reached))}
         block = tuple((new[s], op, c, new[d]) for s, op, c, d in trans if s in new)
         exits = tuple((nat, new[ids[("exit", nat)]]) for nat in nats

@@ -1054,10 +1054,13 @@ def assert_matches_reference(a) -> dict:
         assert pointwise.n_locs == len(pointwise.locs)
         assert pointwise.stats == ref.stats
         ca, stats = build(a)
+        want = trimmed(ref_ca, not infinite)
         texts[variant] = format_ca(ca)
-        assert texts[variant] == format_ca(trimmed(ref_ca, not infinite))
+        assert texts[variant] == format_ca(want)
+        assert {k: stats[k] for k in ("groups", "pairs", "succ_entries")} == \
+            {k: ref.stats[k] for k in ("groups", "pairs", "succ_entries")}
         assert (stats["locations"], stats["transitions"], stats["counters"]) == \
-            (len(ca.locations), len(ca.transitions), ca.n_counters)
+            (len(want.locations), len(want.transitions), want.n_counters)
         if not infinite:  # the backward pass drops what it keeps not of the reachable
             reachable = len(trimmed(ref_ca, finite=False).locations)
             kept = len(ca.locations) if ca.accepting else 0
