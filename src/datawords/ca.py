@@ -13,7 +13,10 @@ a successor whose location cannot, ignoring the counters, read the rest of
 the word and then accept is dropped before its valuation is computed.  Its
 descendants could not pass either, so the states that remain keep their
 order and antichains, and a search budget counts the states taken off the
-queue among those that remain.
+queue among those that remain.  Before the word's last letter the guide
+asks for more than a way on to acceptance: a way to read that letter and
+then reach an accepting location by silent steps alone, which is what the
+run must do there.
 """
 
 from __future__ import annotations
@@ -62,21 +65,30 @@ class CounterAutomaton:
         accepting location, the bits (see ``_letter_bits``) of the letters
         it can read, after silent steps only, on a transition into such a
         location, plus bit 0 if a silent path, maybe empty, leads it into an
-        accepting location.  The other locations are absent."""
+        accepting location, plus the "last" bit of each letter it can read,
+        after silent steps only, into a location that has bit 0.  The other
+        locations are absent."""
         bits = _letter_bits(self.alphabet)
+        shift = len(self.alphabet.letters)
         into, guide = reaching(self.transitions, self.accepting)
         guide.update(dict.fromkeys(self.accepting, 1))
+        _pass_back(guide, into, list(self.accepting))  # bit 0 first
         for q, w, _op, _ctr, q2 in self.transitions:
             if w is not None and q2 in guide:
-                guide[q] |= bits.get(w, -2)
-        stack = list(guide)
-        while stack:  # pass each mask back along silent transitions
-            m = guide[q := stack.pop()]
-            for t in into.get(q, ()):
-                if t[1] is None and m & ~guide[t[0]]:
-                    guide[t[0]] |= m
-                    stack.append(t[0])
+                bit = bits.get(w, -2)
+                guide[q] |= bit | bit << shift if guide[q2] & 1 else bit
+        _pass_back(guide, into, list(guide))
         return guide
+
+
+def _pass_back(guide: dict, into: dict, stack: list) -> None:
+    """Pass each mask back along silent transitions, from ``stack`` on."""
+    while stack:
+        m = guide[q := stack.pop()]
+        for t in into.get(q, ()):
+            if t[1] is None and m & ~guide[t[0]]:
+                guide[t[0]] |= m
+                stack.append(t[0])
 
 
 def reaching(transitions, targets) -> tuple[dict, dict]:
@@ -97,9 +109,10 @@ def reaching(transitions, targets) -> tuple[dict, dict]:
 
 
 def _letter_bits(alphabet: Alphabet) -> dict:
-    """The guide's bit of each letter, above bit 0.  Callers look a letter
-    up with default -2, all of them: a letter outside the alphabet, which
-    ``validate_ca`` rejects, is then never pruned on."""
+    """The guide's bit of each letter, above bit 0; its last bit is that
+    bit shifted left by the size of the alphabet.  Callers look a letter
+    up with default -2, all of them, last bits included: a letter outside
+    the alphabet, which ``validate_ca`` rejects, is then never pruned on."""
     return {a: 2 << k for k, a in enumerate(alphabet.letters)}
 
 
@@ -211,7 +224,8 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
     taken off the queue.  A transition reading a letter other than the
     word's next one is skipped before its valuation is computed, and so is
     one into a location whose guide mask lacks the bit of the word's letter
-    at the new position, or bit 0 at the word's end.  With ``word=None`` any
+    at the new position (its last bit if that letter is the word's last),
+    or bit 0 at the word's end.  With ``word=None`` any
     letters are read, a location outside the guide is skipped, and the
     position only records whether a letter has been read: a state reached
     by a letter is never pruned by the start state, which may be at an
@@ -221,8 +235,12 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
     n = 0 if free else len(word)
     guide = c._guide
     bits = _letter_bits(c.alphabet)
-    # per position, the guide bits a successor there must have one of
+    # per position, the guide bits a successor there must have one of: the
+    # bit of the next letter, its last bit before the last letter, bit 0 at
+    # the end
     need = [-1, -1] if free else [bits.get(a, -2) for a in word] + [1]
+    if n:
+        need[n - 1] <<= len(c.alphabet.letters)
     accepting = c.accepting
     zero = (0,) * c.n_counters
     # incrementing: per position, per location, the minimal valuations seen;

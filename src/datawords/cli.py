@@ -340,8 +340,9 @@ def cmd_circle(args, out: _Out) -> int:
         return EXIT_BUDGET
     v2 = verdict.is_nonempty
     out.emit(f"[2] counter machine ({stats['locations']} locations, "
-             f"{stats['counters']} counters; {stats['trimmed']} locations that "
-             f"cannot accept dropped): {'nonempty' if v2 else 'empty'}",
+             f"{stats['counters']} counters; {stats['skipped']} ready points or cores "
+             f"skipped and {stats['trimmed']} locations dropped that cannot accept): "
+             f"{'nonempty' if v2 else 'empty'}",
              stage="counter_machine", nonempty=v2, **stats)
 
     if len(ca.transitions) <= args.back_alphabet_cap:

@@ -27,22 +27,36 @@ Both machines are emitted forward from the initial ready point, so no
 unreachable point is emitted: a core is run only once a reached ready
 point calls it, a drain phase keeps only the marks it can exit with (a
 fresh step never marks), and the accepting points only exist once a
-discharge guess reaches them.  The finite machine is then cut, by one
-backward pass, to the locations that can reach an accepting one.  Neither
-cut changes the language: an accepted run starts at the initial location
-and ends at an accepting one, so every location on it is both reachable
-and able to accept, and a location off every such path carries no
-accepted run.  The kept locations keep their order and are numbered
+discharge guess reaches them.  Before anything is emitted, a usefulness
+pass runs on the small graph of whole big steps, from ready points to the
+cores they run and on to the ready points those step to.  A ready point
+with a discharge guess is good; in the infinite variant so is one on a
+cycle through a ready point with flag True, whose main locations accept
+and are entered on a letter.  Only the ready points and cores that reach
+a good ready point are emitted, with the initial one, and no transition
+leads into a skipped ready point.  The finite machine is then cut, by one
+backward pass, to the locations that can reach an accepting one.  No cut
+changes the language.  An accepted finite run starts at the initial
+location and ends at an accepting one, so every location on it is both
+reachable and able to accept, and a location off every such path carries
+no accepted run.  An accepted infinite run ends each big step at a ready
+point, and it either enters the accepting sink by a discharge guess or
+visits accepting main locations, so ready points with flag True,
+infinitely often; so every ready point and core it passes reaches a good
+ready point.  What the pass skips cannot reach an accepting location, so
+the backward pass would drop it anyway, and the finite machine is the same
+with or without it.  The kept locations keep their order and are numbered
 0..n-1.  If the initial location cannot accept, the finite machine is the
 canonical empty one: a single location, not accepting, with a self-loop
-per letter that zero-tests the only counter.  The infinite machine gets no
-backward pass.
+per letter that zero-tests the only counter.  The infinite machine keeps
+the points of a kept core that cannot take part in an accepting run.
 """
 
 from __future__ import annotations
 
 from .ca import CounterAutomaton, reaching
 from .errors import ClassMismatch
+from .games import _sccs
 from .ra import (
     BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TOr, TStore, TTest,
     TTop, classify_ra, relabel, validate,
@@ -291,41 +305,59 @@ class _Builder:
     def discover(self):
         # insertion-ordered dicts serve as sets: everything is walked and
         # later emitted in discovery order, which makes the machine
-        # independent of hash seeds without sorting
+        # independent of hash seeds without sorting.  Sweeps repeat until
+        # nothing is added.  Each (core, mode) keeps its refreshed groups
+        # (qddags) and how far it has read the groups, the pairs, its
+        # qddags and the refills, so a sweep hands it only what was added
+        # since its last visit: what it skips it added itself before, and
+        # everything new is added in the order of a sweep that re-derives
+        # it all, so the counters keep their numbers.
         readys = {(frozenset(), self.init_items(), False): None}
         mains: dict = {}
+        visits: dict = {}
+        n_run = 0  # the ready points whose cores are in mains
         changed = True
         while changed:
             changed = False
-            for (qeq, qemp, _fl) in readys:
+            for (qeq, qemp, _fl) in list(readys)[n_run:]:
                 for letter in self.letters:
                     core = (letter, qeq, qemp)
                     if core not in mains:
                         mains[core] = None
                         changed = True
+            n_run = len(readys)
             for core in mains:
                 letter, qeq, qemp = core
                 for mode in self.modes:
-                    eqf = self.fold(letter, True, qeq, mode)
-                    empf = self.fold(letter, False, qemp, mode)
-                    for g in list(self.groups):
+                    key = (core, mode)
+                    if key not in visits:
+                        eqf = self.fold(letter, True, qeq, mode)
+                        empf = self.fold(letter, False, qemp, mode)
+                        qddags = dict.fromkeys(self.union(e2, m2)
+                                               for (_e1, e2, _n1) in eqf for (_m1, m2, _n2) in empf)
+                        m1s = dict.fromkeys(m1 for (m1, _m2, _n) in empf)
+                        visits[key] = (qddags, m1s, 0, 0, 0, 0)
+                    qddags, m1s, n_groups, n_pairs, n_qddags, n_refills = visits[key]
+                    groups = self.groups[n_groups:]
+                    for g in groups:
                         for (u1, u2, _n) in self.fold(letter, False, g, mode):
                             changed |= self.add_pair((u1, u2))
-                    qddags = dict.fromkeys(self.union(e2, m2)
-                                           for (_e1, e2, _n1) in eqf for (_m1, m2, _n2) in empf)
-                    for (pu1, pu2) in list(self.pairs):
+                    pairs = self.pairs[n_pairs:]
+                    for (pu1, pu2) in pairs:
                         qddags.update(dict.fromkeys([self.union(v, pu2) for v in qddags]))
                         changed |= self.add_group(pu1)
-                    for v in qddags:
+                    for v in list(qddags)[n_qddags:]:
                         changed |= self.add_group(v)
-                    emp_values = dict.fromkeys(m1 for (m1, _m2, _n) in empf)
+                    refills = [EMPTY, *self.groups]
                     flag = (mode == "fresh") if self.infinite else False
-                    for m1 in emp_values:
-                        for qeq2 in [frozenset()] + self.groups:
+                    for m1 in m1s:
+                        for qeq2 in refills[n_refills:]:
                             r = (qeq2, m1, flag)
                             if r not in readys:
                                 readys[r] = None
                                 changed = True
+                    visits[key] = (qddags, m1s, n_groups + len(groups), n_pairs + len(pairs),
+                                   len(qddags), len(refills))
         self.readys = readys
         self.mains = mains
 
@@ -352,16 +384,17 @@ class _Builder:
     def noop(self, src, dst, letter=None) -> None:
         self.add(src, letter, "ifz", self.c_zero, dst)
 
-    def reach(self) -> tuple[dict, set]:
+    def reach(self) -> tuple[dict, dict]:
         """Walk forward from the initial ready point over whole big steps.
         A step of a core ends at each empty-row set m1 its folds can pick
         (a stay step only if it ends marked), at the ready points
         (g, m1, flag) for each group g and for no group.  Returns the
-        reached ready points, in discovery order, and the cores they run."""
+        reached ready points, in discovery order, and for each core they
+        run the (m1, flag) ends of its steps."""
         init = self.init_items()
         refills = (EMPTY, *self.groups)
         ends: set = set()  # the (m1, flag) pairs some step ends with
-        cores: set = set()
+        steps: dict = {}
         pushed: set = set()
         stack = [(init, (EMPTY,))]  # (qemp, the qeq it comes with)
         while stack:
@@ -369,9 +402,9 @@ class _Builder:
             for qeq in qeqs:
                 for letter in self.letters:
                     core = (letter, qeq, qemp)
-                    if core in cores:
+                    if core in steps:
                         continue
-                    cores.add(core)
+                    out = steps[core] = {}
                     for mode in self.modes:
                         nats = self.entry_nats(letter, mode)
                         eqf = self.fold(letter, True, qeq, mode)
@@ -382,12 +415,42 @@ class _Builder:
                                 and not any(ne for _e1, _e2, ne in eqf)):
                             empf = [m for m in empf if m[2]]  # the step must end marked
                         for (m1, _m2, _nm) in empf:
-                            ends.add((m1, mode == "fresh"))
+                            out[(m1, mode == "fresh")] = None
                             if m1 not in pushed:
                                 pushed.add(m1)
                                 stack.append((m1, refills))
+                    ends.update(out)
         start = (EMPTY, init, False)
-        return {r: None for r in self.readys if r == start or (r[1], r[2]) in ends}, cores
+        return {r: None for r in self.readys if r == start or (r[1], r[2]) in ends}, steps
+
+    def useful(self, readys: dict, steps: dict, good: list) -> tuple[dict, set]:
+        """The usefulness pass over the graph of whole big steps, whose
+        nodes are the reached ready points and cores: a ready point runs
+        the core of each letter, and a core steps to (g, m1, flag) for each
+        of its ends and each g of (EMPTY, *groups).  Besides the ``good``
+        ready points, those with a discharge guess, a ready point of the
+        infinite variant is good when it lies on a cycle through a ready
+        point with flag True, whose main locations accept and are entered
+        on a letter.  Returns the ready points that reach a good one, in
+        their order, plus the initial one, and the cores that reach one."""
+        refills = (EMPTY, *self.groups)
+        edges: dict = {r: [(letter, r[0], r[1]) for letter in self.letters] for r in readys}
+        edges.update((core, [(g, m1, flag) for m1, flag in ends for g in refills])
+                     for core, ends in steps.items())
+        good = set(good)
+        if self.infinite:
+            # a core's third field is a frozenset, so only a ready point has
+            # True there; a cycle has two nodes at least
+            for scc in _sccs(edges, edges):
+                if len(scc) > 1 and any(x[2] is True for x in scc):
+                    good.update(x for x in scc if x in readys)
+        kept = reaching([(x, None, None, None, y) for x, ys in edges.items() for y in ys],
+                        good)[1]
+        start = (EMPTY, self.init_items(), False)
+        live = {r: None for r in readys if r in kept or r == start}
+        cores = {core for core in steps if core in kept}
+        self.stats["skipped"] = len(readys) - len(live) + len(steps) - len(cores)
+        return live, cores
 
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
@@ -400,7 +463,7 @@ class _Builder:
         self.trans: dict = {}
         self.n_locs = 0
         locs, loc, add, noop = self.locs, self.loc, self.add, self.noop
-        readys, cores = self.reach()
+        readys, steps = self.reach()
         bad_groups_cache: dict = {}
 
         def discharged(letter, at_end, uu, q) -> bool:
@@ -426,6 +489,7 @@ class _Builder:
                       if items_ok(r[0], letter, at_end, True)
                       and items_ok(r[1], letter, at_end, False)]
                   for r in readys}
+        self.live, cores = self.useful(readys, steps, [r for r, fins in finals.items() if fins])
         guessed = {at_end for fins in finals.values() for _letter, at_end in fins}
         sink = ("accept_sink",)
         accept_end = ("accept_end",)
@@ -440,11 +504,13 @@ class _Builder:
                 noop(accept_more, sink, letter)
 
         # ready locations: read the next letter or guess the discharge
-        for (qeq, qemp, flag), fins in finals.items():
+        for (qeq, qemp, flag) in self.live:
             r = ("ready", qeq, qemp, flag)
+            loc(r)  # a kept initial point may have no transition
             for letter in self.letters:
-                noop(r, ("main", letter, qeq, qemp, flag), letter)
-            for letter, at_end in fins:
+                if (letter, qeq, qemp) in cores:
+                    noop(r, ("main", letter, qeq, qemp, flag), letter)
+            for letter, at_end in finals[(qeq, qemp, flag)]:
                 cur = r
                 for k, g in enumerate(bad_groups(letter, at_end)):
                     nxt = ("final", qeq, qemp, flag, letter, at_end, k)
@@ -627,7 +693,8 @@ class _Builder:
         group, then refill the bag from the pair counters, walked from the
         eqmap entry of each mark in nats, the last one first."""
         letter, qeq, qemp = core
-        c_zero, union = self.c_zero, self.union
+        c_zero, union, live = self.c_zero, self.union, self.live
+        refill_ops = [(EMPTY, "ifz", c_zero), *((g, "dec", self.c_group[g]) for g in self.groups)]
         eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
         stack = [("eq", 0, EMPTY, nat) for nat in nats]
@@ -691,9 +758,9 @@ class _Builder:
                     if self.infinite and mode == "stay" and not nat:
                         continue  # an unmarked step must be declared fresh
                     flag = (mode == "fresh") if self.infinite else False
-                    yield src, "ifz", c_zero, ("ready", frozenset(), qemp1, flag)
-                    for g in self.groups:
-                        yield src, "dec", self.c_group[g], ("ready", g, qemp1, flag)
+                    for g, op, ctr in refill_ops:
+                        if (g, qemp1, flag) in live:
+                            yield src, op, ctr, ("ready", g, qemp1, flag)
                     continue
                 p = self.pairs[pi]
                 yield src, "ifz", self.c_pair[p], ("refill", ci, mode, pi + 1, qemp1, nat)

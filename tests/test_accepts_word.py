@@ -36,11 +36,18 @@ from test_lasso_scan import machines
 ACCEPT = None  # the guide's mark for silent steps into an accepting location
 
 
+def LAST(w):
+    """The guide's mark for reading ``w`` as the word's last letter."""
+    return ("last", w)
+
+
 def reference_guide(c: CounterAutomaton) -> dict:
     """For each location with a path into an accepting location: the
     letters it reads, after silent steps only, on a transition into such a
     location, plus ACCEPT if silent steps alone lead it into an accepting
-    location (it counts itself)."""
+    location (it counts itself), plus LAST(w) for each letter w it reads,
+    after silent steps only, on a transition into a location from which
+    silent steps alone lead into an accepting location."""
     succ: dict = {q: [] for q in c.locations}
     for t in c.transitions:
         succ[t[0]].append(t)
@@ -55,11 +62,14 @@ def reference_guide(c: CounterAutomaton) -> dict:
         return seen
 
     live = {q for q in c.locations if reach(q, False) & c.accepting}
+    ends = {q for q in c.locations if reach(q, True) & c.accepting}
     guide = {}
     for q in live:
         closure = reach(q, True)
         guide[q] = {w for src, w, _op, _ctr, q2 in c.transitions
                     if src in closure and w is not None and q2 in live}
+        guide[q] |= {LAST(w) for src, w, _op, _ctr, q2 in c.transitions
+                     if src in closure and w is not None and q2 in ends}
         if closure & c.accepting:
             guide[q].add(ACCEPT)
     return guide
@@ -67,10 +77,15 @@ def reference_guide(c: CounterAutomaton) -> dict:
 
 def _kept(guide, word, pos2, q2) -> bool:
     """Can a run at ``q2``, having read ``pos2`` letters of ``word``, still
-    accept as far as the guide knows?"""
+    accept as far as the guide knows?  Before the last letter it must be
+    able to read that letter and then accept by silent steps alone."""
     if q2 not in guide:
         return False
-    return word is None or (word[pos2] if pos2 < len(word) else ACCEPT) in guide[q2]
+    if word is None:
+        return True
+    if pos2 == len(word):
+        return ACCEPT in guide[q2]
+    return (LAST(word[pos2]) if pos2 == len(word) - 1 else word[pos2]) in guide[q2]
 
 
 def reference_search(c: CounterAutomaton, word, semantics, budget,
@@ -183,7 +198,7 @@ def test_budgets_reach_every_verdict():
                           ("q0", "b", "dec", 2, "q1")),
                          frozenset({"q1"}))
     guide = reference_guide(c)
-    assert guide == {"q0": {"a", "b"}, "q1": {ACCEPT}}
+    assert guide == {"q0": {"a", "b", LAST("a"), LAST("b")}, "q1": {ACCEPT}}
     for semantics in ("incrementing", "minsky"):
         for word, budget in ((("a",), 1), (("a",), 100), (("b",), 100), ((), 100),
                              (("a", "b"), 100)):

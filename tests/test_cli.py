@@ -135,6 +135,7 @@ def test_translate_ra2ca_with_report(tmp_path, capsys):
                        "--words", "finite", "-o", str(out_ca))
     assert code == 0
     assert "locations=" in out and "counters=" in out
+    assert "skipped=3" in out and "trimmed=0" in out
     code, out, _ = run(capsys, "accepts", "--ca", str(out_ca), "--letters", "ab")
     assert code == 1
     code, out, _ = run(capsys, "accepts", "--ca", str(out_ca), "--letters", "a")
@@ -206,14 +207,18 @@ def test_circle_json_reports_the_dropped_locations(capsys):
     assert code == 1
     machine = [json.loads(line) for line in out.splitlines()][1]
     assert machine["stage"] == "counter_machine"
-    assert (machine["locations"], machine["trimmed"]) == (47, 10)
+    # the usefulness pass skips one ready point or core here; before it, the
+    # backward pass dropped 10 locations
+    assert (machine["locations"], machine["skipped"], machine["trimmed"]) == (47, 1, 5)
     # an empty language leaves the canonical empty machine
     code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & !a",
                        "--alphabet", "a,b", "--max-len", "2")
     assert code == 0
     machine = [json.loads(line) for line in out.splitlines()][1]
     assert (machine["locations"], machine["transitions"], machine["counters"]) == (1, 2, 1)
-    assert machine["trimmed"] == 7
+    # the usefulness pass skips both cores, so only the initial ready point
+    # is emitted; before it, the backward pass dropped 7 locations
+    assert (machine["skipped"], machine["trimmed"]) == (2, 1)
 
 
 def test_letter_outside_alphabet_is_a_parse_error(capsys):

@@ -51,7 +51,8 @@ def test_accepts_word_work(finite_machines, popped):
         for n in range(1, HORIZONS[name] + 1):
             for w in itertools.product("ab", repeat=n):
                 accepts_word(c, w)
-    assert popped[0] == 21_259  # 51,428 without the control-graph guide
+    # 21,259 before the guide's last-letter bits, 51,428 without the guide
+    assert popped[0] == 17_025
 
 
 def test_nonempty_finite_work(finite_machines, popped):
@@ -59,4 +60,6 @@ def test_nonempty_finite_work(finite_machines, popped):
              for name, c in finite_machines.items()}
     assert sorted(name for name, kind in kinds.items() if kind == "nonempty") == \
         ["a-then-no-b", "phi", "some-match"]
-    assert popped[0] == 118  # 5,348 without the control-graph guide
+    # the witness replays are word searches: 118 before the guide's
+    # last-letter bits, 5,348 without the guide
+    assert popped[0] == 108
