@@ -2,15 +2,18 @@
 
 Verdict-producing commands exit 0 for false/empty and 1 for true/nonempty;
 usage errors (including ``accepts`` without --ra or --ca, or without the
---word or --letters its automaton reads, and ``reduce`` of a machine without
-transitions) and inputs nested too deeply to process exit 2, parse errors
-(including a letter outside the alphabet, an empty or repeated alphabet and
-an automaton that fails validation) 3, exhausted budgets 4.  With --json
-each result is printed as one JSON object per line.  Parsing and printing
-take no recursion depth.  Still refused as nested too deeply: a deep LTL
-formula that is hashed or compared (its letters read when no alphabet is
-given, ``classify``, the ``ltl_to_ara`` closure), and deep input to
-``eval_ltl``, ``eval_fo`` and ``fo2_to_simple_ltl``.
+--word or --letters its automaton reads, a missing input file: ``parse fo``
+without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
+``translate ra2ca`` without --ra and ``export-dot`` without --ra or --ca,
+and ``reduce`` of a machine without transitions) and inputs nested too
+deeply to process exit 2, parse errors (including a letter outside the
+alphabet, an empty or repeated alphabet and an automaton that fails
+validation) 3, exhausted budgets 4.  With --json each result is printed as
+one JSON object per line.  Parsing and printing take no recursion depth.
+Still refused as nested too deeply: a deep LTL formula that is hashed or
+compared (its letters read when no alphabet is given, ``classify``, the
+``ltl_to_ara`` closure), and deep input to ``eval_ltl``, ``eval_fo`` and
+``fo2_to_simple_ltl``.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.
@@ -36,7 +39,7 @@ from .nra import nonempty_finite, nonempty_infinite
 from .ra import (
     accepts, acceptance_game, classify_ra, format_ra, parse_ra, ra_to_dot, validate,
 )
-from .ra2ca import build_ca_finite_with_stats, build_ca_infinite_with_stats
+from .ra2ca import _build
 from .reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
@@ -74,6 +77,14 @@ def _formula_source(args) -> str:
     if getattr(args, "ltl_file", None) is None:
         raise DatawordsError("pass --ltl or --ltl-file")
     return _read(args.ltl_file)
+
+
+def _fo_source(args) -> str:
+    if args.fo:
+        return args.fo
+    if args.fo_file is None:
+        raise DatawordsError("pass --fo or --fo-file")
+    return _read(args.fo_file)
 
 
 def _strip_headers(text: str):
@@ -138,12 +149,14 @@ def cmd_parse(args, out: _Out) -> int:
                  max_register=info.max_register, sentence=info.is_sentence,
                  simple_depth=info.is_simple_Om)
     elif args.kind == "fo":
-        text, _ = _strip_headers(args.fo if args.fo else _read(args.fo_file))
+        text, _ = _strip_headers(_fo_source(args))
         f = fo_mod.parse_fo(text)
         out.emit(f"{fo_mod.format_fo(f)}\nfree: {sorted(fo_mod.free_vars(f))}  "
                  f"two-variable: {fo_mod.is_two_variable(f)}",
                  formula=fo_mod.format_fo(f), free=sorted(fo_mod.free_vars(f)),
                  two_variable=fo_mod.is_two_variable(f))
+    elif args.file is None:
+        raise DatawordsError(f"parse {args.kind} needs a file")
     elif args.kind == "ra":
         a = parse_ra(_read(args.file))
         errs = validate(a)
@@ -171,7 +184,7 @@ def cmd_parse(args, out: _Out) -> int:
 def cmd_eval(args, out: _Out) -> int:
     w = parse_data_word(args.word)
     if args.fo or args.fo_file:
-        text, _ = _strip_headers(args.fo if args.fo else _read(args.fo_file))
+        text, _ = _strip_headers(_fo_source(args))
         f = fo_mod.parse_fo(text)
         asg = {}
         for item in args.assign or []:
@@ -211,10 +224,9 @@ def cmd_translate(args, out: _Out) -> int:
         else:
             print(text, end="")
         return 0
-    a = _load_ra(args.ra)
-    builder = (build_ca_infinite_with_stats if args.words == "infinite"
-               else build_ca_finite_with_stats)
-    ca, stats = builder(a)
+    if args.ra is None:
+        raise DatawordsError("translate ra2ca needs --ra")
+    ca, stats = _build(_load_ra(args.ra), args.words == "infinite")
     text = format_ca(ca)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -332,7 +344,7 @@ def cmd_circle(args, out: _Out) -> int:
              stage="sat_bounded", nonempty=v1, max_len=args.max_len)
 
     a = ltl_to_ara(phi, sigma)
-    ca, stats = build_ca_finite_with_stats(a)
+    ca, stats = _build(a, infinite=False)
     verdict = nonempty_finite_incrementing(ca, args.budget)
     if verdict.kind == "unknown":
         out.emit(f"[2] counter machine: unknown ({verdict.reason})",
@@ -377,8 +389,10 @@ def cmd_export_dot(args, out: _Out) -> int:
         print(abstract_graph_to_dot(_load_ra(args.ra)))
     elif args.ra:
         print(ra_to_dot(_load_ra(args.ra)))
-    else:
+    elif args.ca:
         print(ca_to_dot(_load_ca(args.ca)))
+    else:
+        raise DatawordsError("pass --ra or --ca")
     return 0
 
 

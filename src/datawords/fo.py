@@ -117,16 +117,6 @@ def fo_and(parts) -> FoFormula:
     return out
 
 
-def fo_or(parts) -> FoFormula:
-    parts = list(parts)
-    if not parts:
-        return FO_BOT
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = FoOr(p, out)
-    return out
-
-
 _ATOM_VARS = {
     FoTop: lambda f: frozenset(), FoBottom: lambda f: frozenset(),
     Pred: lambda f: frozenset([f.var]),

@@ -23,33 +23,34 @@ requires no mark to survive at equal rank and restarts the marks on all
 odd-rank successors; accepting locations record fresh steps, and words whose
 obligations die out entirely are absorbed by an accepting sink.
 
-Both machines are emitted forward from the initial ready point, so no
-unreachable point is emitted: a core is run only once a reached ready
-point calls it, a drain phase keeps only the marks it can exit with (a
-fresh step never marks), and the accepting points only exist once a
-discharge guess reaches them.  Before anything is emitted, a usefulness
-pass runs on the small graph of whole big steps, from ready points to the
-cores they run and on to the ready points those step to.  A ready point
-with a discharge guess is good; in the infinite variant so is one on a
-cycle through a ready point with flag True, whose main locations accept
-and are entered on a letter.  Only the ready points and cores that reach
-a good ready point are emitted, with the initial one, and no transition
-leads into a skipped ready point.  The finite machine is then cut, by one
-backward pass, to the locations that can reach an accepting one.  No cut
-changes the language.  An accepted finite run starts at the initial
-location and ends at an accepting one, so every location on it is both
-reachable and able to accept, and a location off every such path carries
-no accepted run.  An accepted infinite run ends each big step at a ready
-point, and it either enters the accepting sink by a discharge guess or
-visits accepting main locations, so ready points with flag True,
-infinitely often; so every ready point and core it passes reaches a good
-ready point.  What the pass skips cannot reach an accepting location, so
-the backward pass would drop it anyway, and the finite machine is the same
-with or without it.  The kept locations keep their order and are numbered
-0..n-1.  If the initial location cannot accept, the finite machine is the
-canonical empty one: a single location, not accepting, with a self-loop
-per letter that zero-tests the only counter.  The infinite machine keeps
-the points of a kept core that cannot take part in an accepting run.
+Before anything is emitted, one cut runs on the small graph of whole big
+steps, built from the ready points and cores discovery found: a ready
+point runs the core of each letter, and a core steps to the ready points
+its steps end at.  A ready point with a discharge guess is good; in the
+infinite variant so is one on a cycle through a ready point with flag
+True, whose main locations accept and are entered on a letter.  The cut
+keeps the nodes that the initial ready point reaches and that reach a good
+ready point; only those ready points and cores are emitted, with the
+initial one, and no transition leads into a skipped ready point.  Within a
+core the emitter walks forward from its entry: a drain phase keeps only
+the marks it can exit with (a fresh step never marks), and the accepting
+points only exist once a discharge guess reaches them.  The
+finite machine is then cut, by one backward pass, to the locations that
+can reach an accepting one.  No cut changes the language.  An accepted
+finite run starts at the initial location and ends at an accepting one, so
+every location on it is both reachable and able to accept, and a location
+off every such path carries no accepted run.  An accepted infinite run
+ends each big step at a ready point, and it either enters the accepting
+sink by a discharge guess or visits accepting main locations, so ready
+points with flag True, infinitely often; so every ready point and core it
+passes is reached and reaches a good ready point.  What the cut skips
+cannot reach an accepting location, so the backward pass would drop it
+anyway, and the finite machine is the same with or without it.  The kept
+locations keep their order and are numbered 0..n-1.  If the initial
+location cannot accept, the finite machine is the canonical empty one: a
+single location, not accepting, with a self-loop per letter that
+zero-tests the only counter.  The infinite machine keeps the points of a
+kept core that cannot take part in an accepting run.
 """
 
 from __future__ import annotations
@@ -384,73 +385,67 @@ class _Builder:
     def noop(self, src, dst, letter=None) -> None:
         self.add(src, letter, "ifz", self.c_zero, dst)
 
-    def reach(self) -> tuple[dict, dict]:
-        """Walk forward from the initial ready point over whole big steps.
-        A step of a core ends at each empty-row set m1 its folds can pick
-        (a stay step only if it ends marked), at the ready points
-        (g, m1, flag) for each group g and for no group.  Returns the
-        reached ready points, in discovery order, and for each core they
-        run the (m1, flag) ends of its steps."""
-        init = self.init_items()
-        refills = (EMPTY, *self.groups)
-        ends: set = set()  # the (m1, flag) pairs some step ends with
-        steps: dict = {}
-        pushed: set = set()
-        stack = [(init, (EMPTY,))]  # (qemp, the qeq it comes with)
-        while stack:
-            qemp, qeqs = stack.pop()
-            for qeq in qeqs:
-                for letter in self.letters:
-                    core = (letter, qeq, qemp)
-                    if core in steps:
-                        continue
-                    out = steps[core] = {}
-                    for mode in self.modes:
-                        nats = self.entry_nats(letter, mode)
-                        eqf = self.fold(letter, True, qeq, mode)
-                        if not (nats and eqf):
-                            continue
-                        empf = self.fold(letter, False, qemp, mode)
-                        if (self.infinite and mode == "stay" and True not in nats
-                                and not any(ne for _e1, _e2, ne in eqf)):
-                            empf = [m for m in empf if m[2]]  # the step must end marked
-                        for (m1, _m2, _nm) in empf:
-                            out[(m1, mode == "fresh")] = None
-                            if m1 not in pushed:
-                                pushed.add(m1)
-                                stack.append((m1, refills))
-                    ends.update(out)
-        start = (EMPTY, init, False)
-        return {r: None for r in self.readys if r == start or (r[1], r[2]) in ends}, steps
+    def ends(self, core: tuple) -> dict:
+        """The (m1, flag) ends of a core's steps: each empty-row set m1 its
+        folds can pick, in a mode whose eq fold is not empty, and in an
+        infinite stay step only if the step can end marked."""
+        letter, qeq, qemp = core
+        out: dict = {}
+        for mode in self.modes:
+            eqf = self.fold(letter, True, qeq, mode)
+            if not eqf:
+                continue
+            empf = self.fold(letter, False, qemp, mode)
+            # entry_nats always holds False (the drain can exit unmarked)
+            if (self.infinite and mode == "stay" and True not in self.entry_nats(letter, mode)
+                    and not any(ne for _e1, _e2, ne in eqf)):
+                empf = [m for m in empf if m[2]]
+            out.update(dict.fromkeys((m1, mode == "fresh") for m1, _m2, _nm in empf))
+        return out
 
-    def useful(self, readys: dict, steps: dict, good: list) -> tuple[dict, set]:
-        """The usefulness pass over the graph of whole big steps, whose
-        nodes are the reached ready points and cores: a ready point runs
-        the core of each letter, and a core steps to (g, m1, flag) for each
-        of its ends and each g of (EMPTY, *groups).  Besides the ``good``
-        ready points, those with a discharge guess, a ready point of the
-        infinite variant is good when it lies on a cycle through a ready
+    def items_ok(self, items, letter: str, at_end: bool, uu: bool) -> bool:
+        """Whether every item can discharge, by a successor pair that keeps
+        and refreshes nothing."""
+        get = self.succ.get
+        return all((EMPTY, EMPTY) in get(letter, at_end, uu, i[0] if self.infinite else i)
+                   for i in items)
+
+    def useful(self) -> tuple[dict, set, dict]:
+        """The one cut of the graph of whole big steps, built from what
+        discover found: a ready point runs the core of each letter, and a
+        core steps to (g, m1, flag) for each of its ends and each g of
+        (EMPTY, *groups).  A node is kept when the initial ready point
+        reaches it and it reaches a good ready point: one with a discharge
+        guess or, in the infinite variant, one on a cycle through a ready
         point with flag True, whose main locations accept and are entered
-        on a letter.  Returns the ready points that reach a good one, in
-        their order, plus the initial one, and the cores that reach one."""
+        on a letter.  Returns the kept ready points in their order, with
+        the initial one, the set of kept nodes, and the discharge guesses
+        of each reached ready point."""
         refills = (EMPTY, *self.groups)
-        edges: dict = {r: [(letter, r[0], r[1]) for letter in self.letters] for r in readys}
-        edges.update((core, [(g, m1, flag) for m1, flag in ends for g in refills])
-                     for core, ends in steps.items())
-        good = set(good)
+        edges: dict = {r: [(letter, r[0], r[1]) for letter in self.letters] for r in self.readys}
+        edges.update((core, [(g, m1, flag) for m1, flag in self.ends(core) for g in refills])
+                     for core in self.mains)
+        start = (EMPTY, self.init_items(), False)
+        # forward: the backward walk of ca.reaching over the reversed edges
+        reached = reaching([(y, None, None, None, x) for x, ys in edges.items() for y in ys],
+                           (start,))[1]
+        at_ends = (False,) if self.infinite else (False, True)
+        finals = {r: [(letter, at_end) for letter in self.letters for at_end in at_ends
+                      if self.items_ok(r[0], letter, at_end, True)
+                      and self.items_ok(r[1], letter, at_end, False)]
+                  for r in self.readys if r in reached}
+        good = {r for r, fins in finals.items() if fins}
         if self.infinite:
             # a core's third field is a frozenset, so only a ready point has
             # True there; a cycle has two nodes at least
             for scc in _sccs(edges, edges):
                 if len(scc) > 1 and any(x[2] is True for x in scc):
-                    good.update(x for x in scc if x in readys)
-        kept = reaching([(x, None, None, None, y) for x, ys in edges.items() for y in ys],
+                    good.update(x for x in scc if x in finals)
+        able = reaching([(x, None, None, None, y) for x, ys in edges.items() for y in ys],
                         good)[1]
-        start = (EMPTY, self.init_items(), False)
-        live = {r: None for r in readys if r in kept or r == start}
-        cores = {core for core in steps if core in kept}
-        self.stats["skipped"] = len(readys) - len(live) + len(steps) - len(cores)
-        return live, cores
+        kept = {x for x in reached if x in able}
+        self.stats["skipped"] = len(reached) - len(kept) - (start not in kept)
+        return {r: None for r in finals if r in kept or r == start}, kept, finals
 
     def emit(self) -> CounterAutomaton:
         self.counter_ids()
@@ -463,33 +458,19 @@ class _Builder:
         self.trans: dict = {}
         self.n_locs = 0
         locs, loc, add, noop = self.locs, self.loc, self.add, self.noop
-        readys, steps = self.reach()
+        self.live, kept, finals = self.useful()
         bad_groups_cache: dict = {}
-
-        def discharged(letter, at_end, uu, q) -> bool:
-            return (frozenset(), frozenset()) in self.succ.get(letter, at_end, uu, q)
-
-        def items_ok(items, letter, at_end, uu) -> bool:
-            qs = [i[0] if self.infinite else i for i in items]
-            return all(discharged(letter, at_end, uu, q) for q in qs)
 
         def bad_groups(letter, at_end):
             key = (letter, at_end)
             if key not in bad_groups_cache:
                 bad_groups_cache[key] = [
                     g for g in self.groups
-                    if not items_ok(g, letter, at_end, False)
+                    if not self.items_ok(g, letter, at_end, False)
                 ]
             return bad_groups_cache[key]
 
-        # the (letter, at end) guesses with which each ready point can
-        # discharge; the accepting points are emitted only if one is made
-        ends = (False,) if self.infinite else (False, True)
-        finals = {r: [(letter, at_end) for letter in self.letters for at_end in ends
-                      if items_ok(r[0], letter, at_end, True)
-                      and items_ok(r[1], letter, at_end, False)]
-                  for r in readys}
-        self.live, cores = self.useful(readys, steps, [r for r, fins in finals.items() if fins])
+        # the accepting points are emitted only if a discharge guess is made
         guessed = {at_end for fins in finals.values() for _letter, at_end in fins}
         sink = ("accept_sink",)
         accept_end = ("accept_end",)
@@ -508,7 +489,7 @@ class _Builder:
             r = ("ready", qeq, qemp, flag)
             loc(r)  # a kept initial point may have no transition
             for letter in self.letters:
-                if (letter, qeq, qemp) in cores:
+                if (letter, qeq, qemp) in kept:
                     noop(r, ("main", letter, qeq, qemp, flag), letter)
             for letter, at_end in finals[(qeq, qemp, flag)]:
                 cur = r
@@ -523,7 +504,7 @@ class _Builder:
 
         # main locations: run the big-step subroutine
         for ci, core in enumerate(self.mains):
-            if core not in cores:
+            if core not in kept:
                 continue
             letter, qeq, qemp = core
             for flag in ((False, True) if self.infinite else (False,)):
@@ -793,15 +774,8 @@ def build_ca_infinite(a: RegisterAutomaton) -> CounterAutomaton:
     return _build(a, infinite=True)[0]
 
 
-def build_ca_finite_with_stats(a: RegisterAutomaton):
-    return _build(a, infinite=False)
-
-
-def build_ca_infinite_with_stats(a: RegisterAutomaton):
-    return _build(a, infinite=True)
-
-
 def _build(a: RegisterAutomaton, infinite: bool):
+    """The machine of either variant and the stats of its build."""
     b = _Builder(a, infinite)
     b.discover()
     ca = b.emit()

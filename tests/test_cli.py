@@ -418,6 +418,19 @@ def test_accepts_misuse_is_a_usage_error(capsys, argv, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["parse", "fo"], "pass --fo or --fo-file"),
+    (["parse", "ra"], "parse ra needs a file"),
+    (["parse", "ca"], "parse ca needs a file"),
+    (["translate", "ra2ca"], "translate ra2ca needs --ra"),
+    (["export-dot"], "pass --ra or --ca"),
+])
+def test_missing_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_accepts_letter_outside_the_alphabet_is_a_parse_error(capsys):
     code, out, err = run(capsys, "accepts", "--ca", f"{CORPUS}/ca_fin.ca", "--letters", "zz")
     assert code == 3 and out == ""
