@@ -5,15 +5,16 @@ usage errors (including ``accepts`` without --ra or --ca, or without the
 --word or --letters its automaton reads, a missing input file: ``parse fo``
 without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
 ``translate ra2ca`` without --ra and ``export-dot`` without --ra or --ca,
-and ``reduce`` of a machine without transitions) and inputs nested too
-deeply to process exit 2, parse errors (including a letter outside the
-alphabet, an empty or repeated alphabet and an automaton that fails
-validation) 3, exhausted budgets 4.  With --json each result is printed as
-one JSON object per line.  Parsing and printing take no recursion depth.
+``reduce`` of a machine without transitions, a ``--max-len`` or
+``--back-max-len`` below 1 and a malformed ``eval --assign`` item) and
+inputs nested too deeply to process exit 2, parse errors (including a letter
+outside the alphabet, an empty or repeated alphabet and an automaton that
+fails validation) 3, exhausted budgets 4.  With --json each result is
+printed as one JSON object per line.  Parsing and printing take no recursion
+depth.
 Still refused as nested too deeply: a deep LTL formula that is hashed or
 compared (its letters read when no alphabet is given, ``classify``, the
-``ltl_to_ara`` closure), and deep input to ``eval_ltl``, ``eval_fo`` and
-``fo2_to_simple_ltl``.
+``ltl_to_ara`` closure), and deep input to ``eval_ltl`` and ``eval_fo``.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.
@@ -189,7 +190,10 @@ def cmd_eval(args, out: _Out) -> int:
         asg = {}
         for item in args.assign or []:
             name, _, pos = item.partition("=")
-            asg[int(name.lstrip("x"))] = int(pos)
+            try:
+                asg[int(name.lstrip("x"))] = int(pos)
+            except ValueError:
+                raise DatawordsError(f"bad --assign item {item!r}, expected xN=position") from None
         if args.position is not None:
             asg.setdefault(0, args.position)
         value = fo_mod.eval_fo(w, asg, f)
@@ -396,6 +400,16 @@ def cmd_export_dot(args, out: _Out) -> int:
     return 0
 
 
+def _length(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a length of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="datawords",
                                 description="logics and automata over data words")
@@ -429,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sat-bounded", help="brute-force bounded satisfiability")
     ltl_args(sp)
     sp.add_argument("--alphabet", help="comma-separated letters")
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=_length, required=True)
     sp.set_defaults(func=cmd_sat_bounded)
 
     sp = sub.add_parser("translate", help="between formalisms")
@@ -476,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("circle", help="the loop of translations, cross-checked")
     ltl_args(sp)
     sp.add_argument("--alphabet")
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--back-max-len", type=int, default=3)
+    sp.add_argument("--max-len", type=_length, required=True)
+    sp.add_argument("--back-max-len", type=_length, default=3)
     sp.add_argument("--back-alphabet-cap", type=int, default=12)
     sp.add_argument("--budget", type=int, default=2_000_000)
     sp.set_defaults(func=cmd_circle)

@@ -348,7 +348,7 @@ def fo2_to_simple_ltl(phi: FoFormula, j: int, m: Optional[int] = None) -> ltl.Fo
     of the current variable and subformulas of the other variable, evaluates
     the two-variable atoms under each jump hypothesis, and precomputes the
     current-variable parts outside the jump.  Output size is exponential in
-    the worst case; translations of shared subformulas are memoized.
+    the worst case.
     """
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
@@ -358,8 +358,35 @@ def fo2_to_simple_ltl(phi: FoFormula, j: int, m: Optional[int] = None) -> ltl.Fo
         raise WrongFreeVariable(f"free variables {sorted(free_vars(phi))}, expected <= {{x{j}}}")
     if m is None:
         m = max_offset(phi)
-    memo: dict[tuple[FoFormula, int], ltl.Formula] = {}
-    return _t_back(phi, j, m, memo)
+
+    def visit(f: FoFormula, j: int):
+        t = type(f)
+        if t is FoNot:
+            return _not2, ((f.body, j),)
+        if t in _CONNECTIVES:
+            return _BACK_CONNECTIVES[t], ((f.left, j), (f.right, j))
+        if t is Forall:
+            return _not2, ((Exists(f.var, FoNot(f.body)), j),)
+        if t is Exists:
+            if f.var == j:
+                # rebinding the free variable: rename the quantifier by swapping
+                return ltl._same, ((Exists(1 - j, _swap(f.body)), j),)
+            return _t_exists(f.body, j, m)
+        if t is FoTop:
+            return ltl.TOP, ()
+        if t is FoBottom:
+            return ltl.BOT, ()
+        if t is Pred:
+            return ltl.Atom(f.letter), ()
+        if t is Same:
+            return ltl.TOP, ()  # both occurrences are x_j
+        if t is Less:
+            return ltl.BOT, ()
+        if t is PlusEq:
+            return (ltl.TOP if f.offset == 0 else ltl.BOT), ()
+        raise TypeError(f)
+
+    return ltl.fold(phi, visit, j)
 
 
 def _swap(phi: FoFormula) -> FoFormula:
@@ -385,26 +412,6 @@ def _swap(phi: FoFormula) -> FoFormula:
     return ltl.fold(phi, visit)
 
 
-def _and2(a: ltl.Formula, b: ltl.Formula) -> ltl.Formula:
-    if isinstance(a, ltl.Top):
-        return b
-    if isinstance(b, ltl.Top):
-        return a
-    if isinstance(a, ltl.Bottom) or isinstance(b, ltl.Bottom):
-        return ltl.BOT
-    return ltl.And(a, b)
-
-
-def _or2(a: ltl.Formula, b: ltl.Formula) -> ltl.Formula:
-    if isinstance(a, ltl.Bottom):
-        return b
-    if isinstance(b, ltl.Bottom):
-        return a
-    if isinstance(a, ltl.Top) or isinstance(b, ltl.Top):
-        return ltl.TOP
-    return ltl.Or(a, b)
-
-
 def _not2(a: ltl.Formula) -> ltl.Formula:
     if isinstance(a, ltl.Top):
         return ltl.BOT
@@ -413,119 +420,106 @@ def _not2(a: ltl.Formula) -> ltl.Formula:
     return ltl.Not(a)
 
 
-def _t_back(phi: FoFormula, j: int, m: int, memo) -> ltl.Formula:
-    key = (phi, j)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _t_back_raw(phi, j, m, memo)
-    memo[key] = out
-    return out
+_BACK_CONNECTIVES = {
+    FoAnd: lambda a, b: ltl.big_and((a, b)),
+    FoOr: lambda a, b: ltl.big_or((a, b)),
+    FoImplies: lambda a, b: ltl.big_or((_not2(a), b)),
+}
 
 
-def _t_back_raw(phi: FoFormula, j: int, m: int, memo) -> ltl.Formula:
-    t = type(phi)
-    if t is FoTop:
-        return ltl.TOP
-    if t is FoBottom:
-        return ltl.BOT
-    if t is Pred:
-        return ltl.Atom(phi.letter)
-    if t is Same:
-        return ltl.TOP  # both occurrences are x_j
-    if t is Less:
-        return ltl.BOT
-    if t is PlusEq:
-        return ltl.TOP if phi.offset == 0 else ltl.BOT
-    if t is FoNot:
-        return _not2(_t_back(phi.body, j, m, memo))
-    if t is FoAnd:
-        return _and2(_t_back(phi.left, j, m, memo), _t_back(phi.right, j, m, memo))
-    if t is FoOr:
-        return _or2(_t_back(phi.left, j, m, memo), _t_back(phi.right, j, m, memo))
-    if t is FoImplies:
-        return _or2(_not2(_t_back(phi.left, j, m, memo)), _t_back(phi.right, j, m, memo))
-    if t is Forall:
-        return _not2(_t_back(Exists(phi.var, FoNot(phi.body)), j, m, memo))
-    if t is Exists:
-        if phi.var == j:
-            # rebinding the free variable: rename the quantifier by swapping
-            return _t_back(Exists(1 - j, _swap(phi.body)), j, m, memo)
-        return _t_exists(phi.body, j, m, memo)
-    raise TypeError(phi)
+def _node(*parts) -> tuple:
+    return parts
 
 
-def _t_exists(body: FoFormula, j: int, m: int, memo) -> ltl.Formula:
-    alphas: list[FoFormula] = []
-    xis: list[FoFormula] = []
-    zetas: list[FoFormula] = []
+def _t_exists(body: FoFormula, j: int, m: int):
+    """The fold step of ``exists x_{1-j} body``: the translations of the
+    current-variable parts (under j) and of the other-variable parts (under
+    1 - j) are its pairs, and its build joins one disjunct per jump."""
+    leaves: tuple[list, list, list] = ([], [], [])  # alphas, xis, zetas
+    free = _free_vars_table(body)
 
-    def leaf(kind: str, f: FoFormula) -> tuple[str, int]:
-        lst = {"a": alphas, "x": xis, "z": zetas}[kind]
-        for idx, g in enumerate(lst):
-            if g == f:
-                return kind, idx
-        lst.append(f)
-        return kind, len(lst) - 1
+    def leaf(kind: int, f: FoFormula, _) -> tuple[int, int]:
+        found = leaves[kind]
+        if f not in found:
+            found.append(f)
+        return kind, found.index(f)
 
-    def skeleton(f: FoFormula):
-        fv = free_vars(f)
+    def skeleton(f: FoFormula, _):
+        # a leaf is numbered in its build, so in post-order from the left
+        if f is None:
+            return None, ()
+        fv = free[id(f)]
         if type(f) in (Same, Less, PlusEq) and len(fv) == 2:
-            return leaf("a", f)
+            return partial(leaf, 0, f), ((None, None),)
         if fv <= {j}:
-            return leaf("x", f)
+            return partial(leaf, 1, f), ((None, None),)
         if fv <= {1 - j}:
-            return leaf("z", f)
+            return partial(leaf, 2, f), ((None, None),)
         t = type(f)
         if t is FoNot:
-            return ("not", skeleton(f.body))
-        if t in (FoAnd, FoOr, FoImplies):
-            return (t.__name__, skeleton(f.left), skeleton(f.right))
+            return partial(_node, _not2), ((f.body, None),)
+        if t in _CONNECTIVES:
+            return partial(_node, _BACK_CONNECTIVES[t]), ((f.left, None), (f.right, None))
         raise NotTwoVariable(f"cannot sort subformula {f}")
 
-    beta = skeleton(body)
-
-    def instantiate(node, alpha_vals, xi_vals, zeta_vals) -> ltl.Formula:
-        if isinstance(node, tuple) and node[0] in ("a", "x", "z"):
-            kind, idx = node
-            if kind == "a":
-                return alpha_vals[idx]
-            if kind == "x":
-                return xi_vals[idx]
-            return zeta_vals[idx]
-        if node[0] == "not":
-            return _not2(instantiate(node[1], alpha_vals, xi_vals, zeta_vals))
-        op = node[0]
-        a = instantiate(node[1], alpha_vals, xi_vals, zeta_vals)
-        b = instantiate(node[2], alpha_vals, xi_vals, zeta_vals)
-        if op == "FoAnd":
-            return _and2(a, b)
-        if op == "FoOr":
-            return _or2(a, b)
-        return _or2(_not2(a), b)
-
-    xi_tr = [_t_back(x, j, m, memo) for x in xis]
-    zeta_tr = [_t_back(z, 1 - j, m, memo) for z in zetas]
-
-    disjuncts: list[ltl.Formula] = []
+    beta = ltl.fold(body, skeleton)
+    alphas, xis, zetas = leaves
     n_xi = len(xis)
-    for k in range(-(m + 1), m + 2):
-        for b in (True, False):
-            alpha_vals = [_alpha_value(a, j, k, m, b) for a in alphas]
-            for mask in range(1 << n_xi):
-                xi_vals = [ltl.TOP if mask >> i & 1 else ltl.BOT for i in range(n_xi)]
-                guard = ltl.big_and(
-                    xi_tr[i] if mask >> i & 1 else _not2(xi_tr[i])
-                    for i in range(n_xi)
-                )
-                if isinstance(guard, ltl.Bottom):
-                    continue
-                reg = ltl.Reg(1) if b else ltl.NReg(1)
-                inner = _and2(reg, instantiate(beta, alpha_vals, xi_vals, zeta_tr))
-                if isinstance(inner, ltl.Bottom):
-                    continue
-                disjuncts.append(_and2(guard, _op_block(k, m, inner)))
-    return ltl.big_or(disjuncts)
+
+    def build(*translated: ltl.Formula) -> ltl.Formula:
+        xi_tr, zeta_tr = translated[:n_xi], translated[n_xi:]
+        disjuncts: list[ltl.Formula] = []
+        for k in range(-(m + 1), m + 2):
+            for b in (True, False):
+                alpha_vals = [_alpha_value(a, j, k, m, b) for a in alphas]
+                for mask in range(1 << n_xi):
+                    xi_vals = [ltl.TOP if mask >> i & 1 else ltl.BOT for i in range(n_xi)]
+                    guard = ltl.big_and(
+                        xi_tr[i] if mask >> i & 1 else _not2(xi_tr[i])
+                        for i in range(n_xi)
+                    )
+                    if isinstance(guard, ltl.Bottom):
+                        continue
+                    reg = ltl.Reg(1) if b else ltl.NReg(1)
+                    matrix = ltl.fold(beta, partial(_instantiate, (alpha_vals, xi_vals, zeta_tr)))
+                    inner = ltl.big_and((reg, matrix))
+                    if isinstance(inner, ltl.Bottom):
+                        continue
+                    disjuncts.append(ltl.big_and((guard, _op_block(k, m, inner))))
+        return ltl.big_or(disjuncts)
+
+    pairs = tuple((x, j) for x in xis) + tuple((z, 1 - j) for z in zetas)
+    return (build, pairs) if pairs else (build(), ())
+
+
+def _free_vars_table(phi: FoFormula) -> dict[int, frozenset[int]]:
+    """The free variables of every subformula of phi, keyed by id, from one
+    fold (``free_vars`` at each node would cost time quadratic in depth)."""
+    table: dict[int, frozenset[int]] = {}
+
+    def visit(f: FoFormula, _):
+        t = type(f)
+        if t in _ATOM_VARS:
+            table[id(f)] = _ATOM_VARS[t](f)
+            return table[id(f)], ()
+        if t in _QUANTIFIERS:
+            build, pairs = (lambda vs: vs - {f.var}), ((f.body, None),)
+        elif t is FoNot:
+            build, pairs = ltl._same, ((f.body, None),)
+        else:
+            build, pairs = frozenset.union, ((f.left, None), (f.right, None))
+        return (lambda *parts: table.setdefault(id(f), build(*parts))), pairs
+
+    ltl.fold(phi, visit)
+    return table
+
+
+def _instantiate(values: tuple, node: tuple, _):
+    """The fold step of a skeleton node: a leaf ``(kind, index)`` reads its
+    value, and an inner node ``(build, child, ...)`` builds from its children."""
+    if type(node[0]) is int:
+        return values[node[0]][node[1]], ()
+    return node[0], tuple((c, None) for c in node[1:])
 
 
 def _alpha_value(atom: FoFormula, j: int, k: int, m: int, b: bool) -> ltl.Formula:

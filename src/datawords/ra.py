@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .errors import (
     ClassMismatch, ParseError, StateSpaceBudgetExceeded, UnsupportedClassCombination,
 )
-from .games import PositionalStrategy, WeakGame, solve
+from .games import PositionalStrategy, WeakGame, _sccs, solve
 from .words import Alphabet, DataWord, parse_alphabet, parse_header_count
 
 
@@ -443,55 +443,36 @@ def assign_annotations(locations: Iterable, delta: dict,
     locations = list(locations)
     even_cycles = set(even_cycles)
 
-    height: dict = {}
-
-    def h(q):
-        if q in height:
-            if height[q] is None:
-                raise ValueError(f"non-moving cycle through {q!r}")
-            return height[q]
-        height[q] = None
+    height: dict = {}  # None while a location's successors are pending
+    todo = list(reversed(locations))
+    while todo:
+        q = todo[-1]
         tf = delta[q]
-        if isinstance(tf, TMove) or isinstance(tf, (TTop, TBottom)):
+        in_place = () if type(tf) is TMove else tf_targets(tf)
+        if q in height:
+            todo.pop()
+            if height[q] is None:
+                height[q] = 1 + max(height[t] for t in in_place)
+        elif not in_place:
             height[q] = 0
+            todo.pop()
         else:
-            height[q] = 1 + max((h(t) for t in tf_targets(tf)), default=0)
-        return height[q]
-
-    for q in locations:
-        h(q)
+            height[q] = None
+            for t in in_place:
+                if t not in height:
+                    todo.append(t)
+                elif height[t] is None:
+                    raise ValueError(f"non-moving cycle through {t!r}")
 
     edges = {q: tf_targets(delta[q]) for q in locations}
-    from .games import _sccs
-    comps = _sccs(set(locations), edges)
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = k
-    rank_of_comp: dict[int, int] = {}
-
-    def crank(k):
-        if k in rank_of_comp:
-            return rank_of_comp[k]
-        comp = comps[k]
-        below = 0
-        for q in comp:
-            for t in edges[q]:
-                if comp_of[t] != k:
-                    below = max(below, crank(comp_of[t]))
-        cyclic = len(comp) > 1 or any(q in edges[q] for q in comp)
-        r = below
-        if cyclic:
+    rank: dict = {}
+    for comp in _sccs(set(locations), edges):  # sinks first
+        r = max((rank[t] for q in comp for t in edges[q] if t not in comp), default=0)
+        if len(comp) > 1 or any(q in edges[q] for q in comp):
             want_even = any(q in even_cycles for q in comp)
-            if want_even and r % 2 == 1:
-                r += 1
-            if not want_even and r % 2 == 0:
-                r += 1
-        rank_of_comp[k] = r
-        return r
-
-    rank = {q: crank(comp_of[q]) for q in locations}
-    return rank, height
+            r += r % 2 == want_even  # up to the wanted parity
+        rank.update(dict.fromkeys(comp, r))
+    return {q: rank[q] for q in locations}, {q: height[q] for q in locations}
 
 
 # --- text format ---------------------------------------------------------------

@@ -431,6 +431,28 @@ def test_missing_input_is_a_usage_error(capsys, argv, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("item", ["y=1", "x0", "x0=", "x0=b"])
+def test_malformed_assign_is_a_usage_error(capsys, item):
+    code, out, err = run(capsys, "eval", "--word", "a a b ; 0 2 | 1", "--fo", "Pa(x0)",
+                         "--assign", item)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: bad --assign item {item!r}, expected xN=position"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sat-bounded", "--ltl", "a", "--max-len", "-1"],
+    ["sat-bounded", "--ltl", "a", "--max-len", "0"],
+    ["circle", "--ltl", "a", "--max-len", "0"],
+    ["circle", "--ltl", "a", "--max-len", "1", "--back-max-len", "0"],
+])
+def test_length_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert f"expected a length of at least 1, got '{argv[-1]}'" in err
+
+
 def test_accepts_letter_outside_the_alphabet_is_a_parse_error(capsys):
     code, out, err = run(capsys, "accepts", "--ca", f"{CORPUS}/ca_fin.ca", "--letters", "zz")
     assert code == 3 and out == ""

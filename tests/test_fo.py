@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datawords import ltl
-from datawords.errors import NotSimpleFragment, UnboundVariable, WrongFreeVariable
+from datawords.errors import (
+    NotSimpleFragment, NotTwoVariable, UnboundVariable, WrongFreeVariable,
+)
 from datawords.fo import (
-    Exists, FO_BOT, FO_TOP, FoAnd, FoNot, FoOr, Forall, Less, PlusEq, Pred,
-    Same, chi, eval_fo, fo2_to_simple_ltl, format_fo, free_vars, max_offset,
-    parse_fo, simple_ltl_to_fo2,
+    Exists, FO_BOT, FO_TOP, FoAnd, FoBottom, FoFormula, FoImplies, FoNot, FoOr,
+    Forall, FoTop, Less, PlusEq, Pred, Same, _alpha_value, _not2, _op_block, _swap,
+    chi, eval_fo, fo2_to_simple_ltl, format_fo, free_vars, max_offset, parse_fo,
+    simple_ltl_to_fo2,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -212,3 +215,167 @@ def test_round_trip_fo_to_ltl():
 def test_format_parse_round_trip_random(rng, depth):
     psi = _random_fo2(rng, depth=depth)
     assert parse_fo(format_fo(psi)) == psi
+
+
+# ---------------------------------------------------------------------------
+# The recursive translation that the fold of ``fo2_to_simple_ltl`` replaced,
+# kept as the reference it is compared against.
+
+
+def reference_fo2_to_simple_ltl(phi: FoFormula, j: int, m=None) -> ltl.Formula:
+    if m is None:
+        m = max_offset(phi)
+    return _t_back(phi, j, m, {})
+
+
+def _and2(a: ltl.Formula, b: ltl.Formula) -> ltl.Formula:
+    if isinstance(a, ltl.Top):
+        return b
+    if isinstance(b, ltl.Top):
+        return a
+    if isinstance(a, ltl.Bottom) or isinstance(b, ltl.Bottom):
+        return ltl.BOT
+    return ltl.And(a, b)
+
+
+def _or2(a: ltl.Formula, b: ltl.Formula) -> ltl.Formula:
+    if isinstance(a, ltl.Bottom):
+        return b
+    if isinstance(b, ltl.Bottom):
+        return a
+    if isinstance(a, ltl.Top) or isinstance(b, ltl.Top):
+        return ltl.TOP
+    return ltl.Or(a, b)
+
+
+def _t_back(phi: FoFormula, j: int, m: int, memo) -> ltl.Formula:
+    key = (phi, j)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out = _t_back_raw(phi, j, m, memo)
+    memo[key] = out
+    return out
+
+
+def _t_back_raw(phi: FoFormula, j: int, m: int, memo) -> ltl.Formula:
+    t = type(phi)
+    if t is FoTop:
+        return ltl.TOP
+    if t is FoBottom:
+        return ltl.BOT
+    if t is Pred:
+        return ltl.Atom(phi.letter)
+    if t is Same:
+        return ltl.TOP  # both occurrences are x_j
+    if t is Less:
+        return ltl.BOT
+    if t is PlusEq:
+        return ltl.TOP if phi.offset == 0 else ltl.BOT
+    if t is FoNot:
+        return _not2(_t_back(phi.body, j, m, memo))
+    if t is FoAnd:
+        return _and2(_t_back(phi.left, j, m, memo), _t_back(phi.right, j, m, memo))
+    if t is FoOr:
+        return _or2(_t_back(phi.left, j, m, memo), _t_back(phi.right, j, m, memo))
+    if t is FoImplies:
+        return _or2(_not2(_t_back(phi.left, j, m, memo)), _t_back(phi.right, j, m, memo))
+    if t is Forall:
+        return _not2(_t_back(Exists(phi.var, FoNot(phi.body)), j, m, memo))
+    if t is Exists:
+        if phi.var == j:
+            # rebinding the free variable: rename the quantifier by swapping
+            return _t_back(Exists(1 - j, _swap(phi.body)), j, m, memo)
+        return _t_exists(phi.body, j, m, memo)
+    raise TypeError(phi)
+
+
+def _t_exists(body: FoFormula, j: int, m: int, memo) -> ltl.Formula:
+    alphas: list[FoFormula] = []
+    xis: list[FoFormula] = []
+    zetas: list[FoFormula] = []
+
+    def leaf(kind: str, f: FoFormula) -> tuple[str, int]:
+        lst = {"a": alphas, "x": xis, "z": zetas}[kind]
+        for idx, g in enumerate(lst):
+            if g == f:
+                return kind, idx
+        lst.append(f)
+        return kind, len(lst) - 1
+
+    def skeleton(f: FoFormula):
+        fv = free_vars(f)
+        if type(f) in (Same, Less, PlusEq) and len(fv) == 2:
+            return leaf("a", f)
+        if fv <= {j}:
+            return leaf("x", f)
+        if fv <= {1 - j}:
+            return leaf("z", f)
+        t = type(f)
+        if t is FoNot:
+            return ("not", skeleton(f.body))
+        if t in (FoAnd, FoOr, FoImplies):
+            return (t.__name__, skeleton(f.left), skeleton(f.right))
+        raise NotTwoVariable(f"cannot sort subformula {f}")
+
+    beta = skeleton(body)
+
+    def instantiate(node, alpha_vals, xi_vals, zeta_vals) -> ltl.Formula:
+        if isinstance(node, tuple) and node[0] in ("a", "x", "z"):
+            kind, idx = node
+            if kind == "a":
+                return alpha_vals[idx]
+            if kind == "x":
+                return xi_vals[idx]
+            return zeta_vals[idx]
+        if node[0] == "not":
+            return _not2(instantiate(node[1], alpha_vals, xi_vals, zeta_vals))
+        op = node[0]
+        a = instantiate(node[1], alpha_vals, xi_vals, zeta_vals)
+        b = instantiate(node[2], alpha_vals, xi_vals, zeta_vals)
+        if op == "FoAnd":
+            return _and2(a, b)
+        if op == "FoOr":
+            return _or2(a, b)
+        return _or2(_not2(a), b)
+
+    xi_tr = [_t_back(x, j, m, memo) for x in xis]
+    zeta_tr = [_t_back(z, 1 - j, m, memo) for z in zetas]
+
+    disjuncts: list[ltl.Formula] = []
+    n_xi = len(xis)
+    for k in range(-(m + 1), m + 2):
+        for b in (True, False):
+            alpha_vals = [_alpha_value(a, j, k, m, b) for a in alphas]
+            for mask in range(1 << n_xi):
+                xi_vals = [ltl.TOP if mask >> i & 1 else ltl.BOT for i in range(n_xi)]
+                guard = ltl.big_and(
+                    xi_tr[i] if mask >> i & 1 else _not2(xi_tr[i])
+                    for i in range(n_xi)
+                )
+                if isinstance(guard, ltl.Bottom):
+                    continue
+                reg = ltl.Reg(1) if b else ltl.NReg(1)
+                inner = _and2(reg, instantiate(beta, alpha_vals, xi_vals, zeta_tr))
+                if isinstance(inner, ltl.Bottom):
+                    continue
+                disjuncts.append(_and2(guard, _op_block(k, m, inner)))
+    return ltl.big_or(disjuncts)
+
+
+def test_fo2_to_simple_ltl_equals_reference():
+    """Byte-identical output on random formulas, with either variable free."""
+    rng = random.Random(3011)
+    seen = set()
+    for _ in range(25):
+        for depth in range(1, 5):
+            for m in range(3):
+                f = random_fo2(rng, m=m, depth=depth)
+                for j, g in ((0, f), (1, _swap(f))):
+                    key = (format_fo(g), j, m)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    assert (ltl.format_ltl(fo2_to_simple_ltl(g, j, m))
+                            == ltl.format_ltl(reference_fo2_to_simple_ltl(g, j, m))), key
+    assert len(seen) > 400

@@ -298,6 +298,30 @@ def _deep_simple_ltl_to_fo2_least_m():
     assert kinds(g) == ["Exists", "FoAnd"] * (DEEP // 2) + ["Pred"]
 
 
+def _deep_fo2_to_simple_ltl():
+    g = fo.fo2_to_simple_ltl(chain(fo.FoNot, fo.Pred("a", 0)), 0)
+    assert kinds(g) == ["Not"] * DEEP + ["Atom"]
+    assert format_ltl(g) == "!" * DEEP + "a"
+
+
+def _deep_fo2_to_simple_ltl_matrix():
+    # the x0 ~ x1 conjuncts are true or false under each jump, so the
+    # DEEP-deep matrix folds away
+    phi = fo.Exists(1, chain(partial(fo.FoAnd, fo.Same(0, 1)), fo.Pred("a", 1)))
+    g = fo.fo2_to_simple_ltl(phi, 0)
+    assert format_ltl(g) == "store1 Xp Fp (up1 & a) | store1 (up1 & a) | store1 X F (up1 & a)"
+
+
+def _deep_fo2_to_simple_ltl_nested():
+    # 5 nested quantifier pairs under the negations: the output is a DAG
+    # whose expanded size multiplies with every pair, so only its spine is read
+    phi = fo.Pred("a", 0)
+    for _ in range(5):
+        phi = fo.Exists(1, fo.FoAnd(fo.Same(0, 1), fo.Exists(0, fo.FoAnd(fo.Less(1, 0), phi))))
+    g = fo.fo2_to_simple_ltl(chain(fo.FoNot, phi, DEEP - 5), 0)
+    assert kinds(g)[:DEEP - 4] == ["Not"] * (DEEP - 5) + ["Or"]
+
+
 DEEP_CASES = {name[len("_deep_"):]: f for name, f in globals().items() if name.startswith("_deep_")}
 
 

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import matching_ra
 from datawords.errors import ClassMismatch, StateSpaceBudgetExceeded
+from datawords.games import _sccs
 from datawords.ltl import eval_ltl
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import (
-    BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest,
+    BBeg, BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest,
     TTop, accepting_strategy, acceptance_game, accepts, assign_annotations,
     classify_ra, complement, dual, format_ra, intersect, parse_ra, product_1nra,
-    ra_to_dot, relabel, union, validate,
+    ra_to_dot, relabel, tf_targets, union, validate,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
@@ -255,3 +256,121 @@ def test_format_parse_round_trip_translated(rng, size):
     a = ltl_to_ara(_random_xu_sentence(rng, size), AB)
     names = {q: q if isinstance(q, str) else f"q{k}" for k, q in enumerate(a.locations)}
     assert parse_ra(format_ra(a)) == relabel(a, names.__getitem__)
+
+
+def reference_assign_annotations(locations, delta, even_cycles=()):
+    """The recursive ranks and heights that ``assign_annotations`` replaced:
+    a memoized longest-chain recursion and a recursion over the components."""
+    locations = list(locations)
+    even_cycles = set(even_cycles)
+
+    height: dict = {}
+
+    def h(q):
+        if q in height:
+            if height[q] is None:
+                raise ValueError(f"non-moving cycle through {q!r}")
+            return height[q]
+        height[q] = None
+        tf = delta[q]
+        if isinstance(tf, TMove) or isinstance(tf, (TTop, TBottom)):
+            height[q] = 0
+        else:
+            height[q] = 1 + max((h(t) for t in tf_targets(tf)), default=0)
+        return height[q]
+
+    for q in locations:
+        h(q)
+
+    edges = {q: tf_targets(delta[q]) for q in locations}
+    comps = _sccs(set(locations), edges)
+    comp_of = {}
+    for k, comp in enumerate(comps):
+        for q in comp:
+            comp_of[q] = k
+    rank_of_comp: dict[int, int] = {}
+
+    def crank(k):
+        if k in rank_of_comp:
+            return rank_of_comp[k]
+        comp = comps[k]
+        below = 0
+        for q in comp:
+            for t in edges[q]:
+                if comp_of[t] != k:
+                    below = max(below, crank(comp_of[t]))
+        cyclic = len(comp) > 1 or any(q in edges[q] for q in comp)
+        r = below
+        if cyclic:
+            want_even = any(q in even_cycles for q in comp)
+            if want_even and r % 2 == 1:
+                r += 1
+            if not want_even and r % 2 == 0:
+                r += 1
+        rank_of_comp[k] = r
+        return r
+
+    rank = {q: crank(comp_of[q]) for q in locations}
+    return rank, height
+
+
+def random_transitions(rng, n):
+    """Transition formulas of all ten kinds (the four moves count apart)
+    over locations 0..n-1, with in-place and moving cycles alike."""
+    def tf():
+        q, r = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(10)
+        if kind == 0:
+            guard = rng.choice([BLetter("a"), BBeg(), BEnd(), BUp(1)])
+            return TTest(guard, q, r)
+        if kind == 1:
+            return TStore(1, q)
+        if kind in (2, 3):
+            return (TAnd, TOr)[kind - 2](q, r)
+        if kind in (4, 5):
+            return (TTop, TBottom)[kind - 4]()
+        return TMove(kind in (6, 7), kind in (6, 8), q)
+
+    return {q: tf() for q in range(n)}
+
+
+def test_assign_annotations_equals_reference():
+    rng = random.Random(2006)
+    raised = 0
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        delta = random_transitions(rng, n)
+        locs = rng.sample(range(n), n)
+        even = {q for q in locs if rng.random() < 0.4}
+        try:
+            want = reference_assign_annotations(locs, delta, even)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="non-moving cycle through"):
+                assign_annotations(locs, delta, even)
+            continue
+        got = assign_annotations(locs, delta, even)
+        assert got == want, delta
+        assert [list(d) for d in got] == [locs, locs]  # both in location order
+    assert 300 < raised < 1200  # both outcomes are exercised
+
+
+def test_assign_annotations_long_chains():
+    """A 3,000-step in-place chain gets its heights, and a chain of 1,500
+    move cycles its ranks, with no recursion in either."""
+    from test_ra2ca import in_place_chain
+
+    a = in_place_chain(3000)
+    assert assign_annotations(a.locations, a.delta)[1] == a.height
+    pairs = 1500
+    delta = {}
+    for i in range(pairs):
+        delta[2 * i] = TOr(2 * i + 1, 2 * i + 2)
+        delta[2 * i + 1] = TMove(True, False, 2 * i)
+    delta[2 * pairs] = TTop()
+    even = range(0, 2 * pairs, 4)  # every other cycle wants an even rank
+    rank, height = assign_annotations(list(delta), delta, even)
+    assert [rank[2 * i] for i in range(pairs)] == list(range(pairs, 0, -1))
+    assert [height[2 * i] for i in range(pairs)] == list(range(pairs, 0, -1))
+    locs = tuple(delta)
+    assert validate(RegisterAutomaton(AB, locs, 0, 0, delta, rank, height)) == []

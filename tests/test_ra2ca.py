@@ -155,7 +155,8 @@ def test_succ_table_matches_recursion():
 def in_place_chain(n: int) -> RegisterAutomaton:
     """A one-way automaton whose initial location starts a chain of n
     in-place steps (disjunctions, stores, conjunctions and tests) that ends
-    in a move; built in code, since assign_annotations recurses too."""
+    in a move; built in code, with heights written out by hand, which
+    ``assign_annotations`` reproduces (see ``tests/test_ra.py``)."""
     delta: dict = {"acc": TTop(), "rej": TBottom(), "end": TMove(True, False, "acc")}
     height = {"acc": 0, "rej": 0, "end": 0}
     for i in range(n):
