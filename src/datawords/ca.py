@@ -29,7 +29,7 @@ from operator import le
 from typing import Optional, Sequence
 
 from .errors import CertificateError, ParseError, PreconditionViolation
-from .games import _sccs
+from .graph import adjacency, reach, sccs
 from .words import Alphabet, parse_alphabet, parse_header_count
 
 Transition = tuple  # (source, letter-or-None, op, counter, target)
@@ -70,7 +70,9 @@ class CounterAutomaton:
         locations are absent."""
         bits = _letter_bits(self.alphabet)
         shift = len(self.alphabet.letters)
-        into, guide = reaching(self.transitions, self.accepting)
+        into = adjacency((t[4], t[0]) for t in self.transitions if t[1] is None)
+        guide = dict.fromkeys(reach(adjacency((t[4], t[0]) for t in self.transitions),
+                                    self.accepting), 0)
         guide.update(dict.fromkeys(self.accepting, 1))
         _pass_back(guide, into, list(self.accepting))  # bit 0 first
         for q, w, _op, _ctr, q2 in self.transitions:
@@ -82,30 +84,14 @@ class CounterAutomaton:
 
 
 def _pass_back(guide: dict, into: dict, stack: list) -> None:
-    """Pass each mask back along silent transitions, from ``stack`` on."""
+    """Pass each mask back along silent transitions, from ``stack`` on;
+    ``into`` maps a location to the sources of those into it."""
     while stack:
         m = guide[q := stack.pop()]
-        for t in into.get(q, ()):
-            if t[1] is None and m & ~guide[t[0]]:
-                guide[t[0]] |= m
-                stack.append(t[0])
-
-
-def reaching(transitions, targets) -> tuple[dict, dict]:
-    """The transitions into each location, and the locations with a path,
-    maybe empty, into ``targets``, each mapped to 0.  The search guide and
-    ``ra2ca``'s trim of finite machines both start from this walk."""
-    into: dict = {}
-    for t in transitions:
-        into.setdefault(t[4], []).append(t)
-    found = dict.fromkeys(targets, 0)
-    stack = list(found)
-    while stack:
-        for t in into.get(stack.pop(), ()):
-            if t[0] not in found:
-                found[t[0]] = 0
-                stack.append(t[0])
-    return into, found
+        for p in into.get(q, ()):
+            if m & ~guide[p]:
+                guide[p] |= m
+                stack.append(p)
 
 
 def _letter_bits(alphabet: Alphabet) -> dict:
@@ -488,7 +474,7 @@ def _lasso_sources(states, edges, accepting) -> list[bool]:
     n = len(states)
     reach = [0] * n  # reachable in one or more steps
     reach_acc = [0] * n  # ... by a path seeing an accepting state after the start
-    for scc in _sccs(range(n), [[j for _, j in out] for out in edges]):
+    for scc in sccs(range(n), [[j for _, j in out] for out in edges]):
         r = ra = 0
         cyclic = False
         for i in scc:
@@ -686,7 +672,7 @@ def _exact_lasso(c: CounterAutomaton, states, edges, parent) -> Optional[Lasso]:
     shortest one: such a cycle exists when the state's strongly connected
     component has an edge that reads a letter, and stays in it."""
     src = None
-    for scc in _sccs(range(len(states)), [[j for _, j in out] for out in edges]):
+    for scc in sccs(range(len(states)), [[j for _, j in out] for out in edges]):
         if any(t[1] is not None and j in scc for i in scc for t, j in edges[i]):
             first = min((i for i in scc if states[i][0] in c.accepting), default=None)
             if first is not None and (src is None or first < src):

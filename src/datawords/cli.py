@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import fo as fo_mod
@@ -189,11 +190,10 @@ def cmd_eval(args, out: _Out) -> int:
         f = fo_mod.parse_fo(text)
         asg = {}
         for item in args.assign or []:
-            name, _, pos = item.partition("=")
-            try:
-                asg[int(name.lstrip("x"))] = int(pos)
-            except ValueError:
-                raise DatawordsError(f"bad --assign item {item!r}, expected xN=position") from None
+            m = re.fullmatch(r"x(\d+)=(\d+)", item)
+            if m is None:
+                raise DatawordsError(f"bad --assign item {item!r}, expected xN=position")
+            asg[int(m[1])] = int(m[2])
         if args.position is not None:
             asg.setdefault(0, args.position)
         value = fo_mod.eval_fo(w, asg, f)
@@ -291,7 +291,7 @@ def _certificate_text(verdict: Verdict):
 def cmd_empty(args, out: _Out) -> int:
     if args.kind == "nra":
         a = _load_ra(args.file)
-        verdict = (nonempty_infinite if args.infinite else nonempty_finite)(a)
+        verdict = (nonempty_infinite if args.words == "infinite" else nonempty_finite)(a)
     else:
         c = _load_ca(args.file)
         if args.semantics == "minsky":
@@ -472,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("empty", help="language nonemptiness")
     sp.add_argument("kind", choices=["nra", "ca"])
     sp.add_argument("file")
-    sp.add_argument("--infinite", action="store_true")
     sp.add_argument("--semantics", choices=["minsky", "incrementing"],
                     default="incrementing")
     sp.add_argument("--words", choices=["finite", "infinite"], default="finite")

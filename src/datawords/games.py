@@ -10,9 +10,10 @@ already won) settles every position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 from .errors import CertificateError
+from .graph import cyclic, sccs
 
 Position = Hashable
 
@@ -206,62 +207,10 @@ def check_strategy(g: WeakGame, p, s: PositionalStrategy) -> bool:
             edges[q] = (s.choice[q],)
         else:
             edges[q] = tuple(x for x in succs if x in reach)
-    for scc in _sccs(reach, edges):
-        cyclic = len(scc) > 1 or any(q in edges[q] for q in scc)
-        if cyclic:
-            r = g.rank[next(iter(scc))]
-            if r % 2 != want_parity:
-                return False
+    for scc in sccs(reach, edges):
+        if cyclic(scc, edges) and g.rank[next(iter(scc))] % 2 != want_parity:
+            return False
     return True
-
-
-def _sccs(nodes: set, edges: dict) -> Iterable[set]:
-    """Tarjan's algorithm, iterative."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    out = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(edges[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = set()
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    scc.add(q)
-                    if q == node:
-                        break
-                out.append(scc)
-    return out
 
 
 def signature(g: WeakGame) -> dict:

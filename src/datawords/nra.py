@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .ca import EMPTY, Verdict
 from .errors import CertificateError, ClassMismatch
+from .graph import cyclic, sccs
 from .ra import (
     BBeg, BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr,
     TStore, TTest, TTop, accepts, classify_ra,
@@ -253,11 +254,7 @@ def nonempty_infinite(a: RegisterAutomaton) -> Verdict:
             return Verdict("nonempty")
     # cycle detection on the abstract graph; ranks are constant on cycles
     edges = {h: tuple(h2 for h2, _ in succs[h]) for h in states}
-    from .games import _sccs
-    for scc in _sccs(set(states), edges):
-        cyclic = len(scc) > 1 or any(h in edges[h] for h in scc)
-        if cyclic:
-            h = next(iter(scc))
-            if a.rank[h.location] % 2 == 0:
-                return Verdict("nonempty")
+    for scc in sccs(states, edges):
+        if cyclic(scc, edges) and a.rank[next(iter(scc)).location] % 2 == 0:
+            return Verdict("nonempty")
     return EMPTY

@@ -16,7 +16,8 @@ from typing import Iterable, Optional
 from .errors import (
     ClassMismatch, ParseError, StateSpaceBudgetExceeded, UnsupportedClassCombination,
 )
-from .games import PositionalStrategy, WeakGame, _sccs, solve
+from .games import PositionalStrategy, WeakGame, solve
+from .graph import cyclic, sccs
 from .words import Alphabet, DataWord, parse_alphabet, parse_header_count
 
 
@@ -443,32 +444,20 @@ def assign_annotations(locations: Iterable, delta: dict,
     locations = list(locations)
     even_cycles = set(even_cycles)
 
-    height: dict = {}  # None while a location's successors are pending
-    todo = list(reversed(locations))
-    while todo:
-        q = todo[-1]
-        tf = delta[q]
-        in_place = () if type(tf) is TMove else tf_targets(tf)
-        if q in height:
-            todo.pop()
-            if height[q] is None:
-                height[q] = 1 + max(height[t] for t in in_place)
-        elif not in_place:
-            height[q] = 0
-            todo.pop()
-        else:
-            height[q] = None
-            for t in in_place:
-                if t not in height:
-                    todo.append(t)
-                elif height[t] is None:
-                    raise ValueError(f"non-moving cycle through {t!r}")
-
     edges = {q: tf_targets(delta[q]) for q in locations}
+    in_place = {q: () if type(delta[q]) is TMove else edges[q] for q in locations}
+    height: dict = {}
+    for comp in sccs(locations, in_place):  # sinks first
+        if cyclic(comp, in_place):
+            q = next(q for q in locations if q in comp)
+            raise ValueError(f"non-moving cycle through {q!r}")
+        (q,) = comp
+        height[q] = max([height[t] + 1 for t in in_place[q]], default=0)
+
     rank: dict = {}
-    for comp in _sccs(set(locations), edges):  # sinks first
+    for comp in sccs(locations, edges):  # sinks first
         r = max((rank[t] for q in comp for t in edges[q] if t not in comp), default=0)
-        if len(comp) > 1 or any(q in edges[q] for q in comp):
+        if cyclic(comp, edges):
             want_even = any(q in even_cycles for q in comp)
             r += r % 2 == want_even  # up to the wanted parity
         rank.update(dict.fromkeys(comp, r))

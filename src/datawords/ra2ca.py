@@ -55,9 +55,9 @@ kept core that cannot take part in an accepting run.
 
 from __future__ import annotations
 
-from .ca import CounterAutomaton, reaching
+from .ca import CounterAutomaton
 from .errors import ClassMismatch
-from .games import _sccs
+from .graph import adjacency, cyclic, reach, sccs
 from .ra import (
     BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TOr, TStore, TTest,
     TTop, classify_ra, relabel, validate,
@@ -426,9 +426,7 @@ class _Builder:
         edges.update((core, [(g, m1, flag) for m1, flag in self.ends(core) for g in refills])
                      for core in self.mains)
         start = (EMPTY, self.init_items(), False)
-        # forward: the backward walk of ca.reaching over the reversed edges
-        reached = reaching([(y, None, None, None, x) for x, ys in edges.items() for y in ys],
-                           (start,))[1]
+        reached = reach(edges, (start,))
         at_ends = (False,) if self.infinite else (False, True)
         finals = {r: [(letter, at_end) for letter in self.letters for at_end in at_ends
                       if self.items_ok(r[0], letter, at_end, True)
@@ -437,12 +435,11 @@ class _Builder:
         good = {r for r, fins in finals.items() if fins}
         if self.infinite:
             # a core's third field is a frozenset, so only a ready point has
-            # True there; a cycle has two nodes at least
-            for scc in _sccs(edges, edges):
-                if len(scc) > 1 and any(x[2] is True for x in scc):
+            # True there
+            for scc in sccs(edges, edges):
+                if cyclic(scc, edges) and any(x[2] is True for x in scc):
                     good.update(x for x in scc if x in finals)
-        able = reaching([(x, None, None, None, y) for x, ys in edges.items() for y in ys],
-                        good)[1]
+        able = reach(adjacency((y, x) for x, ys in edges.items() for y in ys), good)
         kept = {x for x in reached if x in able}
         self.stats["skipped"] = len(reached) - len(kept) - (start not in kept)
         return {r: None for r in finals if r in kept or r == start}, kept, finals
@@ -547,7 +544,7 @@ class _Builder:
         """The finite machine cut to the locations that can reach an
         accepting one, renumbered in order; the canonical empty machine if
         the initial location cannot."""
-        keep = reaching(self.trans, accepting)[1]
+        keep = reach(adjacency((q2, q) for q, _w, _op, _c, q2 in self.trans), accepting)
         self.stats["trimmed"] = self.n_locs - len(keep)
         if initial not in keep:
             return empty_machine(self.a.alphabet)
@@ -619,9 +616,7 @@ class _Builder:
                 add(src, "ifz", self.c_zero, dst)
                 stack.append(dst)
 
-        # what the entry reaches: the backward walk of ca.reaching over the
-        # reversed edges
-        reached = reaching([(d, None, None, None, s) for s, _op, _c, d in trans], (0,))[1]
+        reached = reach(adjacency((s, d) for s, _op, _c, d in trans), (0,))
         new = {k: j for j, k in enumerate(sorted(reached))}
         block = tuple((new[s], op, c, new[d]) for s, op, c, d in trans if s in new)
         exits = tuple((nat, new[ids[("exit", nat)]]) for nat in nats

@@ -118,6 +118,27 @@ rej rank=0 height=0 : false
     assert accepts(parse_ra(g.read_text()), w)
 
 
+def test_empty_nra_cli_word_kinds(tmp_path, capsys):
+    """``--words`` picks the decider: accepting only at the end is nonempty
+    over finite words and empty over infinite ones."""
+    f = tmp_path / "end_only.ra"
+    f.write_text("""alphabet: a b
+registers: 1
+init: s
+s rank=1 height=2 : or chk mv
+chk rank=0 height=1 : if end then acc else rej
+mv rank=1 height=0 : X s
+acc rank=0 height=0 : true
+rej rank=0 height=0 : false
+""")
+    assert run(capsys, "empty", "nra", str(f), "--words", "finite")[:2] == (1, "nonempty: a ; 0\n")
+    assert run(capsys, "empty", "nra", str(f), "--words", "infinite")[:2] == (0, "empty\n")
+    with pytest.raises(SystemExit) as exit_:  # the old spelling is gone
+        main(["empty", "nra", str(f), "--infinite"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --infinite" in capsys.readouterr().err
+
+
 def test_translate_ltl2ra_and_accepts(tmp_path, capsys):
     out_ra = tmp_path / "out.ra"
     code, _, _ = run(capsys, "translate", "ltl2ra",
@@ -431,7 +452,7 @@ def test_missing_input_is_a_usage_error(capsys, argv, message):
     assert err.strip() == f"error: {message}"
 
 
-@pytest.mark.parametrize("item", ["y=1", "x0", "x0=", "x0=b"])
+@pytest.mark.parametrize("item", ["y=1", "x0", "x0=", "x0=b", "xxx0=1", "0=1", "x=1"])
 def test_malformed_assign_is_a_usage_error(capsys, item):
     code, out, err = run(capsys, "eval", "--word", "a a b ; 0 2 | 1", "--fo", "Pa(x0)",
                          "--assign", item)

@@ -1,0 +1,38 @@
+"""No module of the package imports a private name from a sibling module:
+what one module needs from another belongs to that module's public
+surface."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "datawords"
+
+# (importing module, imported module, name).  cli reads the builder's stats
+# through ra2ca._build until the build functions expose them (ROADMAP,
+# direction 7).
+ALLOWED = {("cli", "ra2ca", "_build")}
+
+
+def private_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("datawords"):
+            continue
+        source = (node.module or "").rpartition(".")[2]
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                yield path.stem, source, alias.name
+
+
+def test_no_private_sibling_imports():
+    found = {imp for path in sorted(PACKAGE.glob("*.py")) for imp in private_imports(path)}
+    assert found == ALLOWED
+
+
+def test_the_walk_sees_a_private_import(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("from .games import WeakGame, _solve\nfrom . import _x\n"
+                 "from datawords.ca import _search\nfrom __future__ import annotations\n")
+    assert list(private_imports(f)) == [("m", "games", "_solve"), ("m", "", "_x"),
+                                        ("m", "ca", "_search")]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import matching_ra
 from datawords.errors import ClassMismatch, StateSpaceBudgetExceeded
-from datawords.games import _sccs
+from datawords.graph import sccs
 from datawords.ltl import eval_ltl
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra import (
@@ -283,7 +283,7 @@ def reference_assign_annotations(locations, delta, even_cycles=()):
         h(q)
 
     edges = {q: tf_targets(delta[q]) for q in locations}
-    comps = _sccs(set(locations), edges)
+    comps = sccs(set(locations), edges)
     comp_of = {}
     for k, comp in enumerate(comps):
         for q in comp:
