@@ -49,8 +49,20 @@ anyway, and the finite machine is the same with or without it.  The kept
 locations keep their order and are numbered 0..n-1.  If the initial
 location cannot accept, the finite machine is the canonical empty one: a
 single location, not accepting, with a self-loop per letter that
-zero-tests the only counter.  The infinite machine keeps the points of a
-kept core that cannot take part in an accepting run.
+zero-tests the only counter.  The infinite machine is not cut at the
+level of locations: points of kept cores and of the shared tail from
+which no accepting run continues stay in it.
+
+The points after the empty-row map, which collect the refreshed group and
+refill the bag, name no core: their transitions depend only on the mode,
+the pair index, the group collected so far, the empty-row set and the
+mark, so one walk emits them for the whole machine and every core that
+reaches one shares it.  This keeps the language: with a copy per core, the
+copies of one point differ only in the core index that they and their
+successors in the tail carry, so forgetting the index maps runs onto runs
+both ways, step for step with the same counter operations (a run enters
+the tail from one core and leaves it at a ready point, which no core
+owns), and no tail point is accepting, so each run keeps its acceptance.
 """
 
 from __future__ import annotations
@@ -450,7 +462,9 @@ class _Builder:
         # (a tuple; abstract cores appear by their index in self.mains)
         # becomes the next integer on first sight; the points of a drain
         # phase are named by nothing else, so each core gets a copy of the
-        # phase of its (letter, mode) as a run of fresh integers (emit_drain)
+        # phase of its (letter, mode) as a run of fresh integers (emit_drain).
+        # The points after the empty-row map name no core: they come last,
+        # in the order of one walk from the pair entries (emit_tail)
         self.locs: dict = {}
         self.trans: dict = {}
         self.n_locs = 0
@@ -518,6 +532,7 @@ class _Builder:
                 if self.groups:
                     self.emit_drain(ci, letter, mode)
                 self.emit_maps(ci, core, mode)
+        self.emit_tail([x for x in locs if x[0] == "pair"])
 
         initial = locs[("ready", EMPTY, self.init_items(), False)]
         if self.infinite:
@@ -637,12 +652,12 @@ class _Builder:
             self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
 
     def emit_maps(self, ci: int, core: tuple, mode) -> None:
-        """The rest of core ci's step, from the marks its drain exits with.
-        The marked points come first, in the order of a walk from the
-        marked entry, then the unmarked ones: so when the drain exits
-        unmarked only, but a stay step can still mark on the way, the
-        marked points that walk reaches are numbered as a walk from the
-        marked entry would number them."""
+        """Core ci's maps, from the marks its drain exits with, up to the
+        entries of the shared tail.  The marked points come first, in the
+        order of a walk from the marked entry, then the unmarked ones: so
+        when the drain exits unmarked only, but a stay step can still mark
+        on the way, the marked points that walk reaches are numbered as a
+        walk from the marked entry would number them."""
         trans, loc = self.trans, self.loc
         nats = self.entry_nats(core[0], mode)
         if nats != (False,) or mode != "stay":
@@ -650,8 +665,8 @@ class _Builder:
                 trans[(loc(src), None, op, ctr, loc(dst))] = None
             return
         steps = list(self.map_steps(ci, core, mode, nats))
-        # the last field of a point is its mark (a ready point's flag is
-        # False in stay mode), and a mark is never dropped on the way
+        # the last field of a point is its mark, and a mark is never
+        # dropped on the way
         marked = {dst for _src, _op, _ctr, dst in steps if dst[-1]}
         if marked:
             for src, op, ctr, dst in self.map_steps(ci, core, mode, (True,)):
@@ -665,12 +680,11 @@ class _Builder:
 
     def map_steps(self, ci: int, core: tuple, mode, nats: tuple):
         """The transitions, as (source, op, counter, target) points, that
-        choose the current-class and empty-row maps, collect the refreshed
-        group, then refill the bag from the pair counters, walked from the
-        eqmap entry of each mark in nats, the last one first."""
+        choose the current-class and empty-row maps and end at a pair entry
+        of the shared tail (emit_tail), walked from the eqmap entry of each
+        mark in nats, the last one first."""
         letter, qeq, qemp = core
-        c_zero, union, live = self.c_zero, self.union, self.live
-        refill_ops = [(EMPTY, "ifz", c_zero), *((g, "dec", self.c_group[g]) for g in self.groups)]
+        c_zero, union = self.c_zero, self.union
         eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
         stack = [("eq", 0, EMPTY, nat) for nat in nats]
@@ -699,54 +713,52 @@ class _Builder:
                 src = ("empmap", ci, mode, k, u1, u2, nat)
                 items = emp_items
                 if k == len(items):
-                    nxt = ("pair", ci, mode, 0, u2, u1, nat)
-                    yield src, "ifz", c_zero, nxt
-                    stack.append(("pair", 0, u2, u1, nat))
+                    yield src, "ifz", c_zero, ("pair", mode, 0, u2, u1, nat)
                     continue
                 for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
                     nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
                     yield src, "ifz", c_zero, ("empmap", ci, mode, k + 1, nu1, nu2, nn)
                     stack.append(("emp", k + 1, nu1, nu2, nn))
+
+    def emit_tail(self, stack: list) -> None:
+        """Collect the refreshed group from the pair counters ("pair" and
+        "bump" points), refill the bag from them ("refill", "refillmid")
+        and move to a live ready point: one walk for the whole machine,
+        from the pair entries the cores reached.  A point names its kind,
+        mode, pair index, collected group (pair points only), empty-row set
+        and mark, and no core: nothing else decides its transitions."""
+        add, c_zero, c_pair, c_group = self.add, self.c_zero, self.c_pair, self.c_group
+        refill_ops = [(EMPTY, "ifz", c_zero), *((g, "dec", c_group[g]) for g in self.groups)]
+        seen: set = set()
+        while stack:
+            src = stack.pop()
+            if src in seen:
+                continue
+            seen.add(src)
+            kind, mode, pi, *_, qemp1, nat = src
+            if pi < len(self.pairs):
+                p = self.pairs[pi]
+                stack.append((kind, mode, pi + 1, *src[3:]))
+                add(src, None, "ifz", c_pair[p], stack[-1])
+                mid = ("bump" if kind == "pair" else "refillmid", *src[1:])
+                add(src, None, "dec", c_pair[p], mid)
+                if kind == "pair":
+                    stack.append(("pair", mode, pi + 1, self.union(src[3], p[1]), qemp1, nat))
+                    add(mid, None, "inc", c_pair[p], stack[-1])
+                else:  # one unit of the pair back into its kept group
+                    op, ctr = ("inc", c_group[p[0]]) if p[0] else ("ifz", c_zero)
+                    add(mid, None, op, ctr, src)
             elif kind == "pair":
-                _, pi, qddag, qemp1, nat = entry
-                src = ("pair", ci, mode, pi, qddag, qemp1, nat)
-                if pi == len(self.pairs):
-                    nxt = ("refill", ci, mode, 0, qemp1, nat)
-                    if qddag:
-                        assert qddag in self.gset, "group escaped discovery"
-                        yield src, "inc", self.c_group[qddag], nxt
-                    else:
-                        yield src, "ifz", c_zero, nxt
-                    stack.append(("refill", 0, qemp1, nat))
-                    continue
-                p = self.pairs[pi]
-                yield src, "ifz", self.c_pair[p], ("pair", ci, mode, pi + 1, qddag, qemp1, nat)
-                stack.append(("pair", pi + 1, qddag, qemp1, nat))
-                mid = ("bump", ci, mode, pi, qddag, qemp1, nat)
-                yield src, "dec", self.c_pair[p], mid
-                qd2 = union(qddag, p[1])
-                yield mid, "inc", self.c_pair[p], ("pair", ci, mode, pi + 1, qd2, qemp1, nat)
-                stack.append(("pair", pi + 1, qd2, qemp1, nat))
-            elif kind == "refill":
-                _, pi, qemp1, nat = entry
-                src = ("refill", ci, mode, pi, qemp1, nat)
-                if pi == len(self.pairs):
-                    if self.infinite and mode == "stay" and not nat:
-                        continue  # an unmarked step must be declared fresh
-                    flag = (mode == "fresh") if self.infinite else False
-                    for g, op, ctr in refill_ops:
-                        if (g, qemp1, flag) in live:
-                            yield src, op, ctr, ("ready", g, qemp1, flag)
-                    continue
-                p = self.pairs[pi]
-                yield src, "ifz", self.c_pair[p], ("refill", ci, mode, pi + 1, qemp1, nat)
-                stack.append(("refill", pi + 1, qemp1, nat))
-                mid = ("refillmid", ci, mode, pi, qemp1, nat)
-                yield src, "dec", self.c_pair[p], mid
-                if p[0]:
-                    yield mid, "inc", self.c_group[p[0]], ("refill", ci, mode, pi, qemp1, nat)
-                else:
-                    yield mid, "ifz", c_zero, ("refill", ci, mode, pi, qemp1, nat)
+                qddag = src[3]
+                assert not qddag or qddag in self.gset, "group escaped discovery"
+                op, ctr = ("inc", c_group[qddag]) if qddag else ("ifz", c_zero)
+                stack.append(("refill", mode, 0, qemp1, nat))
+                add(src, None, op, ctr, stack[-1])
+            elif not self.infinite or mode == "fresh" or nat:  # a stay step must end marked
+                flag = mode == "fresh"
+                for g, op, ctr in refill_ops:
+                    if (g, qemp1, flag) in self.live:
+                        add(src, None, op, ctr, ("ready", g, qemp1, flag))
 
 
 def empty_machine(alphabet) -> CounterAutomaton:
