@@ -49,20 +49,14 @@ anyway, and the finite machine is the same with or without it.  The kept
 locations keep their order and are numbered 0..n-1.  If the initial
 location cannot accept, the finite machine is the canonical empty one: a
 single location, not accepting, with a self-loop per letter that
-zero-tests the only counter.  The infinite machine is not cut at the
-level of locations: points of kept cores and of the shared tail from
-which no accepting run continues stay in it.
+zero-tests the only counter.  The infinite machine keeps the points of
+kept cores and of the shared tail that cannot take part in an accepting run.
 
-The points after the empty-row map, which collect the refreshed group and
-refill the bag, name no core: their transitions depend only on the mode,
-the pair index, the group collected so far, the empty-row set and the
-mark, so one walk emits them for the whole machine and every core that
-reaches one shares it.  This keeps the language: with a copy per core, the
-copies of one point differ only in the core index that they and their
-successors in the tail carry, so forgetting the index maps runs onto runs
-both ways, step for step with the same counter operations (a run enters
-the tail from one core and leaves it at a ready point, which no core
-owns), and no tail point is accepting, so each run keeps its acceptance.
+The points that collect the refreshed group and refill the bag (the tail)
+name no core: only their mode, pair index, group so far, empty-row set and
+mark decide their moves, so the cores share them.  This keeps the language:
+forgetting the core index of per-core copies maps runs onto runs both ways
+with the same counter operations, and no tail point is accepting.
 """
 
 from __future__ import annotations
@@ -462,9 +456,8 @@ class _Builder:
         # (a tuple; abstract cores appear by their index in self.mains)
         # becomes the next integer on first sight; the points of a drain
         # phase are named by nothing else, so each core gets a copy of the
-        # phase of its (letter, mode) as a run of fresh integers (emit_drain).
-        # The points after the empty-row map name no core: they come last,
-        # in the order of one walk from the pair entries (emit_tail)
+        # phase of its (letter, mode) as a run of fresh integers (emit_drain);
+        # the tail, which names no core, comes last (emit_tail)
         self.locs: dict = {}
         self.trans: dict = {}
         self.n_locs = 0
@@ -514,6 +507,7 @@ class _Builder:
                     noop(cur, accept_end if at_end else accept_more, letter)
 
         # main locations: run the big-step subroutine
+        into_tail: list = []
         for ci, core in enumerate(self.mains):
             if core not in kept:
                 continue
@@ -531,8 +525,12 @@ class _Builder:
             for mode in self.modes:
                 if self.groups:
                     self.emit_drain(ci, letter, mode)
-                self.emit_maps(ci, core, mode)
-        self.emit_tail([x for x in locs if x[0] == "pair"])
+                for src, op, ctr, dst in self.ordered_steps(ci, core, mode):
+                    if dst[0] == "pair":  # numbered with the tail
+                        into_tail.append((loc(src), op, ctr, dst))
+                    else:
+                        add(src, None, op, ctr, dst)
+        self.emit_tail(into_tail)
 
         initial = locs[("ready", EMPTY, self.init_items(), False)]
         if self.infinite:
@@ -651,18 +649,16 @@ class _Builder:
         for nat, k in exits:
             self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
 
-    def emit_maps(self, ci: int, core: tuple, mode) -> None:
-        """Core ci's maps, from the marks its drain exits with, up to the
-        entries of the shared tail.  The marked points come first, in the
-        order of a walk from the marked entry, then the unmarked ones: so
-        when the drain exits unmarked only, but a stay step can still mark
-        on the way, the marked points that walk reaches are numbered as a
-        walk from the marked entry would number them."""
-        trans, loc = self.trans, self.loc
+    def ordered_steps(self, ci: int, core: tuple, mode):
+        """Core ci's map steps (map_steps), from the marks its drain exits
+        with, in the order emit adds them.  The marked points come first,
+        in the order of a walk from the marked entry, then the unmarked
+        ones: so when the drain exits unmarked only, but a stay step can
+        still mark on the way, the marked points that walk reaches are
+        numbered as a walk from the marked entry would number them."""
         nats = self.entry_nats(core[0], mode)
         if nats != (False,) or mode != "stay":
-            for src, op, ctr, dst in self.map_steps(ci, core, mode, nats):
-                trans[(loc(src), None, op, ctr, loc(dst))] = None
+            yield from self.map_steps(ci, core, mode, nats)
             return
         steps = list(self.map_steps(ci, core, mode, nats))
         # the last field of a point is its mark, and a mark is never
@@ -671,12 +667,10 @@ class _Builder:
         if marked:
             for src, op, ctr, dst in self.map_steps(ci, core, mode, (True,)):
                 if src in marked:
-                    trans[(loc(src), None, op, ctr, loc(dst))] = None
+                    yield src, op, ctr, dst
                 elif dst in marked:
-                    loc(dst)
-        for src, op, ctr, dst in steps:
-            if not src[-1]:
-                trans[(loc(src), None, op, ctr, loc(dst))] = None
+                    self.loc(dst)
+        yield from (step for step in steps if not step[0][-1])  # unmarked sources
 
     def map_steps(self, ci: int, core: tuple, mode, nats: tuple):
         """The transitions, as (source, op, counter, target) points, that
@@ -720,40 +714,49 @@ class _Builder:
                     yield src, "ifz", c_zero, ("empmap", ci, mode, k + 1, nu1, nu2, nn)
                     stack.append(("emp", k + 1, nu1, nu2, nn))
 
-    def emit_tail(self, stack: list) -> None:
-        """Collect the refreshed group from the pair counters ("pair" and
-        "bump" points), refill the bag from them ("refill", "refillmid")
-        and move to a live ready point: one walk for the whole machine,
-        from the pair entries the cores reached.  A point names its kind,
-        mode, pair index, collected group (pair points only), empty-row set
-        and mark, and no core: nothing else decides its transitions."""
+    def emit_tail(self, into_tail: list) -> None:
+        """Add the steps (location, op, counter, pair entry) of into_tail,
+        then walk the tail from those entries, once for the whole machine:
+        collect the refreshed group from the pair counters ("pair", "bump"),
+        refill the bag from them ("refill", "refillmid") and move to a live
+        ready point."""
         add, c_zero, c_pair, c_group = self.add, self.c_zero, self.c_pair, self.c_group
         refill_ops = [(EMPTY, "ifz", c_zero), *((g, "dec", c_group[g]) for g in self.groups)]
+        for src, op, ctr, dst in into_tail:
+            self.trans[(src, None, op, ctr, self.loc(dst))] = None
+        stack = list(dict.fromkeys(dst for *_, dst in into_tail))
         seen: set = set()
         while stack:
             src = stack.pop()
             if src in seen:
                 continue
             seen.add(src)
-            kind, mode, pi, *_, qemp1, nat = src
+            if src[0] == "pair":
+                _, mode, pi, qddag, qemp1, nat = src
+                if pi == len(self.pairs):
+                    assert not qddag or qddag in self.gset, "group escaped discovery"
+                    op, ctr = ("inc", c_group[qddag]) if qddag else ("ifz", c_zero)
+                    stack.append(("refill", mode, 0, qemp1, nat))
+                    add(src, None, op, ctr, stack[-1])
+                    continue
+                p = self.pairs[pi]
+                stack.append(("pair", mode, pi + 1, qddag, qemp1, nat))
+                add(src, None, "ifz", c_pair[p], stack[-1])
+                mid = ("bump", mode, pi, qddag, qemp1, nat)
+                add(src, None, "dec", c_pair[p], mid)
+                stack.append(("pair", mode, pi + 1, self.union(qddag, p[1]), qemp1, nat))
+                add(mid, None, "inc", c_pair[p], stack[-1])
+                continue
+            _, mode, pi, qemp1, nat = src
             if pi < len(self.pairs):
                 p = self.pairs[pi]
-                stack.append((kind, mode, pi + 1, *src[3:]))
+                stack.append(("refill", mode, pi + 1, qemp1, nat))
                 add(src, None, "ifz", c_pair[p], stack[-1])
-                mid = ("bump" if kind == "pair" else "refillmid", *src[1:])
+                mid = ("refillmid", mode, pi, qemp1, nat)
                 add(src, None, "dec", c_pair[p], mid)
-                if kind == "pair":
-                    stack.append(("pair", mode, pi + 1, self.union(src[3], p[1]), qemp1, nat))
-                    add(mid, None, "inc", c_pair[p], stack[-1])
-                else:  # one unit of the pair back into its kept group
-                    op, ctr = ("inc", c_group[p[0]]) if p[0] else ("ifz", c_zero)
-                    add(mid, None, op, ctr, src)
-            elif kind == "pair":
-                qddag = src[3]
-                assert not qddag or qddag in self.gset, "group escaped discovery"
-                op, ctr = ("inc", c_group[qddag]) if qddag else ("ifz", c_zero)
-                stack.append(("refill", mode, 0, qemp1, nat))
-                add(src, None, op, ctr, stack[-1])
+                # one unit of the pair back into its kept group
+                op, ctr = ("inc", c_group[p[0]]) if p[0] else ("ifz", c_zero)
+                add(mid, None, op, ctr, src)
             elif not self.infinite or mode == "fresh" or nat:  # a stay step must end marked
                 flag = mode == "fresh"
                 for g, op, ctr in refill_ops:

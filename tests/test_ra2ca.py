@@ -610,22 +610,22 @@ CIRCLE_SENTENCES = {
 # accepting run (the finite ones stayed as they were), and all of them when
 # the cores learned to share the points after the empty-row map.
 # assert_matches_reference ties them to the emitter of the first pins, with
-# the shared tail's names.
+# the shared tail's names and order.
 _MACHINE_TEXT = {
-    ("phi", "finite"): "fb5bfecccac12e7d23b4cf6716a6a3aa1b2c0d86623ae7566630968580156e2e",
-    ("phi", "infinite"): "8b7e45d0f58740bbc9763f34c7eeb93ebebb175dcf181b7a7b6b1651d7d9d6e7",
+    ("phi", "finite"): "9ebb9a92da0927e2664d95b9b84246ceac8221148c9c6e1639e3ccb87d4a6a54",
+    ("phi", "infinite"): "8d22f740079ef32e3e134c19307492f2bf8372dfd324a8d05b13b03a34c982a3",
     ("phi-Fa-Gnotb", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
-    ("phi-Fa-Gnotb", "infinite"): "0034f8ecfd27aab561d9ab9085173b4bfebfa725e651ec77d9f48affcc78bf6e",
+    ("phi-Fa-Gnotb", "infinite"): "de575f75c329447093d7f8744f844fe74397c56009446560a65d7f0aabdd369b",
     ("b-never-again", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
-    ("b-never-again", "infinite"): "1c6803c6d092dbba67386082b583686328e2d9e01044350b0c1e5d198d2fe30c",
+    ("b-never-again", "infinite"): "09fcd4bf5dfd6c611b267586a929253366159acd3103be23451f4be206270a80",
     ("phi-b-distinct", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
-    ("phi-b-distinct", "infinite"): "85e23504428eabaa49afc93b6f50037d0636e08e406567e4306103eb6fc8dada",
+    ("phi-b-distinct", "infinite"): "504668317aa65958b15a3109e7c69d2437b9bd223892498c6cc48e0bed2327cb",
     ("phi-b-then-a", "finite"): "7cc8c07c0dc0c93fc6b02f78290b1137446c6612d85eac4fabd93677933e4b45",
-    ("phi-b-then-a", "infinite"): "6d8b7ef6b246dbb15101d074d0f6ecb0dc5c4064c8ce12555375b4ca8a9c112a",
-    ("a-then-no-b", "finite"): "5aff9b8a1bfac9f9a959c45f4c1db706bc988e0a4b50a6947b915b89c9bf2f77",
-    ("a-then-no-b", "infinite"): "39a0da86246709440eb5bb5a7badae8360db8b5a7eb177bb060c782a7a4b39bc",
-    ("some-match", "finite"): "d776a958ff976f82d50dcbee4aeeb087199884f6834699efa51f3fda4fecb9e1",
-    ("some-match", "infinite"): "100429fcc52ffd6980b755574ee8bd78373f8514ff976bd885b3abeba8e8a513",
+    ("phi-b-then-a", "infinite"): "d77348cebeffcf0ecb9344be11ff8df3becc4cde07c3cdc3c4ac7d5757b2e0e8",
+    ("a-then-no-b", "finite"): "8be4a4d49fc87ae042b9c79f8366ad207fab5e53d66386e236d48d4665f355ce",
+    ("a-then-no-b", "infinite"): "515f6fd92646d4e8ead012ea858cdf9afee731b6cc52ba3d1a44b43dfd73e1d8",
+    ("some-match", "finite"): "61d18389c4221459e89ae02f3ae3b52e58b72b7532eb32891344ed3b6fea1dd8",
+    ("some-match", "infinite"): "c3e8893795671390a8d924e0bafb5cae56716b821f2f7f4ae5fc40505c7c8ab8",
 }
 
 # (locations, transitions, counters) of the same machines; before the trim
@@ -698,12 +698,13 @@ def test_compiled_machines_are_integer_located(phi_ca, variant, build):
 # order-preserving trim (see trimmed), so every search walks the same
 # graph in the same order; its infinite machine must equal it after the
 # order-preserving cut to what can take part in an accepting run (see
-# buchi_trimmed).  Both comparisons first put the shared tail last (see
-# tail_last): the reference names the points after the empty-row map as the
-# builder does, without a core, but it also emits the cores the builder
-# skips, so it can reach a shared point earlier.  Discovery here re-derives
-# everything on every sweep, as it did before the builder learned to hand
-# each core only what is new.
+# buchi_trimmed).  The reference names the points of the shared tail as the
+# builder does, without a core, and numbers them last too; since it also
+# emits the cores and the marked walks that the builder skips, it can reach
+# a shared point first from one of those, so it takes the builder's order
+# of the pair entries and numbers its other entries after them.  Discovery
+# here re-derives everything on every sweep, as it did before the builder
+# learned to hand each core only what is new.
 
 
 class ReferenceBuilder(_Builder):
@@ -747,7 +748,7 @@ class ReferenceBuilder(_Builder):
         self.readys = readys
         self.mains = mains
 
-    def emit(self) -> CounterAutomaton:
+    def emit(self, first: tuple = ()) -> CounterAutomaton:
         self.counter_ids()
         # locations are numbered in discovery order.  A named program point
         # (a tuple; abstract cores appear by their index in self.mains)
@@ -811,6 +812,7 @@ class ReferenceBuilder(_Builder):
                         noop(cur, accept_end if at_end else accept_more, letter)
 
         # main locations: run the big-step subroutine
+        into_tail: list = []
         for ci, core in enumerate(self.mains):
             letter, qeq, qemp = core
             for flag in ((False, True) if self.infinite else (False,)):
@@ -826,8 +828,8 @@ class ReferenceBuilder(_Builder):
             for mode in self.modes:
                 if self.groups:
                     self.emit_drain(ci, letter, mode)
-                self.emit_maps(ci, core, mode)
-        self.emit_tail([x for x in locs if x[0] == "pair"])
+                into_tail += self.emit_maps(ci, core, mode)
+        self.emit_tail(into_tail, first)
 
         initial = ("ready", frozenset(), self.init_items(), False)
         assert initial in locs
@@ -920,11 +922,13 @@ class ReferenceBuilder(_Builder):
         for nat, k in exits:
             self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
 
-    def emit_maps(self, ci: int, core: tuple, mode) -> None:
+    def emit_maps(self, ci: int, core: tuple, mode) -> list:
         """Choose the current-class and empty-row maps, up to the pair
-        entries of the shared tail."""
+        entries of the shared tail; returns the steps into those, as
+        (point, entry), for emit_tail."""
         letter, qeq, qemp = core
-        add, noop, union = self.add, self.noop, self.union
+        noop, union = self.noop, self.union
+        into_tail = []
         eq_items, emp_items = sorted(qeq), sorted(qemp)
         seen: set = set()
         stack = [("eq", 0, EMPTY, nat)
@@ -954,19 +958,29 @@ class ReferenceBuilder(_Builder):
                 src = ("empmap", ci, mode, k, u1, u2, nat)
                 items = emp_items
                 if k == len(items):
-                    noop(src, ("pair", mode, 0, u2, u1, nat))
+                    into_tail.append((src, ("pair", mode, 0, u2, u1, nat)))
                     continue
                 for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
                     nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
                     noop(src, ("empmap", ci, mode, k + 1, nu1, nu2, nn))
                     stack.append(("emp", k + 1, nu1, nu2, nn))
+        return into_tail
 
-    def emit_tail(self, entries: list) -> None:
+    def emit_tail(self, into_tail: list, first: tuple) -> None:
         """Collect the refreshed group, then refill the bag from the pair
-        counters: the points name no core, so the cores share them."""
+        counters: the points name no core, so the cores share them.  The
+        pair entries come first, those of first (a builder's, in its order)
+        before the others, and the walk starts from them in the same way,
+        so it numbers what they reach as that builder does."""
         add, noop, union = self.add, self.noop, self.union
+        entries = dict.fromkeys(dst for _src, dst in into_tail)
+        assert all(x in entries for x in first)
+        stack = [x for x in entries if x not in first] + list(first)
+        for x in [*first, *stack]:
+            self.loc(x)
+        for src, dst in into_tail:
+            noop(src, dst)
         seen: set = set()
-        stack = entries
         while stack:
             entry = stack.pop()
             if entry in seen:
@@ -1182,58 +1196,36 @@ class Named(_Builder):
         return {**self.drained, **{k: x for x, k in self.locs.items()}}
 
 
-def tail_last(c: CounterAutomaton, locs: dict) -> CounterAutomaton:
-    """The machine renumbered so that the points of the shared tail (their
-    names are keys of locs) come after the other locations, in the order
-    of their names, and the transitions out of them after the others, in
-    the same order.  The first core to reach a shared point numbers it, and
-    the reference also emits the cores and the marked entries that the
-    builder's cuts skip, so it can number a shared point earlier."""
-    def key(x):
-        return tuple(tuple(sorted(f)) if isinstance(f, frozenset) else f for f in x)
-
-    tail = {k: key(x) for x, k in locs.items() if x[0] in TAIL}
-    order = [q for q in c.locations if q not in tail] + sorted(tail, key=tail.get)
-    new = {q: k for k, q in enumerate(order)}
-    rank = {q: (q in tail, tail.get(q, ())) for q in c.locations}
-    trans = sorted(c.transitions, key=lambda t: rank[t[0]])  # stable
-    return CounterAutomaton(c.alphabet, range(len(order)), new[c.initial], c.n_counters,
-                            [(new[q], w, op, ctr, new[q2]) for q, w, op, ctr, q2 in trans],
-                            [new[q] for q in c.accepting])
-
-
 def assert_matches_reference(a) -> dict:
     """The builder's finite machine is the reference's after a plain trim,
     its infinite machine equals the reference's after the Büchi cut and
-    has at most the reference's reachable locations, both with the shared
-    tail last (see tail_last), and the pointwise reference is the
-    reference; returns the texts by variant."""
+    has at most the reference's reachable locations, and the pointwise
+    reference is the reference; returns the texts by variant."""
     texts = {}
     for variant in ("finite", "infinite"):
         infinite = variant == "infinite"
-        ref, pointwise = ReferenceBuilder(a, infinite), PointwiseBuilder(a, infinite)
-        for b in (ref, pointwise):
-            b.discover()
-        ref_ca = ref.emit()
-        assert format_ca(pointwise.emit()) == format_ca(ref_ca)
-        assert pointwise.n_locs == len(pointwise.locs)
-        assert pointwise.stats == ref.stats
         b = Named(a, infinite)
         b.discover()
         ca, stats = b.emit(), b.stats
-        ref_ca = tail_last(ref_ca, ref.locs)
+        # the builder's pair entries (pair index 0), in its order
+        first = tuple(x for x in b.locs if x[0] == "pair" and x[2] == 0)
+        ref, pointwise = ReferenceBuilder(a, infinite), PointwiseBuilder(a, infinite)
+        for r in (ref, pointwise):
+            r.discover()
+        ref_ca = ref.emit(first)
+        assert format_ca(pointwise.emit(first)) == format_ca(ref_ca)
+        assert pointwise.n_locs == len(pointwise.locs)
+        assert pointwise.stats == ref.stats
         reachable = trimmed(ref_ca, finite=False)
         texts[variant] = format_ca(ca)
         if infinite:
-            ours = tail_last(ca, b.locs)
-            assert format_ca(buchi_trimmed(ours)) == format_ca(buchi_trimmed(reachable))
+            assert format_ca(buchi_trimmed(ca)) == format_ca(buchi_trimmed(reachable))
             assert len(ca.locations) <= len(reachable.locations)
             if stats["skipped"] == 0:  # then nothing reachable is left out
-                assert format_ca(ours) == format_ca(reachable)
+                assert texts[variant] == format_ca(reachable)
         else:
             assert texts[variant] == format_ca(trimmed(b.untrimmed, finite=True))
-            ours = trimmed(tail_last(b.untrimmed, b.locs), finite=True)
-            assert format_ca(ours) == format_ca(trimmed(ref_ca, finite=True))
+            assert texts[variant] == format_ca(trimmed(ref_ca, finite=True))
             # the backward pass drops what the usefulness pass left of the
             # reachable locations that cannot accept
             kept = len(ca.locations) if ca.accepting else 0
@@ -1259,17 +1251,14 @@ class PerCoreBuilder(Named):
     """Every core walks a tail of its own, whose points carry the core's
     index after their kind."""
 
-    def emit_maps(self, ci, core, mode):
-        self.ci = ci
-        super().emit_maps(ci, core, mode)
-
     def loc(self, x):
         return super().loc((x[0], self.ci, *x[1:]) if x[0] in TAIL else x)
 
-    def emit_tail(self, entries):
+    def emit_tail(self, into_tail):
+        core_of = {k: x[1] for x, k in self.locs.items() if x[0] == "empmap"}
         by_core: dict = {}
-        for x in entries:
-            by_core.setdefault(x[1], []).append((x[0], *x[2:]))
+        for step in into_tail:
+            by_core.setdefault(core_of[step[0]], []).append(step)
         for self.ci, own in by_core.items():
             super().emit_tail(own)
 
