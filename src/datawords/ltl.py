@@ -5,19 +5,24 @@ fragment classification sees what the user wrote; ``desugar`` eliminates it
 before the automaton translation.  Dual operators (weak next, dual until,
 negated atoms/registers) exist so negation normal form stays inside the AST.
 The structural walkers of this module and of ``fo`` go through ``fold``, so
-no depth of nesting costs them recursion.
+no depth of nesting costs them recursion; ``sat_bounded`` too labels the
+subformulas in one ``fold``, over every data word of one length at once.
+``eval_ltl`` stays a recursive interpreter by design: it is the ground truth
+the labeling is tested against, and on one position of one word it is the
+faster of the two.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
-from operator import and_, is_
+from functools import lru_cache, partial
+from itertools import product
+from operator import and_, is_, or_, xor
 from typing import Iterator, Optional
 
 from .errors import ForeignValuation, ParseError, UnknownAtom
-from .words import Alphabet, DataWord, enumerate_data_words
+from .words import Alphabet, DataWord, make_data_word, set_partitions
 
 
 class Formula:
@@ -564,15 +569,234 @@ def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded satisfiability (brute force oracle)
+# Bounded satisfiability by bit-parallel labeling
+
+
+_CHUNK_BITS = 1 << 16  # the most bits of one label, unless one string needs more
 
 
 def sat_bounded(phi: Formula, sigma: Alphabet, max_len: int) -> Optional[DataWord]:
-    """First enumerated data word satisfying the sentence, if any."""
-    for w in enumerate_data_words(sigma, max_len):
-        if eval_ltl(w, 0, {}, phi):
-            return w
+    """The first data word of ``enumerate_data_words(sigma, max_len)`` that
+    satisfies phi at position 0 with no register defined, if any.
+
+    Every subformula is labeled with the positions where it holds, for all
+    the words of one length at once.  A length-n word is one n-bit block of
+    a Python ``int``, position i at bit i of its block; the blocks follow
+    the enumeration (letter strings in product order, then set partitions
+    in restricted-growth order), so the first model is the lowest bit of the
+    root's label that starts a block.  The strings of one length are taken
+    in consecutive chunks of at most ``_CHUNK_BITS`` bits (at least one
+    string each), so memory stays bounded and a long run stops at the first
+    chunk with a model.
+
+    A node with registers that an enclosing freeze binds, and that it
+    tests, has one label per assignment of those registers to class
+    indices; a register no freeze binds is undefined, so testing it is
+    false, as in ``eval_ltl``.  A freeze whose body tests no register is
+    labeled once, so nested freezes cost no fan-out.  The walk is one
+    ``fold``: any depth of nesting works, and no formula is hashed.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    letters = sigma.letters
+    for n in range(1, max_len + 1):
+        count, classes = _layout(n)
+        width = count * n  # bits per letter string
+        per_chunk = max(1, _CHUNK_BITS // width)
+        total = len(letters) ** n
+        for s0 in range(0, total, per_chunk):
+            chunk = _Chunk(letters, n, width, classes, s0, min(per_chunk, total - s0))
+            _, (root,) = fold(phi, chunk.visit, frozenset())
+            if found := root & chunk.first:
+                word, p = divmod(((found & -found).bit_length() - 1) // n, count)
+                blocks = [[i for i in range(n) if c >> (p * n + i) & 1] for c in classes]
+                return make_data_word(chunk.string(s0 + word), filter(None, blocks), sigma)
     return None
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[int, tuple[int, ...]]:
+    """The number of partitions of n positions, and per class index the
+    bits of its positions when each partition, in restricted-growth order,
+    is an n-bit block."""
+    partitions = list(set_partitions(n))
+    rows = [bytearray(len(partitions) * n // 8 + 1) for _ in range(n)]  # no quadratic int ORs
+    for p, blocks in enumerate(partitions):
+        for c, block in enumerate(blocks):
+            for i in block:
+                bit = p * n + i
+                rows[c][bit >> 3] |= 1 << (bit & 7)
+    return len(partitions), tuple(int.from_bytes(row, "little") for row in rows)
+
+
+def _tile(x: int, count: int, spacing: int) -> int:
+    """``count`` copies of x, ``spacing`` bits apart from bit 0, which must
+    not overlap: built by doubling, in time linear in the bits (a product
+    with a repunit, or the repunit's division formula, is slower on masks
+    of many thousand bits)."""
+    out, block, size, offset = 0, x, 1, 0  # block: size copies
+    while count:
+        if count & 1:
+            out |= block << offset * spacing
+            offset += size
+        count >>= 1
+        if count:
+            block |= block << size * spacing
+            size *= 2
+    return out
+
+
+class _Chunk:
+    """The masks of one chunk of words, and the labeling of formulas on it.
+
+    A label is ``(regs, table)``: ``regs`` is the sorted tuple of the
+    registers the node tests under enclosing freezes, and ``table`` holds
+    one bitset per assignment of them to class indices, in product order.
+    """
+
+    def __init__(self, letters, n: int, width: int, classes: tuple, s0: int, m: int):
+        self.letters, self.n, self.width, self.s0, self.m = letters, n, width, s0, m
+        self.first = _tile(1, m * width // n, n)
+        self.last = self.first << (n - 1)
+        self.full = full = (1 << m * width) - 1
+        self.not_first, self.not_last = full ^ self.first, full ^ self.last
+        self.classes = [_tile(c, m, width) for c in classes]
+        self.letter_masks: dict[str, int] = {}
+        self.binary = {
+            And: and_, Or: or_, Implies: lambda x, y: (full ^ x) | y,
+            Until: partial(self.sweep, self.next_of, or_, and_),
+            Since: partial(self.sweep, self.prev_of, or_, and_),
+            DualUntil: partial(self.sweep, self.wnext_of, and_, or_),
+            DualSince: partial(self.sweep, self.wprev_of, and_, or_),
+        }
+        # F is true U, G is false dual-U, and so for the past
+        self.unary = {
+            Not: partial(xor, full), Next: self.next_of, WNext: self.wnext_of,
+            Prev: self.prev_of, WPrev: self.wprev_of,
+            Future: partial(self.binary[Until], full), Past: partial(self.binary[Since], full),
+            Always: partial(self.binary[DualUntil], 0),
+            PastAlways: partial(self.binary[DualSince], 0),
+        }
+
+    def next_of(self, x: int) -> int:
+        return (x >> 1) & self.not_last
+
+    def wnext_of(self, x: int) -> int:
+        return (x >> 1) & self.not_last | self.last
+
+    def prev_of(self, x: int) -> int:
+        return (x << 1) & self.not_first
+
+    def wprev_of(self, x: int) -> int:
+        return (x << 1) & self.not_first | self.first
+
+    def sweep(self, step, join, meet, left: int, right: int) -> int:
+        """The fixpoint ``x = right join (left meet step(x))`` of U and S
+        (join ``or_``) or of their duals (join ``and_``), from ``x = right``,
+        which is exact at the end of each block (at its start for the past);
+        n - 1 steps then reach every position."""
+        x = right
+        for _ in range(self.n - 1):
+            x = join(right, meet(left, step(x)))
+        return x
+
+    def string(self, s: int) -> tuple[str, ...]:
+        """Letter string number s of its length, in product order."""
+        k = len(self.letters)
+        return tuple(self.letters[s // k ** (self.n - 1 - i) % k] for i in range(self.n))
+
+    def letter(self, a: str) -> int:
+        """The positions carrying letter a."""
+        if a not in self.letter_masks:
+            self.letter_masks[a] = self._letter(a) if a in self.letters else 0
+        return self.letter_masks[a]
+
+    def _letter(self, a: str) -> int:
+        k, idx = len(self.letters), self.letters.index(a)
+        n, width, s0, m = self.n, self.width, self.s0, self.m
+        bits = 0  # bit t * width + i: string s0 + t has a at position i
+        for i in range(n):
+            run = k ** (n - 1 - i)  # strings in a row with the same letter at i
+            period = run * k
+            if period <= m:  # replicate one period over the chunk, then cut
+                phase = s0 % period
+                pattern = _tile(1, run, width) << idx * run * width
+                col = _tile(pattern, -(-(phase + m) // period), period * width) >> phase * width
+                col &= (1 << m * width) - 1
+            else:  # at most k + 1 runs meet the chunk
+                col = 0
+                for u in range(s0 - s0 % run, s0 + m, run):
+                    if u // run % k == idx:
+                        lo, hi = max(u, s0), min(u + run, s0 + m)
+                        col |= _tile(1, hi - lo, width) << (lo - s0) * width
+            bits |= col << i
+        return _tile(bits, width // n, n)  # the string's letters in each partition
+
+    def visit(self, f: Formula, bound: frozenset):
+        t = type(f)
+        if t is Atom:
+            return ((), [self.letter(f.letter)]), ()
+        if t is NAtom:
+            return ((), [self.full ^ self.letter(f.letter)]), ()
+        if t is Top:
+            return ((), [self.full]), ()
+        if t is Bottom:
+            return ((), [0]), ()
+        if t is Reg or t is NReg:
+            if f.register not in bound:  # undefined: up is false, !up true
+                return ((), [0 if t is Reg else self.full]), ()
+            table = self.classes if t is Reg else [self.full ^ c for c in self.classes]
+            return ((f.register,), table), ()
+        if t is Freeze:
+            return partial(self.freeze, f.register), ((f.body, bound | {f.register}),)
+        if t in self.binary:
+            return partial(self.lift2, self.binary[t]), _down(f, bound)
+        if t in self.unary:
+            return partial(_lift1, self.unary[t]), _down(f, bound)
+        raise TypeError(f"unknown formula node {f!r}")
+
+    def freeze(self, r: int, label):
+        """Read the body at each position under r := the position's class."""
+        regs, table = label
+        if r not in regs:
+            return label
+        n, j = self.n, regs.index(r)
+        stride = n ** (len(regs) - 1 - j)
+        out = []
+        for hi in range(0, len(table), n * stride):
+            for lo in range(hi, hi + stride):
+                acc = 0
+                for c, positions in enumerate(self.classes):
+                    acc |= table[lo + c * stride] & positions
+                out.append(acc)
+        return regs[:j] + regs[j + 1:], out
+
+    def lift2(self, op, left, right):
+        (lr, lt), (rr, rt) = left, right
+        if not lr:  # a label without registers holds under every assignment
+            lt, lr = lt * len(rt), rr
+        elif not rr:
+            rt = rt * len(lt)
+        elif lr != rr:
+            regs = tuple(sorted(set(lr) | set(rr)))
+            lt, rt, lr = self.widen(lr, lt, regs), self.widen(rr, rt, regs), regs
+        return lr, list(map(op, lt, rt))
+
+    def widen(self, regs: tuple, table: list, wide: tuple) -> list:
+        """The table over the registers ``wide`` (a superset of ``regs``)."""
+        where = [wide.index(r) for r in regs]
+        out = []
+        for vals in product(range(self.n), repeat=len(wide)):
+            k = 0
+            for j in where:
+                k = k * self.n + vals[j]
+            out.append(table[k])
+        return out
+
+
+def _lift1(op, label):
+    regs, table = label
+    return regs, list(map(op, table))
 
 
 # ---------------------------------------------------------------------------

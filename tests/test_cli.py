@@ -276,6 +276,14 @@ def test_deep_nesting_is_a_usage_error():
     assert proc.stderr.strip() == "error: input nested too deeply"
 
 
+def test_deep_sat_bounded_with_alphabet(capsys):
+    # with the alphabet given the formula is never hashed, and bounded
+    # satisfiability labels it without recursion
+    code, out, err = run(capsys, "sat-bounded", "--ltl", "!" * 3001 + "a",
+                         "--alphabet", "a,b", "--max-len", "2")
+    assert (code, out, err) == (1, "satisfiable: b ; 0\n", "")
+
+
 def test_deep_fo_negation_chain_parses(capsys):
     # the FO parser, printer and variable walkers take no recursion depth
     code, out, err = run(capsys, "parse", "fo", "--fo", "! " * 3000 + "Pa(x0)")

@@ -1,19 +1,23 @@
+import re
+import time
 from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datawords import fo
+from datawords import fo, ltl
 from datawords.errors import ParseError, PositionOutOfRange, UnknownAtom
 from datawords.ltl import (
-    BOT, TOP, Always, And, Atom, Bottom, Formula, Freeze, Future, Implies, Next, Not, Or,
-    Past, PastAlways, Prev, Reg, Since, Top, Until,
-    big_and, big_or, classify, desugar, eval_ltl, format_ltl, is_sentence, is_simple_in,
-    least_simple_m, nnf, parse_ltl, sat_bounded, size,
+    BOT, TOP, Always, And, Atom, Bottom, DualSince, DualUntil, Formula, Freeze, Future,
+    Implies, NAtom, Next, NReg, Not, Or, Past, PastAlways, Prev, Reg, Since, Top, Until,
+    WNext, WPrev, big_and, big_or, classify, desugar, eval_ltl, format_ltl, is_sentence,
+    is_simple_in, least_simple_m, nnf, parse_ltl, sat_bounded, size,
 )
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
 from test_acceptance import _random_simple_sentence, _random_xu_sentence
+from test_ra2ca import CIRCLE_SENTENCES
 
 AB = alphabet("a", "b")
 
@@ -182,6 +186,151 @@ def test_sat_bounded(phi):
     f = parse_ltl("a & store1 F (b & up1)", AB)
     assert sat_bounded(f, AB, 2) == make_data_word("ab", [{0, 1}])
 
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        sat_bounded(f, AB, 0)
+
+
+def reference_sat_bounded(phi, sigma, max_len):
+    """The first enumerated data word that satisfies phi at position 0 with
+    no register defined: one ``eval_ltl`` per word."""
+    for w in enumerate_data_words(sigma, max_len):
+        if eval_ltl(w, 0, {}, phi):
+            return w
+    return None
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([TOP, BOT]),
+    st.builds(Atom, st.sampled_from("abc")),  # letters outside the alphabet too
+    st.builds(NAtom, st.sampled_from("abc")),
+    st.builds(Reg, st.integers(1, 2)),
+    st.builds(NReg, st.integers(1, 2)),
+)
+_UNARY_NODES = [Not, Next, WNext, Prev, WPrev, Future, Past, Always, PastAlways]
+_BINARY_NODES = [And, Or, Implies, Until, DualUntil, Since, DualSince]
+
+
+def _extend(sub):
+    return st.one_of(
+        st.builds(lambda ctor, f: ctor(f), st.sampled_from(_UNARY_NODES), sub),
+        st.builds(Freeze, st.integers(1, 2), sub),
+        st.builds(lambda ctor, f, g: ctor(f, g), st.sampled_from(_BINARY_NODES), sub, sub),
+    )
+
+
+# every node type, up to two registers, free registers allowed
+FORMULAS = st.recursive(_LEAVES, _extend, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FORMULAS, st.integers(1, 3), st.integers(1, 4), st.integers(0, 3))
+def test_sat_bounded_matches_reference(phi, letters, max_len, min_len):
+    """Also with ``X^k true`` conjoined, so that the first model of most
+    draws is not a one-letter word, and under two freezes at two positions,
+    so that both registers are defined."""
+    sigma = alphabet(*"abc"[:letters])
+    longer = chain(Next, TOP, min(min_len, max_len - 1))
+    for f in (phi, Not(phi), And(longer, phi), And(longer, Not(phi)),
+              Freeze(1, Future(Freeze(2, phi)))):
+        assert sat_bounded(f, sigma, max_len) == reference_sat_bounded(f, sigma, max_len), f
+
+
+def pin(w):
+    """The sentence that holds at position 0 of the data word w alone."""
+    n = len(w)
+    parts = [chain(Next, Atom(a), i) for i, a in enumerate(w.letters)]
+    parts.append(Not(chain(Next, TOP, n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            test = Reg(1) if w.class_of[i] == w.class_of[j] else NReg(1)
+            parts.append(chain(Next, Freeze(1, chain(Next, test, j - i)), i))
+    return big_and(parts)
+
+
+@st.composite
+def data_words(draw, sigma):
+    letters = draw(st.lists(st.sampled_from(sigma.letters), min_size=1, max_size=4))
+    rgs = [0]
+    for raw in draw(st.lists(st.integers(0, 3), min_size=len(letters) - 1,
+                             max_size=len(letters) - 1)):
+        rgs.append(min(raw, max(rgs) + 1))
+    return make_data_word(letters, [[i for i, c in enumerate(rgs) if c == k]
+                                    for k in range(max(rgs) + 1)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(FORMULAS, st.data())
+def test_sat_bounded_on_a_pinned_word_is_eval_ltl(phi, data):
+    """With a sentence that only w satisfies conjoined, the answer is w iff
+    phi holds at position 0 of w: the labels are checked on words of
+    several classes, which first models seldom have."""
+    sigma = alphabet(*"abc"[:data.draw(st.integers(1, 3))])
+    w = data.draw(data_words(sigma))
+    assert sat_bounded(pin(w), sigma, len(w)) == w
+    for f in (phi, Not(phi), Freeze(1, Future(Freeze(2, phi)))):
+        want = w if eval_ltl(w, 0, {}, f) else None
+        assert sat_bounded(And(pin(w), f), sigma, len(w)) == want, (f, w)
+
+
+# its first model, "b b b b ; 0 | 1 | 2 | 3", is the last data word of length 4
+LAST_OF_ITS_LENGTH = "X X X true & G b & !F store1 X F up1"
+
+
+@pytest.mark.parametrize("letters", [("a", "b"), ("u", "v")])
+def test_sat_bounded_circle_sentences_match_reference(letters):
+    """The seven sentences at every length up to 5, over a,b and over the
+    letters a renamed circle seed reads."""
+    sigma = alphabet(*letters)
+    for text in CIRCLE_SENTENCES.values():
+        phi = parse_ltl(re.sub(r"\b[ab]\b", lambda m: letters["ab".index(m[0])], text), sigma)
+        for max_len in range(1, 6):
+            assert sat_bounded(phi, sigma, max_len) == reference_sat_bounded(phi, sigma, max_len)
+
+
+TWO_REGISTERS = [
+    "store1 X store2 X (up1 & !up2 & Xp Xp up1)",
+    "store1 F store2 X F (up1 & !up2 & X up2)",
+    "F store2 X store1 F (up2 & !up1 & Xp Fp (up1 & b))",
+    "store1 X store2 X (up2 U (up1 & !up2))",
+    "store2 X store1 X F (!up2 & Xp !up1 & Fp (a & up1))",
+]
+
+
+@pytest.mark.parametrize("text", TWO_REGISTERS)
+def test_sat_bounded_two_registers(text):
+    phi = parse_ltl(text, AB)
+    for f in (phi, Not(phi)):
+        for max_len in range(1, 5):
+            assert sat_bounded(f, AB, max_len) == reference_sat_bounded(f, AB, max_len)
+    assert sat_bounded(phi, AB, 4) is not None
+
+
+def test_sat_bounded_chunk_boundaries(monkeypatch):
+    """The answer does not depend on where the chunks of letter strings end:
+    one string per chunk, or a cap between two string widths."""
+    texts = [*CIRCLE_SENTENCES.values(), LAST_OF_ITS_LENGTH]
+    want = [sat_bounded(parse_ltl(t, AB), AB, 4) for t in texts]
+    assert want[-1] == make_data_word("bbbb", [{0}, {1}, {2}, {3}])
+    # a model in every chunk, at every offset in it
+    pinned = [make_data_word(s, [{0, 2}, {1}, {3}]) for s in product("ab", repeat=4)]
+    width = 15 * 4  # bits per letter string of length 4: 15 partitions
+    for cap in (1, 3 * width + width // 2):  # one string a chunk, or three
+        monkeypatch.setattr(ltl, "_CHUNK_BITS", cap)
+        assert [sat_bounded(parse_ltl(t, AB), AB, 4) for t in texts] == want
+        assert [sat_bounded(pin(w), AB, 4) for w in pinned] == pinned
+
+
+def test_sat_bounded_freeze_chain_is_linear():
+    """3,000 nested ``store1 (up1 & ...)`` are labeled once each: a freeze
+    that read its body once per class would take 3^3000 steps at length 3."""
+    phi = Freeze(1, And(Next(Next(TOP)), Next(Next(NReg(1)))))
+    for _ in range(3000):
+        phi = Freeze(1, And(Reg(1), phi))
+    start = time.perf_counter()
+    found = sat_bounded(phi, AB, 3)
+    assert time.perf_counter() - start < 5
+    assert found == make_data_word("aaa", [{0, 1}, {2}])
+
 
 def test_parse_long_infix_chains_and_deep_parentheses():
     """Right-nested infix chains and nested parentheses cost the parser no
@@ -320,6 +469,13 @@ def _deep_fo2_to_simple_ltl_nested():
         phi = fo.Exists(1, fo.FoAnd(fo.Same(0, 1), fo.Exists(0, fo.FoAnd(fo.Less(1, 0), phi))))
     g = fo.fo2_to_simple_ltl(chain(fo.FoNot, phi, DEEP - 5), 0)
     assert kinds(g)[:DEEP - 4] == ["Not"] * (DEEP - 5) + ["Or"]
+
+
+def _deep_sat_bounded():
+    assert sat_bounded(chain(Not, Future(Atom("b"))), AB, 2) == make_data_word("b", [{0}])
+    assert sat_bounded(chain(Next, Atom("a")), AB, 2) is None
+    nested = chain(lambda f: Freeze(1, And(Reg(1), f)), Atom("a"), DEEP // 2)
+    assert sat_bounded(nested, AB, 2) == make_data_word("a", [{0}])
 
 
 DEEP_CASES = {name[len("_deep_"):]: f for name, f in globals().items() if name.startswith("_deep_")}
