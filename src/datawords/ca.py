@@ -22,7 +22,7 @@ run must do there.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import le
@@ -189,6 +189,10 @@ class Verdict:
     witness: object = None  # a letter tuple, or a DataWord from nra
     lasso: Optional[Lasso] = None
     reason: str = ""
+    # from the finite nonemptiness deciders, the transitions of the run they
+    # found: one of the runs that read the witness, so verdicts compare and
+    # print without it
+    run: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def is_nonempty(self) -> bool:
@@ -288,9 +292,10 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
     return False
 
 
-def _letters(link) -> tuple:
-    """The word a path link reads."""
-    return tuple(t[1] for t in _unlink(link) if t[1] is not None)
+def _finite_witness(link) -> Verdict:
+    """The nonempty verdict of a path link: the word it reads, and its run."""
+    run = _unlink(link)
+    return Verdict("nonempty", witness=tuple(t[1] for t in run if t[1] is not None), run=run)
 
 
 def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "incrementing",
@@ -326,10 +331,10 @@ def nonempty_finite_incrementing(c: CounterAutomaton,
         return Verdict("unknown", reason=f"budget of {budget} states spent")
     if not found:
         return Verdict("empty", reason="antichain exploration exhausted")
-    word = _letters(found)
-    if not accepts_word(c, word, "incrementing").is_nonempty:
-        raise CertificateError(f"witness {word} failed to replay")
-    return Verdict("nonempty", witness=word)
+    verdict = _finite_witness(found)
+    if not accepts_word(c, verdict.witness, "incrementing").is_nonempty:
+        raise CertificateError(f"witness {verdict.witness} failed to replay")
+    return verdict
 
 
 def verify_lasso(c: CounterAutomaton, lasso: Lasso) -> bool:
@@ -655,7 +660,7 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
         if found is None:
             return Verdict("unknown", reason=f"budget of {budget} states spent")
         if found:
-            return Verdict("nonempty", witness=_letters(found))
+            return _finite_witness(found)
         return Verdict("empty", reason="exact state space exhausted")
     for cap in [cap for cap in _STAGES if cap < budget] + [budget]:
         states, edges, parent = _explore_min_graph(c, cap, step_minsky)

@@ -13,8 +13,8 @@ fails validation) 3, exhausted budgets 4.  With --json each result is
 printed as one JSON object per line.  Parsing and printing take no recursion
 depth.
 Still refused as nested too deeply: a deep LTL formula that is hashed or
-compared (its letters read when no alphabet is given, ``classify``, the
-``ltl_to_ara`` closure), and deep input to ``eval_ltl`` and ``eval_fo``.
+compared (the ``ltl_to_ara`` closure, so ``translate ltl2ra`` and stage 2 of
+``circle``), and deep input to ``eval_fo``.
 
 A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
 of its file, else the letters the formula mentions.
@@ -355,6 +355,10 @@ def cmd_circle(args, out: _Out) -> int:
                  stage="counter_machine", verdict="unknown")
         return EXIT_BUDGET
     v2 = verdict.is_nonempty
+    # per bounded stage: its answer, its bound, and the length of the
+    # machine's witness in its words (the data word the witness's letters
+    # spell, the run of transitions that reads them)
+    bounded = {1: (v1, args.max_len, len(verdict.witness or ()))}
     out.emit(f"[2] counter machine ({stats['locations']} locations, "
              f"{stats['counters']} counters; {stats['skipped']} ready points or cores "
              f"skipped and {stats['trimmed']} locations dropped that cannot accept): "
@@ -371,14 +375,20 @@ def cmd_circle(args, out: _Out) -> int:
         out.emit(f"[3] back-translated sentence (length <= {args.back_max_len} over "
                  f"{len(sigma_back)} letters): {'nonempty' if v3 else 'empty'}",
                  stage="back_translation", nonempty=v3)
-        agree = v1 == v2 == v3
+        bounded[3] = (v3, args.back_max_len, len(verdict.run))
     else:
         out.emit(f"[3] back-translated sentence: skipped "
                  f"(alphabet of {len(ca.transitions)} letters exceeds "
                  f"--back-alphabet-cap {args.back_alphabet_cap})",
                  stage="back_translation", skipped=True)
-        agree = v1 == v2
-    out.emit(f"verdicts agree: {agree}", agree=agree)
+    # a bounded stage without a model contradicts a nonempty machine only
+    # when the machine's witness fits its bound
+    inconclusive = {k: need for k, (v, bound, need) in bounded.items()
+                    if v2 and not v and need > bound}
+    agree = all(v == v2 for k, (v, _, _) in bounded.items() if k not in inconclusive)
+    note = ", ".join(f"[{k}] needs length {need}" for k, need in inconclusive.items())
+    out.emit(f"verdicts agree: {agree}" + (f" (inconclusive: {note})" if note else ""),
+             agree=agree, inconclusive=list(inconclusive))
     return _verdict_exit(v2)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 from . import ltl
@@ -24,6 +24,35 @@ class FoFormula:
 
     def __str__(self) -> str:
         return format_fo(self)
+
+    @cached_property
+    def free(self) -> frozenset[int]:
+        """The free variables.  The fold that computes them stores them on
+        every subformula on the way, and skips a subformula that has them,
+        so each node computes them once (per node it would be quadratic in
+        depth)."""
+        def visit(f: FoFormula, _):
+            if "free" in vars(f):
+                return f.free, ()
+            t = type(f)
+            if t in _ATOM_VARS:
+                return _store_free(f, _ATOM_VARS[t](f)), ()
+            if t in _QUANTIFIERS:
+                build, pairs = (lambda vs: vs - {f.var}), ((f.body, None),)
+            elif t is FoNot:
+                build, pairs = ltl._same, ((f.body, None),)
+            elif t in _CONNECTIVES:
+                build, pairs = frozenset.union, ((f.left, None), (f.right, None))
+            else:
+                raise TypeError(f)
+            return (lambda *parts: _store_free(f, build(*parts))), pairs
+
+        return ltl.fold(self, visit)
+
+
+def _store_free(f: FoFormula, free: frozenset[int]) -> frozenset[int]:
+    vars(f)["free"] = free  # what ``cached_property`` would store
+    return free
 
 
 @dataclass(frozen=True)
@@ -129,20 +158,16 @@ _QUANTIFIERS = (Exists, Forall)
 
 
 def free_vars(phi: FoFormula) -> frozenset[int]:
-    return _vars(phi, frozenset.difference)
+    return phi.free
 
 
 def all_vars(phi: FoFormula) -> frozenset[int]:
-    return _vars(phi, frozenset.union)
-
-
-def _vars(phi: FoFormula, leaf) -> frozenset[int]:
-    """The union over the atoms of ``leaf(their variables, those of the
-    quantifiers above them)``: every quantifier has an atom below it."""
+    """The variables of the atoms and of the quantifiers above them: every
+    quantifier has an atom below it."""
     def visit(f: FoFormula, quantified: frozenset[int]):
         t = type(f)
         if t in _ATOM_VARS:
-            return leaf(_ATOM_VARS[t](f), quantified), ()
+            return _ATOM_VARS[t](f) | quantified, ()
         if t in _CONNECTIVES:
             return frozenset.union, ((f.left, quantified), (f.right, quantified))
         if t is FoNot:
@@ -436,7 +461,6 @@ def _t_exists(body: FoFormula, j: int, m: int):
     current-variable parts (under j) and of the other-variable parts (under
     1 - j) are its pairs, and its build joins one disjunct per jump."""
     leaves: tuple[list, list, list] = ([], [], [])  # alphas, xis, zetas
-    free = _free_vars_table(body)
 
     def leaf(kind: int, f: FoFormula, _) -> tuple[int, int]:
         found = leaves[kind]
@@ -448,7 +472,7 @@ def _t_exists(body: FoFormula, j: int, m: int):
         # a leaf is numbered in its build, so in post-order from the left
         if f is None:
             return None, ()
-        fv = free[id(f)]
+        fv = f.free
         if type(f) in (Same, Less, PlusEq) and len(fv) == 2:
             return partial(leaf, 0, f), ((None, None),)
         if fv <= {j}:
@@ -490,28 +514,6 @@ def _t_exists(body: FoFormula, j: int, m: int):
 
     pairs = tuple((x, j) for x in xis) + tuple((z, 1 - j) for z in zetas)
     return (build, pairs) if pairs else (build(), ())
-
-
-def _free_vars_table(phi: FoFormula) -> dict[int, frozenset[int]]:
-    """The free variables of every subformula of phi, keyed by id, from one
-    fold (``free_vars`` at each node would cost time quadratic in depth)."""
-    table: dict[int, frozenset[int]] = {}
-
-    def visit(f: FoFormula, _):
-        t = type(f)
-        if t in _ATOM_VARS:
-            table[id(f)] = _ATOM_VARS[t](f)
-            return table[id(f)], ()
-        if t in _QUANTIFIERS:
-            build, pairs = (lambda vs: vs - {f.var}), ((f.body, None),)
-        elif t is FoNot:
-            build, pairs = ltl._same, ((f.body, None),)
-        else:
-            build, pairs = frozenset.union, ((f.left, None), (f.right, None))
-        return (lambda *parts: table.setdefault(id(f), build(*parts))), pairs
-
-    ltl.fold(phi, visit)
-    return table
 
 
 def _instantiate(values: tuple, node: tuple, _):

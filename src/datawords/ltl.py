@@ -5,11 +5,10 @@ fragment classification sees what the user wrote; ``desugar`` eliminates it
 before the automaton translation.  Dual operators (weak next, dual until,
 negated atoms/registers) exist so negation normal form stays inside the AST.
 The structural walkers of this module and of ``fo`` go through ``fold``, so
-no depth of nesting costs them recursion; ``sat_bounded`` too labels the
-subformulas in one ``fold``, over every data word of one length at once.
-``eval_ltl`` stays a recursive interpreter by design: it is the ground truth
-the labeling is tested against, and on one position of one word it is the
-faster of the two.
+no depth of nesting costs them recursion.  The semantics is one labeling,
+path model checking as in Markey & Schnoebelen (CONCUR 2003), also in one
+``fold``: ``sat_bounded`` labels every data word of one length at once, and
+``eval_ltl`` labels its one word.
 """
 
 from __future__ import annotations
@@ -262,22 +261,23 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         stack.extend(children(f))
 
 
-def size(phi: Formula) -> int:
-    """Node count of the formula tree (shared subtrees counted repeatedly)."""
-    n = 0
+def _nodes(phi: Formula) -> Iterator[Formula]:
+    """Every node of the tree, parents before children, and a shared subtree
+    once per occurrence: an explicit stack, and no formula is hashed."""
     stack = [phi]
     while stack:
-        n += 1
-        stack.extend(children(stack.pop()))
-    return n
+        f = stack.pop()
+        yield f
+        stack.extend(children(f))
+
+
+def size(phi: Formula) -> int:
+    """Node count of the formula tree (shared subtrees counted repeatedly)."""
+    return sum(1 for _ in _nodes(phi))
 
 
 def atoms(phi: Formula) -> frozenset[str]:
-    out = set()
-    for f in subformulas(phi):
-        if isinstance(f, (Atom, NAtom)):
-            out.add(f.letter)
-    return frozenset(out)
+    return frozenset(f.letter for f in _nodes(phi) if type(f) is Atom or type(f) is NAtom)
 
 
 def free_registers(phi: Formula) -> frozenset[int]:
@@ -295,8 +295,7 @@ def free_registers(phi: Formula) -> frozenset[int]:
 
 
 def max_register(phi: Formula) -> int:
-    regs = [f.register for f in subformulas(phi) if isinstance(f, (Freeze, Reg, NReg))]
-    return max(regs, default=0)
+    return max((f.register for f in _nodes(phi) if type(f) in (Freeze, Reg, NReg)), default=0)
 
 
 def is_sentence(phi: Formula) -> bool:
@@ -311,90 +310,28 @@ def eval_ltl(w: DataWord, i: int, v: dict[int, int], phi: Formula) -> bool:
     """The satisfaction relation sigma, i |=_v phi.
 
     ``v`` maps register indices to class indices of ``w``.  An undefined
-    register makes a register test false.  This direct interpreter is the
-    ground truth every translation is tested against.
+    register makes a register test false.  The word is labeled as one
+    chunk of ``sat_bounded``, a single ``len(w)``-bit block, with the
+    registers of ``v`` bound at the root; the answer is bit i of the root's
+    label under ``v``.
     """
     w.check_position(i)
     for cls in v.values():
         if not 0 <= cls < w.num_classes():
             raise ForeignValuation(f"class {cls} is not a class of the word")
-    return _ev(w, i, v, phi)
-
-
-def _ev(w: DataWord, i: int, v: dict[int, int], phi: Formula) -> bool:
     n = len(w)
-    t = type(phi)
-    if t is Atom:
-        return w.letters[i] == phi.letter
-    if t is NAtom:
-        return w.letters[i] != phi.letter
-    if t is Top:
-        return True
-    if t is Bottom:
-        return False
-    if t is Not:
-        return not _ev(w, i, v, phi.body)
-    if t is And:
-        return _ev(w, i, v, phi.left) and _ev(w, i, v, phi.right)
-    if t is Or:
-        return _ev(w, i, v, phi.left) or _ev(w, i, v, phi.right)
-    if t is Implies:
-        return (not _ev(w, i, v, phi.left)) or _ev(w, i, v, phi.right)
-    if t is Next:
-        return i + 1 < n and _ev(w, i + 1, v, phi.body)
-    if t is WNext:
-        return i + 1 >= n or _ev(w, i + 1, v, phi.body)
-    if t is Prev:
-        return i - 1 >= 0 and _ev(w, i - 1, v, phi.body)
-    if t is WPrev:
-        return i - 1 < 0 or _ev(w, i - 1, v, phi.body)
-    if t is Future:
-        return any(_ev(w, j, v, phi.body) for j in range(i, n))
-    if t is Past:
-        return any(_ev(w, j, v, phi.body) for j in range(i, -1, -1))
-    if t is Always:
-        return all(_ev(w, j, v, phi.body) for j in range(i, n))
-    if t is PastAlways:
-        return all(_ev(w, j, v, phi.body) for j in range(i, -1, -1))
-    if t is Until:
-        for j in range(i, n):
-            if _ev(w, j, v, phi.right):
-                return True
-            if not _ev(w, j, v, phi.left):
-                return False
-        return False
-    if t is DualUntil:
-        for j in range(i, n):
-            if not _ev(w, j, v, phi.right):
-                return False
-            if _ev(w, j, v, phi.left):
-                return True
-        return True
-    if t is Since:
-        for j in range(i, -1, -1):
-            if _ev(w, j, v, phi.right):
-                return True
-            if not _ev(w, j, v, phi.left):
-                return False
-        return False
-    if t is DualSince:
-        for j in range(i, -1, -1):
-            if not _ev(w, j, v, phi.right):
-                return False
-            if _ev(w, j, v, phi.left):
-                return True
-        return True
-    if t is Freeze:
-        v2 = dict(v)
-        v2[phi.register] = w.class_of[i]
-        return _ev(w, i, v2, phi.body)
-    if t is Reg:
-        cls = v.get(phi.register)
-        return cls is not None and w.class_of[i] == cls
-    if t is NReg:
-        cls = v.get(phi.register)
-        return cls is None or w.class_of[i] != cls
-    raise TypeError(f"unknown formula node {phi!r}")
+    classes = [0] * n  # a mask per index below n: tables keep the n-ary layout
+    letters: dict[str, int] = {}
+    for j, (a, c) in enumerate(zip(w.letters, w.class_of)):
+        classes[c] |= 1 << j
+        letters[a] = letters.get(a, 0) | 1 << j
+    chunk = _Chunk((), n, n, classes, 0, 1)  # no letters: one not in w labels nothing
+    chunk.letter_masks = letters
+    regs, table = fold(phi, chunk.visit, frozenset(v))
+    k = 0
+    for r in regs:
+        k = k * n + v[r]
+    return bool(table[k] >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +427,7 @@ def classify(phi: Formula) -> FragmentInfo:
     m = 0 the family therefore contains no plain next (the eventually blocks
     are its only members), which is the degenerate reading of its definition.
     """
-    ops = frozenset(_SURFACE_OPS[type(f)] for f in subformulas(phi)
-                    if type(f) in _SURFACE_OPS)
+    ops = frozenset(_SURFACE_OPS[type(f)] for f in _nodes(phi) if type(f) in _SURFACE_OPS)
     return FragmentInfo(ops, max_register(phi), is_sentence(phi), least_simple_m(phi))
 
 

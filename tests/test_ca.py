@@ -369,3 +369,11 @@ def test_format_parse_round_trip(c):
         {q for t in named.transitions for q in (t[0], t[4])}
     assert set(back.locations) == mentioned
     assert format_ca(back) == format_ca(c)
+
+
+def test_validation_messages_a_file_cannot_reach():
+    # parse_ca lists every location a line names, so only a machine built
+    # in code can miss its initial location or a transition's target
+    c = CounterAutomaton(alphabet("a"), ("p",), "r", 1, [("p", "a", "inc", 1, "s")], ())
+    assert validate_ca(c) == ["initial location 'r' missing",
+                                 "transition touches unknown location: ('p', 'a', 'inc', 1, 's')"]

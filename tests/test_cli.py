@@ -222,6 +222,43 @@ def test_circle_cli(capsys):
     assert "verdicts agree: True" in out
 
 
+@pytest.mark.parametrize("text, max_len, back_max_len, note", [
+    ("a & X b", 1, 2, "[1] needs length 2, [3] needs length 8"),
+    ("a & X b", 3, 3, "[3] needs length 8"),
+    ("a & X b", 3, 4, "[3] needs length 8"),
+    ("a & store1 X up1", 3, 2, "[3] needs length 10"),
+])
+def test_circle_bounded_stage_below_the_witness_is_inconclusive(
+        capsys, text, max_len, back_max_len, note):
+    """A bounded stage without a model contradicts a nonempty machine only
+    when the machine's witness fits its bound: the witness's letters for
+    stage 1, the transitions of its run for stage 3."""
+    args = ["circle", "--ltl", text, "--alphabet", "a,b", "--max-len", str(max_len),
+            "--back-alphabet-cap", "60", "--back-max-len", str(back_max_len)]
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    assert out.splitlines()[-1] == f"verdicts agree: True (inconclusive: {note})"
+
+
+def test_circle_json_lists_the_inconclusive_stages(capsys):
+    code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & X b", "--alphabet", "a,b",
+                       "--max-len", "1", "--back-alphabet-cap", "60", "--back-max-len", "2")
+    assert code == 1
+    assert json.loads(out.splitlines()[-1]) == {"agree": True, "inconclusive": [1, 3]}
+    code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & store1 X up1",
+                       "--alphabet", "a,b", "--max-len", "3")
+    assert json.loads(out.splitlines()[-1]) == {"agree": True, "inconclusive": []}
+
+
+def test_circle_bounded_model_against_an_empty_machine_disagrees(capsys, monkeypatch):
+    from datawords import ltl
+    monkeypatch.setattr(ltl, "sat_bounded", lambda phi, sigma, n: parse_data_word("a ; 0"))
+    code, out, _ = run(capsys, "circle", "--ltl", "a & !a", "--alphabet", "a,b",
+                       "--max-len", "2")
+    assert code == 0  # stage 2's verdict
+    assert out.splitlines()[-1] == "verdicts agree: False"
+
+
 def test_circle_json_reports_the_dropped_locations(capsys):
     code, out, _ = run(capsys, "--json", "circle", "--ltl", "a & store1 X up1",
                        "--alphabet", "a,b", "--max-len", "3")
@@ -266,9 +303,10 @@ def test_alphabet_header_is_used(tmp_path, capsys):
 
 
 def test_deep_nesting_is_a_usage_error():
+    # the closure of ltl_to_ara still hashes its formulas
     proc = subprocess.run(
-        [sys.executable, "-m", "datawords", "sat-bounded",
-         "--ltl", "X " * 1000 + "a", "--max-len", "1"],
+        [sys.executable, "-m", "datawords", "translate", "ltl2ra",
+         "--ltl", "X " * 1000 + "a", "--alphabet", "a"],
         env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
@@ -282,6 +320,18 @@ def test_deep_sat_bounded_with_alphabet(capsys):
     code, out, err = run(capsys, "sat-bounded", "--ltl", "!" * 3001 + "a",
                          "--alphabet", "a,b", "--max-len", "2")
     assert (code, out, err) == (1, "satisfiable: b ; 0\n", "")
+
+
+def test_deep_formulas_without_an_alphabet(capsys):
+    # the letters, the classification and the evaluation hash no formula
+    deep = "!" * 3001 + "a"
+    code, out, err = run(capsys, "eval", "--ltl", deep, "--word", "b ; 0")
+    assert (code, out, err) == (1, "true\n", "")
+    code, out, err = run(capsys, "parse", "ltl", "--ltl", "X " * 3000 + "store1 up1")
+    assert (code, err) == (0, "")
+    assert out.endswith("\noperators: ['X']  registers: 1  sentence: True  simple-depth: None\n")
+    code, out, err = run(capsys, "sat-bounded", "--ltl", deep, "--max-len", "2")
+    assert (code, out, err) == (0, "unsatisfiable up to length 2\n", "")
 
 
 def test_deep_fo_negation_chain_parses(capsys):
@@ -435,6 +485,61 @@ def test_bad_alphabet_or_count_is_a_parse_error(tmp_path, monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith(f"parse error: {message}"), err
+
+
+RA_HEAD = "alphabet: a b\nregisters: 1\ninit: q0\n"
+RA_LEAVES = "q1 rank=0 height=0 : true\nq2 rank=0 height=0 : false\n"
+CA_HEAD = "alphabet: a\ncounters: 1\ninit: p\naccepting: q\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    # ra.parse_ra
+    ("ra", RA_HEAD + "q0 rank=0 height=1 :\n", "missing transition formula"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : if a then q1\n", "malformed test: 'if a then q1'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : store1 q1 q2\n", "malformed store: 'store1 q1 q2'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : and q1\n", "malformed and: 'and q1'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : or q1 q2 q1\n", "malformed or: 'or q1 q2 q1'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : wXp q1 q2\n", "malformed move: 'wXp q1 q2'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : jump q1\n", "unknown transition formula 'jump q1'"),
+    ("ra", RA_HEAD + "q0 rank=x height=1 : true\n", "bad location line 'q0 rank=x height=1 : true'"),
+    ("ra", "alphabet: a\ninit: q0\nq0 rank=0 height=0 : true\n",
+     "missing alphabet:, registers: or init: header"),
+    # ra.validate
+    ("ra", RA_HEAD.replace("q0", "q9") + "q0 rank=0 height=0 : true\n",
+     "initial location 'q9' missing"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : if c then q1 else q2\n" + RA_LEAVES,
+     "'q0': unknown letter 'c'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : if up2 then q1 else q2\n" + RA_LEAVES,
+     "'q0': register 2 out of range"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : store3 q1\n" + RA_LEAVES,
+     "'q0': register 3 out of range"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : or q1 q3\n" + RA_LEAVES, "'q0': target 'q3' missing"),
+    ("ra", RA_HEAD + "q0 rank=0 height=0 : X q3\nq3 rank=1 height=0 : true\n",
+     "rank increases along 'q0' -> 'q3'"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : and q1 q3\nq3 rank=0 height=1 : true\n" + RA_LEAVES,
+     "height fails to drop along 'q0' -> 'q3'"),
+    # ca.parse_ca
+    ("ca", CA_HEAD + "p a inc 1\n", "bad transition line 'p a inc 1'"),
+    ("ca", CA_HEAD + "p a inc one q\n", "bad counter index in 'p a inc one q'"),
+    ("ca", "alphabet: a\ninit: p\np a inc 1 q\n", "missing alphabet:, counters: or init: header"),
+    # ca.validate_ca
+    ("ca", CA_HEAD + "p b inc 1 q\n", "unknown letter 'b'"),
+    ("ca", CA_HEAD + "p a jmp 1 q\n", "unknown instruction 'jmp'"),
+    ("ca", CA_HEAD + "p a inc 2 q\n", "counter 2 out of range"),
+    ("ca", CA_HEAD + "p eps inc 1 q\n", "silent transition enters accepting location 'q'"),
+])
+def test_malformed_automaton_files_are_parse_errors(tmp_path, capsys, kind, text, message):
+    """``parse`` names the first syntax error, or lists the violations;
+    ``accepts`` names the first either way.  Both exit 3."""
+    f = tmp_path / f"bad.{kind}"
+    f.write_text(text)
+    code, out, err = run(capsys, "parse", kind, str(f))
+    assert code == 3
+    assert err.strip() == f"parse error: {message}" or (err, out) == ("", f"invalid:\n  {message}\n")
+    word = ["--word", "a ; 0"] if kind == "ra" else ["--letters", "a"]
+    code, out, err = run(capsys, "accepts", f"--{kind}", str(f), *word)
+    assert code == 3 and out == ""
+    assert err.strip() in (f"parse error: {message}", f"parse error: invalid automaton: {message}")
 
 
 @pytest.mark.parametrize("argv, message", [

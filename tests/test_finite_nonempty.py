@@ -98,3 +98,17 @@ def test_small_budgets_never_flip_a_verdict(budget, c):
     got = nonempty_finite_incrementing(c, budget).kind
     want = reference_nonempty_finite(c, budget).kind
     assert got == want or "unknown" in (got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(machines())
+def test_finite_witness_carries_its_run(c):
+    """The run of a nonempty verdict goes from the initial location to an
+    accepting one, each transition from where the last one ended, and reads
+    the witness."""
+    for v in (nonempty_finite_incrementing(c), nonempty_minsky_bounded(c, "finite")):
+        if v.is_nonempty:
+            run = v.run
+            assert run[0][0] == c.initial and run[-1][4] in c.accepting
+            assert all(t[4] == u[0] for t, u in zip(run, run[1:]))
+            assert tuple(t[1] for t in run if t[1] is not None) == v.witness

@@ -14,7 +14,7 @@ from datawords.ltl import (
     WNext, WPrev, big_and, big_or, classify, desugar, eval_ltl, format_ltl, is_sentence,
     is_simple_in, least_simple_m, nnf, parse_ltl, sat_bounded, size,
 )
-from datawords.words import alphabet, enumerate_data_words, make_data_word
+from datawords.words import DataWord, alphabet, enumerate_data_words, make_data_word
 
 from test_acceptance import _random_simple_sentence, _random_xu_sentence
 from test_ra2ca import CIRCLE_SENTENCES
@@ -24,6 +24,84 @@ AB = alphabet("a", "b")
 
 def all_words(max_len=3):
     return list(enumerate_data_words(AB, max_len))
+
+
+def reference_eval(w: DataWord, i: int, v: dict[int, int], phi: Formula) -> bool:
+    """The satisfaction relation by recursion on phi, read off its
+    definition: the reference that ``eval_ltl``'s labeling is tested against."""
+    n = len(w)
+    t = type(phi)
+    if t is Atom:
+        return w.letters[i] == phi.letter
+    if t is NAtom:
+        return w.letters[i] != phi.letter
+    if t is Top:
+        return True
+    if t is Bottom:
+        return False
+    if t is Not:
+        return not reference_eval(w, i, v, phi.body)
+    if t is And:
+        return reference_eval(w, i, v, phi.left) and reference_eval(w, i, v, phi.right)
+    if t is Or:
+        return reference_eval(w, i, v, phi.left) or reference_eval(w, i, v, phi.right)
+    if t is Implies:
+        return (not reference_eval(w, i, v, phi.left)) or reference_eval(w, i, v, phi.right)
+    if t is Next:
+        return i + 1 < n and reference_eval(w, i + 1, v, phi.body)
+    if t is WNext:
+        return i + 1 >= n or reference_eval(w, i + 1, v, phi.body)
+    if t is Prev:
+        return i - 1 >= 0 and reference_eval(w, i - 1, v, phi.body)
+    if t is WPrev:
+        return i - 1 < 0 or reference_eval(w, i - 1, v, phi.body)
+    if t is Future:
+        return any(reference_eval(w, j, v, phi.body) for j in range(i, n))
+    if t is Past:
+        return any(reference_eval(w, j, v, phi.body) for j in range(i, -1, -1))
+    if t is Always:
+        return all(reference_eval(w, j, v, phi.body) for j in range(i, n))
+    if t is PastAlways:
+        return all(reference_eval(w, j, v, phi.body) for j in range(i, -1, -1))
+    if t is Until:
+        for j in range(i, n):
+            if reference_eval(w, j, v, phi.right):
+                return True
+            if not reference_eval(w, j, v, phi.left):
+                return False
+        return False
+    if t is DualUntil:
+        for j in range(i, n):
+            if not reference_eval(w, j, v, phi.right):
+                return False
+            if reference_eval(w, j, v, phi.left):
+                return True
+        return True
+    if t is Since:
+        for j in range(i, -1, -1):
+            if reference_eval(w, j, v, phi.right):
+                return True
+            if not reference_eval(w, j, v, phi.left):
+                return False
+        return False
+    if t is DualSince:
+        for j in range(i, -1, -1):
+            if not reference_eval(w, j, v, phi.right):
+                return False
+            if reference_eval(w, j, v, phi.left):
+                return True
+        return True
+    if t is Freeze:
+        v2 = dict(v)
+        v2[phi.register] = w.class_of[i]
+        return reference_eval(w, i, v2, phi.body)
+    if t is Reg:
+        cls = v.get(phi.register)
+        return cls is not None and w.class_of[i] == cls
+    if t is NReg:
+        cls = v.get(phi.register)
+        return cls is None or w.class_of[i] != cls
+    raise TypeError(f"unknown formula node {phi!r}")
 
 
 def test_parse_example_formula(phi):
@@ -192,9 +270,9 @@ def test_sat_bounded(phi):
 
 def reference_sat_bounded(phi, sigma, max_len):
     """The first enumerated data word that satisfies phi at position 0 with
-    no register defined: one ``eval_ltl`` per word."""
+    no register defined: one ``reference_eval`` per word."""
     for w in enumerate_data_words(sigma, max_len):
-        if eval_ltl(w, 0, {}, phi):
+        if reference_eval(w, 0, {}, phi):
             return w
     return None
 
@@ -248,8 +326,8 @@ def pin(w):
 
 
 @st.composite
-def data_words(draw, sigma):
-    letters = draw(st.lists(st.sampled_from(sigma.letters), min_size=1, max_size=4))
+def data_words(draw, sigma, max_len=4):
+    letters = draw(st.lists(st.sampled_from(sigma.letters), min_size=1, max_size=max_len))
     rgs = [0]
     for raw in draw(st.lists(st.integers(0, 3), min_size=len(letters) - 1,
                              max_size=len(letters) - 1)):
@@ -268,8 +346,22 @@ def test_sat_bounded_on_a_pinned_word_is_eval_ltl(phi, data):
     w = data.draw(data_words(sigma))
     assert sat_bounded(pin(w), sigma, len(w)) == w
     for f in (phi, Not(phi), Freeze(1, Future(Freeze(2, phi)))):
-        want = w if eval_ltl(w, 0, {}, f) else None
+        want = w if reference_eval(w, 0, {}, f) else None
         assert sat_bounded(And(pin(w), f), sigma, len(w)) == want, (f, w)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(FORMULAS, st.data())
+def test_eval_ltl_is_reference_eval(phi, data):
+    """At every position of words of length 1 to 6, under valuations that
+    leave each register free or bind it to a class of the word."""
+    w = data.draw(data_words(alphabet("a", "b"), max_len=6))
+    v = {r: data.draw(st.integers(0, w.num_classes() - 1))
+         for r in (1, 2) if data.draw(st.booleans())}
+    for f in (phi, Not(phi)):
+        got = [eval_ltl(w, i, v, f) for i in range(len(w))]
+        assert got == [reference_eval(w, i, v, f) for i in range(len(w))], (f, w, v)
+        assert all(type(x) is bool for x in got)
 
 
 # its first model, "b b b b ; 0 | 1 | 2 | 3", is the last data word of length 4
@@ -476,6 +568,14 @@ def _deep_sat_bounded():
     assert sat_bounded(chain(Next, Atom("a")), AB, 2) is None
     nested = chain(lambda f: Freeze(1, And(Reg(1), f)), Atom("a"), DEEP // 2)
     assert sat_bounded(nested, AB, 2) == make_data_word("a", [{0}])
+
+
+def _deep_eval_ltl():
+    w = make_data_word("b", [{0}])
+    assert eval_ltl(w, 0, {}, chain(Not, Future(Atom("b")))) is True
+    assert eval_ltl(make_data_word("aa", [{0, 1}]), 0, {}, chain(Next, Atom("a"))) is False
+    nested = chain(lambda f: Freeze(1, And(Reg(1), f)), Atom("a"), DEEP // 2)
+    assert eval_ltl(make_data_word("ab", [{0}, {1}]), 0, {1: 1}, nested) is True
 
 
 DEEP_CASES = {name[len("_deep_"):]: f for name, f in globals().items() if name.startswith("_deep_")}

@@ -374,3 +374,9 @@ def test_assign_annotations_long_chains():
     assert [height[2 * i] for i in range(pairs)] == list(range(pairs, 0, -1))
     locs = tuple(delta)
     assert validate(RegisterAutomaton(AB, locs, 0, 0, delta, rank, height)) == []
+
+
+def test_validation_message_a_file_cannot_reach():
+    # parse_ra gives every location line a transition formula
+    a = RegisterAutomaton(alphabet("a"), ("q0",), "q0", 1, {}, {"q0": 0}, {"q0": 0})
+    assert validate(a) == ["no transition formula at 'q0'"]
