@@ -8,7 +8,9 @@ The structural walkers of this module and of ``fo`` go through ``fold``, so
 no depth of nesting costs them recursion.  The semantics is one labeling,
 path model checking as in Markey & Schnoebelen (CONCUR 2003), also in one
 ``fold``: ``sat_bounded`` labels every data word of one length at once, and
-``eval_ltl`` labels its one word.
+``eval_ltl`` labels its one word, each handing the labeler the masks of its
+letters and classes.  Only U and S take a fixpoint: the duals and the sugar
+are labeled as U or S under negation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from operator import and_, is_, or_, xor
+from operator import and_, is_
 from typing import Iterator, Optional
 
 from .errors import ForeignValuation, ParseError, UnknownAtom
@@ -325,9 +327,7 @@ def eval_ltl(w: DataWord, i: int, v: dict[int, int], phi: Formula) -> bool:
     for j, (a, c) in enumerate(zip(w.letters, w.class_of)):
         classes[c] |= 1 << j
         letters[a] = letters.get(a, 0) | 1 << j
-    chunk = _Chunk((), n, n, classes, 0, 1)  # no letters: one not in w labels nothing
-    chunk.letter_masks = letters
-    regs, table = fold(phi, chunk.visit, frozenset(v))
+    regs, table = fold(phi, _Chunk(n, 1, classes, letters).visit, frozenset(v))
     k = 0
     for r in regs:
         k = k * n + v[r]
@@ -523,30 +523,32 @@ def sat_bounded(phi: Formula, sigma: Alphabet, max_len: int) -> Optional[DataWor
     root's label that starts a block.  The strings of one length are taken
     in consecutive chunks of at most ``_CHUNK_BITS`` bits (at least one
     string each), so memory stays bounded and a long run stops at the first
-    chunk with a model.
-
-    A node with registers that an enclosing freeze binds, and that it
-    tests, has one label per assignment of those registers to class
-    indices; a register no freeze binds is undefined, so testing it is
-    false, as in ``eval_ltl``.  A freeze whose body tests no register is
-    labeled once, so nested freezes cost no fan-out.  The walk is one
-    ``fold``: any depth of nesting works, and no formula is hashed.
+    chunk with a model.  Each chunk gets its class masks and the masks of
+    the letters phi mentions from here; ``_Chunk`` labels U and S by
+    fixpoint, and the duals and the sugar as U or S under negation.  The
+    walk is one ``fold``: any depth of nesting works, and no formula is
+    hashed.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     letters = sigma.letters
+    k = len(letters)
+    used = [(a, letters.index(a)) for a in atoms(phi) if a in letters]
     for n in range(1, max_len + 1):
         count, classes = _layout(n)
         width = count * n  # bits per letter string
         per_chunk = max(1, _CHUNK_BITS // width)
-        total = len(letters) ** n
+        total = k ** n
         for s0 in range(0, total, per_chunk):
-            chunk = _Chunk(letters, n, width, classes, s0, min(per_chunk, total - s0))
+            m = min(per_chunk, total - s0)
+            chunk = _Chunk(n, m * count, [_tile(c, m, width) for c in classes],
+                           {a: _letter(idx, k, n, width, s0, m) for a, idx in used})
             _, (root,) = fold(phi, chunk.visit, frozenset())
             if found := root & chunk.first:
-                word, p = divmod(((found & -found).bit_length() - 1) // n, count)
+                s, p = divmod(((found & -found).bit_length() - 1) // n, count)
+                string = [letters[(s0 + s) // k ** (n - 1 - i) % k] for i in range(n)]
                 blocks = [[i for i in range(n) if c >> (p * n + i) & 1] for c in classes]
-                return make_data_word(chunk.string(s0 + word), filter(None, blocks), sigma)
+                return make_data_word(string, filter(None, blocks), sigma)
     return None
 
 
@@ -582,98 +584,57 @@ def _tile(x: int, count: int, spacing: int) -> int:
     return out
 
 
+def _letter(idx: int, k: int, n: int, width: int, s0: int, m: int) -> int:
+    """The positions carrying letter number idx of k in the m letter strings
+    of length n from number s0, each string ``width`` bits wide."""
+    bits = 0  # bit t * width + i: string s0 + t has the letter at position i
+    for i in range(n):
+        run = k ** (n - 1 - i)  # strings in a row with the same letter at i
+        period = run * k
+        if period <= m:  # replicate one period over the chunk, then cut
+            phase = s0 % period
+            pattern = _tile(1, run, width) << idx * run * width
+            col = _tile(pattern, -(-(phase + m) // period), period * width) >> phase * width
+            col &= (1 << m * width) - 1
+        else:  # at most k + 1 runs meet the chunk
+            col = 0
+            for u in range(s0 - s0 % run, s0 + m, run):
+                if u // run % k == idx:
+                    lo, hi = max(u, s0), min(u + run, s0 + m)
+                    col |= _tile(1, hi - lo, width) << (lo - s0) * width
+        bits |= col << i
+    return _tile(bits, width // n, n)  # the string's letters in each partition
+
+
 class _Chunk:
-    """The masks of one chunk of words, and the labeling of formulas on it.
+    """The labeling of formulas on ``blocks`` words of length n, word t at
+    the n-bit block from bit t * n, with the masks the caller supplies:
+    ``classes``, per class index the positions of that class, and
+    ``letters``, per letter the positions carrying it (a letter without a
+    mask labels nothing).  The operators take their labels from ``_OPS``:
+    U and S by fixpoint, the duals and the sugar as U or S under negation.
 
     A label is ``(regs, table)``: ``regs`` is the sorted tuple of the
     registers the node tests under enclosing freezes, and ``table`` holds
     one bitset per assignment of them to class indices, in product order.
+    A register no freeze binds is undefined, so testing it is false, and a
+    freeze whose body tests no register is labeled once, so nested freezes
+    cost no fan-out.
     """
 
-    def __init__(self, letters, n: int, width: int, classes: tuple, s0: int, m: int):
-        self.letters, self.n, self.width, self.s0, self.m = letters, n, width, s0, m
-        self.first = _tile(1, m * width // n, n)
+    def __init__(self, n: int, blocks: int, classes: list, letters: dict):
+        self.n, self.classes, self.letters = n, classes, letters
+        self.first = _tile(1, blocks, n)
         self.last = self.first << (n - 1)
-        self.full = full = (1 << m * width) - 1
+        self.full = full = (1 << blocks * n) - 1
         self.not_first, self.not_last = full ^ self.first, full ^ self.last
-        self.classes = [_tile(c, m, width) for c in classes]
-        self.letter_masks: dict[str, int] = {}
-        self.binary = {
-            And: and_, Or: or_, Implies: lambda x, y: (full ^ x) | y,
-            Until: partial(self.sweep, self.next_of, or_, and_),
-            Since: partial(self.sweep, self.prev_of, or_, and_),
-            DualUntil: partial(self.sweep, self.wnext_of, and_, or_),
-            DualSince: partial(self.sweep, self.wprev_of, and_, or_),
-        }
-        # F is true U, G is false dual-U, and so for the past
-        self.unary = {
-            Not: partial(xor, full), Next: self.next_of, WNext: self.wnext_of,
-            Prev: self.prev_of, WPrev: self.wprev_of,
-            Future: partial(self.binary[Until], full), Past: partial(self.binary[Since], full),
-            Always: partial(self.binary[DualUntil], 0),
-            PastAlways: partial(self.binary[DualSince], 0),
-        }
-
-    def next_of(self, x: int) -> int:
-        return (x >> 1) & self.not_last
-
-    def wnext_of(self, x: int) -> int:
-        return (x >> 1) & self.not_last | self.last
-
-    def prev_of(self, x: int) -> int:
-        return (x << 1) & self.not_first
-
-    def wprev_of(self, x: int) -> int:
-        return (x << 1) & self.not_first | self.first
-
-    def sweep(self, step, join, meet, left: int, right: int) -> int:
-        """The fixpoint ``x = right join (left meet step(x))`` of U and S
-        (join ``or_``) or of their duals (join ``and_``), from ``x = right``,
-        which is exact at the end of each block (at its start for the past);
-        n - 1 steps then reach every position."""
-        x = right
-        for _ in range(self.n - 1):
-            x = join(right, meet(left, step(x)))
-        return x
-
-    def string(self, s: int) -> tuple[str, ...]:
-        """Letter string number s of its length, in product order."""
-        k = len(self.letters)
-        return tuple(self.letters[s // k ** (self.n - 1 - i) % k] for i in range(self.n))
-
-    def letter(self, a: str) -> int:
-        """The positions carrying letter a."""
-        if a not in self.letter_masks:
-            self.letter_masks[a] = self._letter(a) if a in self.letters else 0
-        return self.letter_masks[a]
-
-    def _letter(self, a: str) -> int:
-        k, idx = len(self.letters), self.letters.index(a)
-        n, width, s0, m = self.n, self.width, self.s0, self.m
-        bits = 0  # bit t * width + i: string s0 + t has a at position i
-        for i in range(n):
-            run = k ** (n - 1 - i)  # strings in a row with the same letter at i
-            period = run * k
-            if period <= m:  # replicate one period over the chunk, then cut
-                phase = s0 % period
-                pattern = _tile(1, run, width) << idx * run * width
-                col = _tile(pattern, -(-(phase + m) // period), period * width) >> phase * width
-                col &= (1 << m * width) - 1
-            else:  # at most k + 1 runs meet the chunk
-                col = 0
-                for u in range(s0 - s0 % run, s0 + m, run):
-                    if u // run % k == idx:
-                        lo, hi = max(u, s0), min(u + run, s0 + m)
-                        col |= _tile(1, hi - lo, width) << (lo - s0) * width
-            bits |= col << i
-        return _tile(bits, width // n, n)  # the string's letters in each partition
 
     def visit(self, f: Formula, bound: frozenset):
         t = type(f)
         if t is Atom:
-            return ((), [self.letter(f.letter)]), ()
+            return ((), [self.letters.get(f.letter, 0)]), ()
         if t is NAtom:
-            return ((), [self.full ^ self.letter(f.letter)]), ()
+            return ((), [self.full ^ self.letters.get(f.letter, 0)]), ()
         if t is Top:
             return ((), [self.full]), ()
         if t is Bottom:
@@ -685,10 +646,8 @@ class _Chunk:
             return ((f.register,), table), ()
         if t is Freeze:
             return partial(self.freeze, f.register), ((f.body, bound | {f.register}),)
-        if t in self.binary:
-            return partial(self.lift2, self.binary[t]), _down(f, bound)
-        if t in self.unary:
-            return partial(_lift1, self.unary[t]), _down(f, bound)
+        if t in _OPS:
+            return partial(self.lift, _OPS[t]), _down(f, bound)
         raise TypeError(f"unknown formula node {f!r}")
 
     def freeze(self, r: int, label):
@@ -707,16 +666,21 @@ class _Chunk:
                 out.append(acc)
         return regs[:j] + regs[j + 1:], out
 
-    def lift2(self, op, left, right):
-        (lr, lt), (rr, rt) = left, right
-        if not lr:  # a label without registers holds under every assignment
+    def lift(self, op, left, right=None):
+        """op on the children's tables, assignment by assignment; a label
+        without registers holds under every assignment."""
+        lr, lt = left
+        if right is None:
+            return lr, [op(self, x) for x in lt]
+        rr, rt = right
+        if not lr:
             lt, lr = lt * len(rt), rr
         elif not rr:
             rt = rt * len(lt)
         elif lr != rr:
             regs = tuple(sorted(set(lr) | set(rr)))
             lt, rt, lr = self.widen(lr, lt, regs), self.widen(rr, rt, regs), regs
-        return lr, list(map(op, lt, rt))
+        return lr, [op(self, x, y) for x, y in zip(lt, rt)]
 
     def widen(self, regs: tuple, table: list, wide: tuple) -> list:
         """The table over the registers ``wide`` (a superset of ``regs``)."""
@@ -730,9 +694,37 @@ class _Chunk:
         return out
 
 
-def _lift1(op, label):
-    regs, table = label
-    return regs, list(map(op, table))
+def _until(c: _Chunk, left: int, right: int) -> int:
+    """The fixpoint ``x = right | left & X x`` from ``x = right``, exact at
+    the end of each block, so n - 1 steps reach every position; ``left``
+    masked by ``not_last`` keeps a block from reading the next one."""
+    x, left = right, left & c.not_last
+    for _ in range(c.n - 1):
+        x = right | left & x >> 1
+    return x
+
+
+def _since(c: _Chunk, left: int, right: int) -> int:
+    """``_until`` mirrored: ``x = right | left & Xp x``."""
+    x, left = right, left & c.not_first
+    for _ in range(c.n - 1):
+        x = right | left & x << 1
+    return x
+
+
+# Each operator's label from its children's labels x and y on the chunk c.
+_OPS = {
+    Not: lambda c, x: c.full ^ x, And: lambda c, x, y: x & y, Or: lambda c, x, y: x | y,
+    Implies: lambda c, x, y: (c.full ^ x) | y,
+    Next: lambda c, x: x >> 1 & c.not_last, WNext: lambda c, x: x >> 1 & c.not_last | c.last,
+    Prev: lambda c, x: x << 1 & c.not_first, WPrev: lambda c, x: x << 1 & c.not_first | c.first,
+    Until: _until, Since: _since,
+    DualUntil: lambda c, x, y: c.full ^ _until(c, c.full ^ x, c.full ^ y),
+    DualSince: lambda c, x, y: c.full ^ _since(c, c.full ^ x, c.full ^ y),
+    Future: lambda c, x: _until(c, c.full, x), Past: lambda c, x: _since(c, c.full, x),
+    Always: lambda c, x: c.full ^ _until(c, c.full, c.full ^ x),
+    PastAlways: lambda c, x: c.full ^ _since(c, c.full, c.full ^ x),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -868,11 +860,17 @@ class _LtlParser(_Parser):
         if tok in _PREFIX:
             op = _PREFIX[tok]
         elif tok is not None and _STORE.fullmatch(tok):
-            op = partial(Freeze, int(tok[5:]))
+            op = partial(Freeze, self.register(tok[5:]))
         else:
             return None
         self.k += 1
         return op
+
+    def register(self, digits: str) -> int:
+        """The register of a store or up token: registers count from 1."""
+        if (r := int(digits)) < 1:
+            raise ParseError(f"register {r} out of range: registers count from 1", self.pos())
+        return r
 
     def primary(self) -> Formula:
         """An atom, a register test or a constant."""
@@ -884,8 +882,9 @@ class _LtlParser(_Parser):
             self.take()
             return BOT
         if tok is not None and _UP.fullmatch(tok):
+            r = self.register(tok[2:])
             self.take()
-            return Reg(int(tok[2:]))
+            return Reg(r)
         if tok is not None and tok not in _KEYWORDS and _NAME.fullmatch(tok):
             pos = self.pos()
             self.take()

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,41 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "parse", "ltl", "--ltl", "a & ")
     assert code == 3
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "ltl", "--ltl", "store0 up0"],
+    ["translate", "ltl2ra", "--ltl", "store0 up0", "--alphabet", "a"],
+    ["circle", "--ltl", "a & store0 X up0", "--alphabet", "a,b", "--max-len", "2"],
+])
+def test_register_zero_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""  # circle refuses it before stage 1
+    assert err.startswith("parse error: register 0 out of range")
+    assert "Traceback" not in err
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    """Each line of the sh block under "## Command line" in README.md runs
+    in process from the repository root, in order, with its /tmp paths and
+    its ``> file`` redirection moved under tmp_path: each gives a verdict or
+    succeeds (exit 0 or 1) and prints no traceback."""
+    monkeypatch.chdir(CORPUS.parent)
+    section = Path("README.md").read_text().split("\n## Command line\n", 1)[1]
+    lines = [line for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+             if line.strip()]
+    assert len(lines) == 13
+    for line in lines:
+        argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in shlex.split(line, comments=True)]
+        assert argv.pop(0) == "datawords", line
+        target = None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (line, err)
+        assert "Traceback" not in out + err, line
+        if target is not None:
+            (tmp_path / target).write_text(out)
 
 
 def test_empty_ca_cli(capsys):

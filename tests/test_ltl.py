@@ -133,6 +133,15 @@ def test_parse_errors():
         parse_ltl("(a")
 
 
+def test_register_zero_is_a_parse_error():
+    """Registers count from 1, as in the automata: store0 and up0 are
+    refused where they stand, before ltl_to_ara could index register 0."""
+    for text, at in (("store0 up0", 0), ("a & up0", 4), ("store1 X store00 up1", 9)):
+        with pytest.raises(ParseError, match=f"register 0 out of range.*\\(at {at}\\)"):
+            parse_ltl(text)
+    assert parse_ltl("store01 up1") == Freeze(1, Reg(1))
+
+
 def test_precedence():
     assert parse_ltl("a -> b | a & b") == parse_ltl("a -> (b | (a & b))")
     assert parse_ltl("a U b U a") == parse_ltl("a U (b U a)")
