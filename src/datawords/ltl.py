@@ -1,16 +1,16 @@
 """Linear temporal logic with the freeze quantifier, over data words.
 
 The AST keeps surface sugar (F, G, their past versions, implication) so that
-fragment classification sees what the user wrote; ``desugar`` eliminates it
-before the automaton translation.  Dual operators (weak next, dual until,
-negated atoms/registers) exist so negation normal form stays inside the AST.
-The structural walkers of this module and of ``fo`` go through ``fold``, so
-no depth of nesting costs them recursion.  The semantics is one labeling,
-path model checking as in Markey & Schnoebelen (CONCUR 2003), also in one
-``fold``: ``sat_bounded`` labels every data word of one length at once, and
-``eval_ltl`` labels its one word, each handing the labeler the masks of its
-letters and classes.  Only U and S take a fixpoint: the duals and the sugar
-are labeled as U or S under negation.
+fragment classification sees what the user wrote; ``nnf`` desugars each node
+on its way down, so the automaton translation never sees it.  Dual operators
+(weak next, dual until, negated atoms/registers) exist so negation normal
+form stays inside the AST.  The structural walkers of this module and of
+``fo`` go through ``fold``, so no depth of nesting costs them recursion.  The
+semantics is one labeling, path model checking as in Markey & Schnoebelen
+(CONCUR 2003), also in one ``fold``: ``sat_bounded`` labels every data word
+of one length at once, and ``eval_ltl`` labels its one word, each handing the
+labeler the masks of its letters and classes.  Only U and S take a fixpoint:
+the duals and the sugar are labeled as U or S under negation.
 """
 
 from __future__ import annotations

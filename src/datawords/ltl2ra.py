@@ -11,7 +11,7 @@ assignment would not be.
 from __future__ import annotations
 
 from . import ltl
-from .errors import NotASentence
+from .errors import NotASentence, PreconditionViolation
 from .ra import (
     BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr, TStore, TTest, TTop,
 )
@@ -58,6 +58,9 @@ def ltl_to_ara(phi: ltl.Formula, sigma: Alphabet) -> RegisterAutomaton:
         raise NotASentence(f"free register tests in {phi}")
     psi = ltl.nnf(phi)
     cl = closure(psi)
+    low = min((f.register for f in cl if type(f) is ltl.Freeze), default=1)
+    if low < 1:  # a sentence tests only registers it stores: checking the stores suffices
+        raise PreconditionViolation(f"register {low} out of range: registers count from 1")
 
     sizes = {f: ltl.size(f) for f in cl}
 

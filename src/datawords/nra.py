@@ -133,29 +133,20 @@ def _check_1nra(a: RegisterAutomaton) -> None:
 
 
 def _explore(a: RegisterAutomaton):
-    """Reachable abstract graph: states, successor lists, parent edges."""
-    states: list[AbstractState] = []
-    index: dict = {}
-    parent: dict = {}
-    queue: deque = deque()
-    for h in initial_abstract_states(a):
-        if h not in index:
-            index[h] = len(states)
-            states.append(h)
-            parent[h] = None
-            queue.append(h)
+    """The reachable abstract graph as two maps, each in discovery order:
+    a state's successors with their decisions, and the edge it was
+    discovered by (None at the initial states)."""
+    parent: dict = dict.fromkeys(initial_abstract_states(a))
+    queue = deque(parent)
     succs: dict = {}
     while queue:
         h = queue.popleft()
-        out = abs_successors(a, h)
-        succs[h] = out
+        out = succs[h] = abs_successors(a, h)
         for h2, dec in out:
-            if h2 not in index:
-                index[h2] = len(states)
-                states.append(h2)
+            if h2 not in parent:
                 parent[h2] = (h, dec)
                 queue.append(h2)
-    return states, index, succs, parent
+    return succs, parent
 
 
 def _witness_from(a: RegisterAutomaton, parent: dict, final: AbstractState) -> DataWord:
@@ -163,47 +154,32 @@ def _witness_from(a: RegisterAutomaton, parent: dict, final: AbstractState) -> D
     chain = []
     cur = final
     while parent[cur] is not None:
-        prev, dec = parent[cur]
-        chain.append((prev, dec, cur))
-        cur = prev
-    chain.reverse()
-    first = cur
-    letters = [first.letter]
+        cur, dec = parent[cur]
+        chain.append((cur.location, dec))
+    letters = [cur.letter]
     blocks: list[set[int]] = [{0}]
+    block = 0  # the block of the current position
     # registers -> block index, mirroring the abstract run concretely
     reg_block: dict[int, int] = {}
-    pos = 0
-    state = first
-    for prev, dec, nxt in chain:
-        tf = a.delta[prev.location]
+    for location, dec in reversed(chain):
         if dec is None:
+            tf = a.delta[location]
             if isinstance(tf, TStore):
-                reg_block[tf.register] = _current_block(blocks, pos)
-            state = nxt
+                reg_block[tf.register] = block
             continue
         if dec[0] == "fresh":
             _kind, letter, _at_end = dec
-            pos += 1
-            letters.append(letter)
-            blocks.append({pos})
+            block = len(blocks)
+            blocks.append(set())
         else:
             _kind, rep, letter, _at_end = dec
-            pos += 1
-            letters.append(letter)
-            blocks[reg_block[rep]].add(pos)
-        state = nxt
-    at_end_claimed = final.at_end
-    if not at_end_claimed:
+            block = reg_block[rep]
+        letters.append(letter)
+        blocks[block].add(len(letters) - 1)
+    if not final.at_end:
         letters.append(a.alphabet.letters[0])
         blocks.append({len(letters) - 1})
-    return make_data_word(letters, [b for b in blocks if b])
-
-
-def _current_block(blocks: list[set[int]], pos: int) -> int:
-    for k, b in enumerate(blocks):
-        if pos in b:
-            return k
-    raise AssertionError("position missing from its block")
+    return make_data_word(letters, blocks)
 
 
 def nonempty_finite(a: RegisterAutomaton) -> Verdict:
@@ -213,8 +189,8 @@ def nonempty_finite(a: RegisterAutomaton) -> Verdict:
     shortest (then lexicographically least) one, so the answer does not
     depend on exploration order; that one witness is replayed."""
     _check_1nra(a)
-    states, _index, _succs, parent = _explore(a)
-    witnesses = [_witness_from(a, parent, h) for h in states if is_winning(a, h)]
+    _succs, parent = _explore(a)
+    witnesses = [_witness_from(a, parent, h) for h in parent if is_winning(a, h)]
     if not witnesses:
         return EMPTY
     best = min(witnesses, key=lambda w: (len(w), w.letters, w.class_of))
@@ -227,17 +203,18 @@ def abstract_graph_to_dot(a: RegisterAutomaton, name: str = "abstract") -> str:
     """DOT export of the reachable abstract-state graph; winning states are
     doubly circled, initial ones marked with an arrowhead rank."""
     _check_1nra(a)
-    states, index, succs, _parent = _explore(a)
+    succs, _parent = _explore(a)
+    index = {h: k for k, h in enumerate(succs)}
     initial = set(initial_abstract_states(a))
     lines = [f"digraph {name} {{"]
-    for h in states:
+    for h in succs:
         shape = "doublecircle" if is_winning(a, h) else "circle"
         reg = ",".join(str(r) for r in sorted(h.current)) or "-"
         label = f"{h.letter}{'$' if h.at_end else ''} {h.location} [{reg}]"
         style = ' style=bold' if h in initial else ""
         lines.append(f'  n{index[h]} [shape={shape}{style} label="{label}"];')
-    for h in states:
-        for h2, _dec in succs[h]:
+    for h, out in succs.items():
+        for h2, _dec in out:
             lines.append(f"  n{index[h]} -> n{index[h2]};")
     lines.append("}")
     return "\n".join(lines)
@@ -248,13 +225,13 @@ def nonempty_infinite(a: RegisterAutomaton) -> Verdict:
     or a reachable cycle whose location rank is even.  Nonempty verdicts
     carry no certificate."""
     _check_1nra(a)
-    states, index, succs, parent = _explore(a)
-    for h in states:
+    succs, _parent = _explore(a)
+    for h in succs:
         if is_winning(a, h) and not h.at_end:
             return Verdict("nonempty")
     # cycle detection on the abstract graph; ranks are constant on cycles
-    edges = {h: tuple(h2 for h2, _ in succs[h]) for h in states}
-    for scc in sccs(states, edges):
+    edges = {h: tuple(h2 for h2, _ in out) for h, out in succs.items()}
+    for scc in sccs(succs, edges):
         if cyclic(scc, edges) and a.rank[next(iter(scc)).location] % 2 == 0:
             return Verdict("nonempty")
     return EMPTY

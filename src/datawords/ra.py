@@ -250,7 +250,7 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
     succ: dict = {}
     rank: dict = {}
     stack = [init]
-    seen = {init}
+    seen = {init: None}  # a dict, so the positions keep discovery order
     n = len(w)
     while stack:
         if len(seen) > max_states:
@@ -292,7 +292,7 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
                 succ[st] = []
         for nxt in succ[st]:
             if nxt not in seen:
-                seen.add(nxt)
+                seen[nxt] = None
                 stack.append(nxt)
     game = WeakGame(list(seen), owner, succ, rank)
     return game, init
@@ -512,10 +512,16 @@ def parse_ra(text: str) -> RegisterAutomaton:
             return TMove(head in ("X", "wX"), head.startswith("w"), toks[1])
         raise ParseError(f"unknown transition formula {rest!r}")
 
+    headers: set = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if line.startswith(("alphabet:", "registers:", "init:")):
+            head = line.split(":", 1)[0] + ":"
+            if head in headers:
+                raise ParseError(f"repeated header {head!r}")
+            headers.add(head)
         if line.startswith("alphabet:"):
             sigma = parse_alphabet(line.split(":", 1)[1].split())
         elif line.startswith("registers:"):
@@ -527,6 +533,8 @@ def parse_ra(text: str) -> RegisterAutomaton:
             if not m:
                 raise ParseError(f"bad location line {line!r}")
             q, r, h, rest = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
+            if q in delta:
+                raise ParseError(f"location {q!r} defined twice")
             order.append(q)
             rank[q] = r
             height[q] = h

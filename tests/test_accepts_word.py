@@ -32,6 +32,7 @@ from datawords.words import Alphabet
 
 from test_finite_nonempty import Antichain
 from test_lasso_scan import machines
+from test_ra2ca import AB, CIRCLE_SENTENCES
 
 ACCEPT = None  # the guide's mark for silent steps into an accepting location
 
@@ -73,6 +74,18 @@ def reference_guide(c: CounterAutomaton) -> dict:
         if closure & c.accepting:
             guide[q].add(ACCEPT)
     return guide
+
+
+def guide_bits(c: CounterAutomaton, guide: dict) -> dict:
+    """``reference_guide``'s marks as the bits of ``c._guide``: 1 for
+    ACCEPT, ``2 << k`` for the k-th letter, and its LAST shifted left by
+    the size of the alphabet."""
+    n = len(c.alphabet.letters)
+    bit = {ACCEPT: 1}
+    for k, w in enumerate(c.alphabet.letters):
+        bit[w] = 2 << k
+        bit[LAST(w)] = 2 << k << n
+    return {q: sum(bit[m] for m in marks) for q, marks in guide.items()}
 
 
 def _kept(guide, word, pos2, q2) -> bool:
@@ -143,6 +156,18 @@ BUDGETS = st.sampled_from([1, 2, 5, 20, 200, 2000])
 
 
 SEMANTICS = st.sampled_from(["incrementing", "minsky"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(machines())
+def test_guide_is_reference_guide(c):
+    assert c._guide == guide_bits(c, reference_guide(c))
+
+
+@pytest.mark.parametrize("name", list(CIRCLE_SENTENCES))
+def test_compiled_guide_is_reference_guide(name):
+    c = build_ca_finite(ltl_to_ara(parse_ltl(CIRCLE_SENTENCES[name], AB), AB))
+    assert c._guide == guide_bits(c, reference_guide(c))
 
 
 @settings(max_examples=300, deadline=None)

@@ -89,27 +89,61 @@ def test_register_zero_is_a_parse_error(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
-    """Each line of the sh block under "## Command line" in README.md runs
-    in process from the repository root, in order, with its /tmp paths and
-    its ``> file`` redirection moved under tmp_path: each gives a verdict or
-    succeeds (exit 0 or 1) and prints no traceback."""
-    monkeypatch.chdir(CORPUS.parent)
-    section = Path("README.md").read_text().split("\n## Command line\n", 1)[1]
+def readme_commands(tmp_path) -> list[tuple[str, list, object]]:
+    """The lines of the sh block under "## Command line" in README.md, each
+    with its arguments after ``datawords``, its /tmp paths moved under
+    tmp_path, and the file of its ``> file`` redirection, or None."""
+    section = (CORPUS.parent / "README.md").read_text().split("\n## Command line\n", 1)[1]
     lines = [line for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
              if line.strip()]
-    assert len(lines) == 13
+    out = []
     for line in lines:
         argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in shlex.split(line, comments=True)]
         assert argv.pop(0) == "datawords", line
         target = None
         if ">" in argv:
             argv, target = argv[:argv.index(">")], argv[argv.index(">") + 1]
+        out.append((line, argv, target))
+    return out
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    """Each line of the sh block under "## Command line" in README.md runs
+    in process from the repository root, in order, with its /tmp paths and
+    its ``> file`` redirection moved under tmp_path: each gives a verdict or
+    succeeds (exit 0 or 1) and prints no traceback."""
+    monkeypatch.chdir(CORPUS.parent)
+    commands = readme_commands(tmp_path)
+    assert len(commands) == 13
+    for line, argv, target in commands:
         code, out, err = run(capsys, *argv)
         assert code in (0, 1), (line, err)
         assert "Traceback" not in out + err, line
         if target is not None:
             (tmp_path / target).write_text(out)
+
+
+_RUN_ARGVS = """import json, sys
+from datawords.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("exit", main(argv))
+"""
+
+
+def test_readme_command_line_is_hash_seed_independent(tmp_path):
+    """The README's command lines print the same under two hash seeds, each
+    run in a child interpreter of its own: no output follows set order."""
+    argvs = json.dumps([argv for _line, argv, _target in readme_commands(tmp_path)])
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ARGVS, argvs], cwd=CORPUS.parent,
+            env={**os.environ, "PYTHONPATH": str(CORPUS.parent / "src"), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("exit") == 13
+    assert outs[0] == outs[1]
 
 
 def test_empty_ca_cli(capsys):
@@ -540,6 +574,10 @@ CA_HEAD = "alphabet: a\ncounters: 1\ninit: p\naccepting: q\n"
     ("ra", RA_HEAD + "q0 rank=x height=1 : true\n", "bad location line 'q0 rank=x height=1 : true'"),
     ("ra", "alphabet: a\ninit: q0\nq0 rank=0 height=0 : true\n",
      "missing alphabet:, registers: or init: header"),
+    ("ra", RA_HEAD + "q0 rank=0 height=1 : or q1 q2\n" + RA_LEAVES + "q1 rank=0 height=0 : false\n",
+     "location 'q1' defined twice"),
+    ("ra", RA_HEAD + "init: q1\nq0 rank=0 height=1 : or q1 q2\n" + RA_LEAVES,
+     "repeated header 'init:'"),
     # ra.validate
     ("ra", RA_HEAD.replace("q0", "q9") + "q0 rank=0 height=0 : true\n",
      "initial location 'q9' missing"),
@@ -558,6 +596,8 @@ CA_HEAD = "alphabet: a\ncounters: 1\ninit: p\naccepting: q\n"
     ("ca", CA_HEAD + "p a inc 1\n", "bad transition line 'p a inc 1'"),
     ("ca", CA_HEAD + "p a inc one q\n", "bad counter index in 'p a inc one q'"),
     ("ca", "alphabet: a\ninit: p\np a inc 1 q\n", "missing alphabet:, counters: or init: header"),
+    ("ca", CA_HEAD + "accepting: p\np a inc 1 q\n", "repeated header 'accepting:'"),
+    ("ca", CA_HEAD + "counters: 2\np a inc 1 q\n", "repeated header 'counters:'"),
     # ca.validate_ca
     ("ca", CA_HEAD + "p b inc 1 q\n", "unknown letter 'b'"),
     ("ca", CA_HEAD + "p a jmp 1 q\n", "unknown instruction 'jmp'"),

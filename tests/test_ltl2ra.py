@@ -4,7 +4,7 @@ import pytest
 
 from datawords import ltl
 from datawords.corpus import matching_ra
-from datawords.errors import NotASentence
+from datawords.errors import NotASentence, PreconditionViolation
 from datawords.ltl import Atom, Freeze, Next, Reg, Until, eval_ltl, parse_ltl
 from datawords.ltl2ra import closure, ltl_to_ara, unfolding
 from datawords.ra import TOr, accepts, classify_ra, validate
@@ -52,6 +52,14 @@ def test_dual_until_rank_even():
 def test_rejects_open_formulas():
     with pytest.raises(NotASentence):
         ltl_to_ara(Reg(1), AB)
+
+
+def test_rejects_register_zero():
+    # the parser refuses store0; a formula built in Python is refused here,
+    # not by the acceptance game's IndexError
+    with pytest.raises(PreconditionViolation,
+                       match="^register 0 out of range: registers count from 1$"):
+        ltl_to_ara(Freeze(0, Reg(0)), AB)
 
 
 def test_example_sentence_matches_eval_and_fig3(phi):
