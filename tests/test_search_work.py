@@ -1,22 +1,30 @@
-"""Deterministic work counters of the finite-word search, pinned.
+"""Deterministic work counters of the counter-machine deciders, pinned.
 
 Counters do not drift with machine noise, so a change in them is a real
-change in the work the search does.  ``ca._search`` calls
-``CounterAutomaton.outgoing`` once per state it takes off the queue, so
-wrapping that method counts those states.  The workload is the ``circle``
-benchmark's: the finite machines of its seven structured sentences over
-``a, b``, each asked every letter word up to the sentence's horizon, and
-their finite-word nonemptiness with its witness replay.
+change in the work a decider does.  Every search calls
+``CounterAutomaton.outgoing`` once per state it expands, so wrapping that
+method counts those states: the states ``ca._search`` takes off its queue,
+the states the Büchi decider's explorer expands, the nodes its tree
+refutation expands and the states ``verify_lasso`` replays.  The finite
+workload is the ``circle`` benchmark's: the finite machines of its seven
+structured sentences over ``a, b``, each asked every letter word up to the
+sentence's horizon, and their finite-word nonemptiness with its witness
+replay.  The Büchi workload is ``nonempty_infinite_incrementing`` on the
+infinite machines of the same sentences, at the ``buchi`` benchmark's
+budget of 1000 and at a budget of 30,000, which decides three of them.
 """
 
 import itertools
 
 import pytest
 
-from datawords.ca import CounterAutomaton, accepts_word, nonempty_finite_incrementing
+from datawords.ca import (
+    CounterAutomaton, accepts_word, nonempty_finite_incrementing,
+    nonempty_infinite_incrementing,
+)
 from datawords.ltl import parse_ltl
 from datawords.ltl2ra import ltl_to_ara
-from datawords.ra2ca import build_ca_finite
+from datawords.ra2ca import build_ca_finite, build_ca_infinite
 from datawords.words import Alphabet
 
 from test_ra2ca import CIRCLE_SENTENCES
@@ -30,6 +38,13 @@ HORIZONS = {"phi": 4, "phi-Fa-Gnotb": 5, "b-never-again": 2, "phi-b-distinct": 2
 def finite_machines():
     ab = Alphabet(("a", "b"))
     return {name: build_ca_finite(ltl_to_ara(parse_ltl(text, ab), ab))
+            for name, text in CIRCLE_SENTENCES.items()}
+
+
+@pytest.fixture(scope="module")
+def infinite_machines():
+    ab = Alphabet(("a", "b"))
+    return {name: build_ca_infinite(ltl_to_ara(parse_ltl(text, ab), ab))
             for name, text in CIRCLE_SENTENCES.items()}
 
 
@@ -65,3 +80,28 @@ def test_nonempty_finite_work(finite_machines, popped):
     # shared their tails, 118 before the guide's last-letter bits, 5,348
     # without the guide
     assert popped[0] == 102
+
+
+def _buchi_work(machines, popped, budget, names):
+    out = {}
+    for name in names:
+        before = popped[0]
+        kind = nonempty_infinite_incrementing(machines[name], budget).kind
+        out[name] = (kind, popped[0] - before)
+    return out
+
+
+def test_buchi_work_at_the_benchmark_budget(infinite_machines, popped):
+    # an unknown explores one 200-state stage and spends the refutation's
+    # 1000 steps; a-then-no-b's lasso is found and replayed in the stage
+    work = _buchi_work(infinite_machines, popped, 1000, list(CIRCLE_SENTENCES))
+    assert work == {name: ("unknown", 1200) for name in CIRCLE_SENTENCES
+                    if name != "a-then-no-b"} | {"a-then-no-b": ("nonempty", 212)}
+    assert popped[0] == 7_412
+
+
+def test_buchi_work_where_a_larger_budget_decides(infinite_machines, popped):
+    work = _buchi_work(infinite_machines, popped, 30_000,
+                       ["phi", "phi-Fa-Gnotb", "some-match"])
+    assert work == {"phi": ("nonempty", 7_722), "phi-Fa-Gnotb": ("empty", 9_304),
+                    "some-match": ("nonempty", 1_717)}
