@@ -5,8 +5,9 @@ usage errors (including ``accepts`` without --ra or --ca, or without the
 --word or --letters its automaton reads, a missing input file: ``parse fo``
 without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
 ``translate ra2ca`` without --ra and ``export-dot`` without --ra or --ca,
-``reduce`` of a machine without transitions, a ``--max-len`` or
-``--back-max-len`` below 1 and a malformed ``eval --assign`` item) and
+``reduce`` of a machine without transitions, a ``--max-len``,
+``--back-max-len``, ``--budget`` or ``--max-states`` below 1 and a malformed
+``eval --assign`` item) and
 inputs nested too deeply to process exit 2, parse errors (including a letter
 outside the alphabet, an empty or repeated alphabet and an automaton that
 fails validation) 3, exhausted budgets 4.  With --json each result is
@@ -410,14 +411,21 @@ def cmd_export_dot(args, out: _Out) -> int:
     return 0
 
 
-def _length(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a length of at least 1, got {text!r}")
-    return n
+def _at_least_1(what: str):
+    """An argparse type: an integer of at least 1, named ``what`` when refused."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"expected {what} of at least 1, got {text!r}")
+        return n
+    return parse
+
+
+_length = _at_least_1("a length")
+_budget = _at_least_1("a budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "is one character")
     sp.add_argument("--semantics", choices=["minsky", "incrementing"],
                     default="incrementing")
-    sp.add_argument("--budget", type=int, default=100_000)
-    sp.add_argument("--max-states", type=int, default=200_000)
+    sp.add_argument("--budget", type=_budget, default=100_000)
+    sp.add_argument("--max-states", type=_budget, default=200_000)
     sp.set_defaults(func=cmd_accepts)
 
     sp = sub.add_parser("empty", help="language nonemptiness")
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--semantics", choices=["minsky", "incrementing"],
                     default="incrementing")
     sp.add_argument("--words", choices=["finite", "infinite"], default="finite")
-    sp.add_argument("--budget", type=int, default=100_000)
+    sp.add_argument("--budget", type=_budget, default=100_000)
     sp.set_defaults(func=cmd_empty)
 
     sp = sub.add_parser("reduce", help="counter machines back into logic")
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=_length, required=True)
     sp.add_argument("--back-max-len", type=_length, default=3)
     sp.add_argument("--back-alphabet-cap", type=int, default=12)
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=_budget, default=2_000_000)
     sp.set_defaults(func=cmd_circle)
 
     sp = sub.add_parser("export-dot", help="graphviz output")

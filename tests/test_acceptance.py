@@ -16,7 +16,7 @@ from datawords import fo as fo_mod
 from datawords import ltl as ltl_mod
 from datawords.ca import (
     CounterAutomaton, accepts_word, leq, nonempty_finite_incrementing,
-    nonempty_infinite_incrementing, step_incrementing, step_minsky, verify_lasso,
+    nonempty_infinite_incrementing, step_incrementing, verify_lasso,
 )
 from datawords.corpus import ca_fin, ca_inf, every_a_matched, matching_ra
 from datawords.fo import eval_fo, fo2_to_simple_ltl, free_vars, parse_fo, simple_ltl_to_fo2
@@ -34,6 +34,8 @@ from datawords.reductions import (
 from datawords.words import (
     Alphabet, alphabet, enumerate_data_words, make_data_word, project_string,
 )
+
+from test_ca import step_minsky
 
 AB = alphabet("a", "b")
 PHI_TEXT = "G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))"

@@ -1,10 +1,11 @@
 """Finite-word membership and nonemptiness for counter machines against the
 plain search they speed up.
 
-``reference_search`` steps with the generic ``step_incrementing`` /
-``step_minsky``, which compute every enabled transition's valuation, drops
-the ones reading another letter afterwards, and keeps an ``Antichain`` keyed
-by (position, location).  ``ca._search`` skips a transition reading another
+``reference_search`` steps tuples of counters with the generic
+``step_incrementing`` / ``step_minsky``, which compute every enabled
+transition's valuation, drops the ones reading another letter afterwards,
+and keeps an ``Antichain`` keyed by (position, location).  ``ca._search``
+steps valuations packed into one ``int``, skips a transition reading another
 letter before computing its valuation and keeps one antichain per position.
 Both drop a successor at a location that the counter-free control graph
 rules out, the reference by a guide it computes here one graph search per
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from datawords.ca import (
     CounterAutomaton, Verdict, accepts_word, nonempty_finite_incrementing,
-    nonempty_minsky_bounded, step_incrementing, step_minsky,
+    nonempty_minsky_bounded, step_incrementing,
 )
 from datawords.ltl import parse_ltl
 from datawords.ltl2ra import ltl_to_ara
@@ -32,6 +33,7 @@ from datawords.words import Alphabet
 
 from test_finite_nonempty import Antichain
 from test_lasso_scan import machines
+from test_ca import step_minsky
 from test_ra2ca import AB, CIRCLE_SENTENCES
 
 ACCEPT = None  # the guide's mark for silent steps into an accepting location

@@ -1,20 +1,23 @@
 import dataclasses
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from datawords import ca
 from datawords.corpus import ca_fin, ca_inf, every_a_matched
 from datawords.ca import (
     CounterAutomaton, Lasso, accepts_word, format_ca, initial_state,
     leq, nonempty_finite_incrementing, nonempty_infinite_incrementing,
-    nonempty_minsky_bounded, parse_ca, step_incrementing, step_minsky,
+    nonempty_minsky_bounded, parse_ca, step_incrementing,
     Verdict, rename_locations, validate_ca, verify_lasso, ca_to_dot, _witness_search,
 )
 from datawords.errors import PreconditionViolation
 from datawords.words import Alphabet, alphabet
+
+# the exact (Minsky) successors, which the tests replay exact runs with
+step_minsky = partial(step_incrementing, exact=True)
 
 
 def tiny(transitions, accepting, n_counters=1, letters=("a", "b"), init="q0"):
@@ -217,14 +220,16 @@ def test_minsky_infinite_lasso_replays_exactly(machine):
 
 @pytest.mark.parametrize("budget", [250, 2000])
 def test_minsky_infinite_budget_bounds_the_call(monkeypatch, budget):
+    # the explorer looks up the transitions of each state it expands once
     pump = tiny([("q0", "a", "inc", 1, "q0")], {"q0"})
     calls = []
+    outgoing = CounterAutomaton.outgoing
 
-    def counted(c, state):
-        calls.append(state)
-        return step_minsky(c, state)
+    def counted(c, q):
+        calls.append(q)
+        return outgoing(c, q)
 
-    monkeypatch.setattr(ca, "step_minsky", counted)
+    monkeypatch.setattr(CounterAutomaton, "outgoing", counted)
     assert nonempty_minsky_bounded(pump, "infinite", budget).kind == "unknown"
     assert 0 < len(calls) <= 3 * budget
 

@@ -1,9 +1,14 @@
 """The Büchi witness search against the plain per-source scan it speeds up.
 
-``reference_scan`` runs a BFS from every explored state, in index order, and
-returns the first hit whose cycle replays.  ``ca._scan_for_lasso`` runs the
-same searches but skips the sources that ``ca._lasso_sources`` rules out, so
-the two must return the same lasso on every machine.
+``reference_explore`` builds the bounded minimal-error graph over states
+whose valuations are tuples, stepping with ``step_incrementing``;
+``ca._explore_min_graph`` packs each valuation into one ``int`` and steps
+it inline, and must build the same graph in the same order.
+``reference_scan`` runs a BFS from every state of the reference graph, in
+index order, and returns the first hit whose cycle replays.
+``ca._scan_for_lasso`` runs the same searches on the packed graph but skips
+the sources that ``ca._lasso_sources`` rules out, so the two must return
+the same lasso on every machine.
 """
 
 from collections import deque
@@ -13,9 +18,41 @@ from hypothesis import given, settings, strategies as st
 
 from datawords import ca
 from datawords.ca import (
-    CounterAutomaton, Lasso, _explore_min_graph, _witness_search, leq, verify_lasso,
+    CounterAutomaton, Lasso, _explore_min_graph, _witness_search, initial_state, leq,
+    step_incrementing, verify_lasso,
 )
 from datawords.words import Alphabet
+
+
+def reference_explore(c: CounterAutomaton, budget: int, exact: bool = False):
+    """Bounded BFS of the minimal-error graph (the exact one with
+    ``exact``): (states, edges, parent), with ``edges[i] = [(t, j), ...]``
+    and ``parent[i] = (j, t)`` (None at the start) over state indices.
+    Successors beyond the budget are dropped."""
+    start = initial_state(c)
+    states = [start]
+    index = {start: 0}
+    edges: list = []
+    parent: list = [None]
+    for k, st in enumerate(states):  # grows while it is walked: a BFS queue
+        out = []
+        for w, t, nxt in step_incrementing(c, st, exact):
+            j = index.get(nxt)
+            if j is None:
+                if len(states) >= budget:
+                    continue
+                j = index[nxt] = len(states)
+                states.append(nxt)
+                parent.append((k, t))
+            out.append((t, j))
+        edges.append(out)
+    return states, edges, parent
+
+
+def unpack(packing, v) -> tuple:
+    """The counters of a valuation packed by ``packing``."""
+    ones, masks, _guard = packing
+    return tuple((v & m) // one for one, m in zip(ones[1:], masks[1:]))
 
 
 def _path(back, key) -> tuple:
@@ -59,7 +96,7 @@ def reference_scan(c, states, edges, parent):
 
 
 def reference_witness_search(c, cap):
-    return reference_scan(c, *_explore_min_graph(c, cap))
+    return reference_scan(c, *reference_explore(c, cap))
 
 
 @st.composite
@@ -78,6 +115,22 @@ def machines(draw):
                             tuple(trans), frozenset(accepting))
 
 
+def assert_packed_explorer_is_reference(c, cap, exact=False):
+    """The packed graph's states unpack to the reference's, with the same
+    edges and parents; returns the reference graph."""
+    states, edges, parent, packing = _explore_min_graph(c, cap, exact)
+    ref_states, ref_edges, ref_parent = graph = reference_explore(c, cap, exact)
+    assert [(q, unpack(packing, v)) for q, v in states] == ref_states
+    assert (edges, parent) == (ref_edges, ref_parent)
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(machines(), st.sampled_from([1, 2, 30, 200]), st.booleans())
+def test_packed_explorer_equals_reference(c, cap, exact):
+    assert_packed_explorer_is_reference(c, cap, exact)
+
+
 @settings(max_examples=150, deadline=None)
 @given(machines(), st.sampled_from([30, 200]))
 def test_witness_search_equals_reference(c, cap):
@@ -85,10 +138,12 @@ def test_witness_search_equals_reference(c, cap):
 
 
 def _assert_sources_have_hits(c, cap):
-    states, edges, _ = _explore_min_graph(c, cap)
+    states, edges, _, packing = _explore_min_graph(c, cap)
     accepting = [q in c.accepting for q, _ in states]
-    assert ca._lasso_sources(states, edges, accepting) == [
-        any(True for _ in _hits(c, states, edges, src)) for src in range(len(states))]
+    ref_states, ref_edges, _ = reference_explore(c, cap)
+    assert ca._lasso_sources(states, edges, accepting, packing) == [
+        any(True for _ in _hits(c, ref_states, ref_edges, src))
+        for src in range(len(ref_states))]
 
 
 @settings(max_examples=150, deadline=None)
