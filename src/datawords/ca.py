@@ -9,14 +9,12 @@ reachability set; that downward simulation justifies all the pruning below.
 
 Both relations are ``step_incrementing``, the exact one with ``exact``;
 ``verify_lasso`` replays certificates through it on tuples.  The search
-engines hold each valuation as one ``int`` (``_packing``): counter k in
-field k - 1, of the budget's bit length plus two bits, the top one a guard
-bit that keeps a borrow inside its field.  A step adds or subtracts a one
-in a field and a domination test is one subtraction and mask.  No engine
-holds a value above its budget + 1, which the field's value bits hold.
-
-The finite-word deciders share one breadth-first search, ``_search``.
-It is guided by the counter-free control graph
+engines pack each valuation into one ``int`` (``_packing``): counter k in a
+field of the budget's bit length plus a value bit and a guard bit, which
+no value reaches, since no engine holds a value above its budget + 1.  A
+step is one addition or subtraction, a domination test one subtraction
+and mask.  The finite-word deciders share one breadth-first search,
+``_search``.  It is guided by the counter-free control graph
 (``CounterAutomaton._guide``, one backward pass from the accepting
 locations): a successor whose location cannot, ignoring the counters,
 read the rest of the word and then accept is dropped before its
@@ -167,12 +165,10 @@ def leq(v1: Sequence[int], v2: Sequence[int]) -> bool:
 
 
 def _packing(n_counters: int, budget: int) -> tuple:
-    """``(ones, masks, guard)``: counter k (from 1) sits in field k - 1,
-    of ``w = budget.bit_length() + 2`` bits, its value bits under a guard
-    bit that stays clear.  ``ones[k]`` is 1 in its field and ``masks[k]``
-    the field's value bits, so a step adds or subtracts ``ones[k]``, a zero
-    test reads ``v & masks[k]``, and ``a <= b`` is ``((b | guard) - a) &
-    guard == guard``: a field below zero borrows its own guard bit only.
+    """``(ones, masks, guard)``: counter k (from 1) in field k - 1, of ``w
+    = budget.bit_length() + 2`` bits under a clear guard bit, is stepped by
+    ``ones[k]``, zero when ``v & masks[k]`` is, and ``a <= b`` is ``((b |
+    guard) - a) & guard == guard``: a field below zero borrows its guard.
 
     The width rests on a lemma: no engine holds a value above budget + 1.
     Each transition moves one counter by one, and every held state is at
@@ -276,7 +272,8 @@ def _search(c: CounterAutomaton, word: Optional[tuple], exact: bool, budget: int
             if not guide.get(q2, 0) & need[pos2]:
                 continue
             # the packed step, inline and after the guide: a call per
-            # transition ran accepts_word 4-7% slower on the circle words
+            # transition ran accepts_word 4-7% slower on the circle words,
+            # measured on tuple valuations
             if op == "inc":
                 v2 = v + ones[ctr]
             elif v & masks[ctr]:
@@ -443,12 +440,12 @@ def _path(back, key) -> list:
 # The scan searches from every source in index order until its searches have
 # together scanned this many times the graph's edges; then one
 # _lasso_sources pass rules out the sources without a hit.  Most lassos sit
-# at source 0-2 and cost tenths of a millisecond, while the pass costs about
-# a millisecond at 200 states.  On the buchi benchmark (seed 1, 10 s, a
-# shared 2-core host) the p50 was 0.97 ms with the pass first, 0.51 ms with
-# it after source 0, and 0.45, 0.43 and 0.43 ms at 2, 4 and 8 times the
-# edges.
-_PASS_AFTER_EDGE_SCANS = 4
+# at the first sources, found before the pass.  On the buchi benchmark (10 s
+# runs, seeds 1, 11 and 12, a shared 2-core host) 0, 1 and 2 times the edges
+# gave 1,237-1,353 qps with a tail of 2.64-2.98 ms, 4 and 8 times
+# 1,131-1,245 qps and 3.08-3.35 ms; the pass first (seed 1) 1,159-1,167 qps,
+# its p50 0.66-0.68 ms against 0.19-0.22 ms for all the others.
+_PASS_AFTER_EDGE_SCANS = 2
 
 
 def _scan_for_lasso(c, states, edges, parent, packing) -> Optional[Lasso]:
@@ -599,8 +596,7 @@ def _refutation(c: CounterAutomaton, budget: int):
                         spawned_by[nxt] = (root, (link, t))
                         pending.append(nxt)
                     continue
-                # the ancestor test as a loop: any() over a generator ran the
-                # buchi benchmark's machines 4-9% slower
+                # a loop: any() over a generator ran the buchi machines 4-9% slower
                 g2 = v2 | guard
                 for a in levels.get(q2, ()):
                     if (g2 - a) & guard == guard:

@@ -12,7 +12,9 @@ engine tests run ``climb`` machines, which drive one counter up by one per
 step along a chain of distinct locations, as far as each engine goes at the
 budget, and then test it and its neighbour at the top, so that a value out
 of its field would change what the engine does next.  Each engine is
-compared with its reference on tuples.
+compared with its reference on tuples.  At a budget of at least 1 an engine
+expands at most budget states, so it holds at most budget, one below the
+lemma's bound: only the layout test reaches that bound.
 """
 
 import itertools
@@ -67,8 +69,9 @@ def climb(n, k, rungs, accepting_top):
     trans = [(q, "a", "inc", k, q2) for q, q2 in zip(locs, locs[1:])]
     trans += [(top, "a", "inc", k, top), (top, "b", "dec", j, top),
               (top, "b", "ifz", k, "hit")]
+    accepting = {"hit", top} if accepting_top else {"hit"}
     return CounterAutomaton(Alphabet(("a", "b")), tuple(locs) + ("hit",), "r0", n,
-                            tuple(trans), frozenset({"hit", top} if accepting_top else {"hit"}))
+                            tuple(trans), frozenset(accepting))
 
 
 def climbs(budget):
