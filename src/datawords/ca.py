@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificateError, ParseError, PreconditionViolation
 from .graph import adjacency, sccs
-from .words import Alphabet, parse_alphabet, parse_header_count
+from .words import Alphabet, parse_alphabet, parse_header_count, parse_lines
 
 Transition = tuple  # (source, letter-or-None, op, counter, target)
 
@@ -162,6 +162,15 @@ def step_incrementing(c: CounterAutomaton, state: tuple, exact: bool = False) ->
 
 def leq(v1: Sequence[int], v2: Sequence[int]) -> bool:
     return all(map(le, v1, v2))
+
+
+def _check_budget(budget) -> None:
+    """Refuse a budget that is not an ``int`` of at least 1: no engine can
+    spend it, nor ``_packing`` size its fields by it.  Each public decider
+    checks on entry, since the staged ones may answer before their full
+    budget reaches ``_packing``."""
+    if not isinstance(budget, int) or budget < 1:
+        raise PreconditionViolation(f"budget {budget!r} is not an int of at least 1")
 
 
 def _packing(n_counters: int, budget: int) -> tuple:
@@ -319,6 +328,7 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
     """
     if semantics not in ("incrementing", "minsky"):
         raise PreconditionViolation(f"unknown semantics {semantics!r}")
+    _check_budget(budget)
     word = tuple(word)
     found = _search(c, word, semantics == "minsky", budget)
     if found is None:
@@ -336,6 +346,7 @@ def nonempty_finite_incrementing(c: CounterAutomaton,
     accepting location (after at least one transition) decides.  The budget
     counts states taken off the queue.  The witness is re-checked with
     accepts_word before being reported."""
+    _check_budget(budget)
     found = _search(c, None, False, budget)
     if found is None:
         return Verdict("unknown", reason=f"budget of {budget} states spent")
@@ -668,6 +679,7 @@ def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -
     refutation is a definite no; otherwise the budget ran out.  No complete
     positive test exists, so unknown answers are unavoidable in general.
     """
+    _check_budget(budget)
     lasso = _witness_search(c, budget)
     if lasso is not None:
         return Verdict("nonempty", lasso=lasso)
@@ -684,6 +696,7 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
     for an accepting state on a cycle that reads a letter."""
     if over not in ("finite", "infinite"):
         raise PreconditionViolation(f"unknown word kind {over!r}")
+    _check_budget(budget)
     if over == "finite":
         found = _search(c, None, True, budget)
         if found is None:
@@ -756,24 +769,15 @@ def parse_ca(text: str) -> CounterAutomaton:
             seen_locs.add(q)
             locs.append(q)
 
-    headers: set = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("alphabet:", "counters:", "init:", "accepting:")):
-            head = line.split(":", 1)[0] + ":"
-            if head in headers:
-                raise ParseError(f"repeated header {head!r}")
-            headers.add(head)
-        if line.startswith("alphabet:"):
+    for head, line in parse_lines(text, ("alphabet:", "counters:", "init:", "accepting:")):
+        if head == "alphabet:":
             sigma = parse_alphabet(line.split(":", 1)[1].split())
-        elif line.startswith("counters:"):
+        elif head == "counters:":
             n_counters = parse_header_count(line)
-        elif line.startswith("init:"):
+        elif head == "init:":
             initial = line.split(":", 1)[1].strip()
             note(initial)
-        elif line.startswith("accepting:"):
+        elif head == "accepting:":
             accepting = frozenset(line.split(":", 1)[1].split())
         else:
             toks = line.split()

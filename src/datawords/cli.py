@@ -6,19 +6,22 @@ usage errors (including ``accepts`` without --ra or --ca, or without the
 without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
 ``translate ra2ca`` without --ra and ``export-dot`` without --ra or --ca,
 ``reduce`` of a machine without transitions, a ``--max-len``,
-``--back-max-len``, ``--budget`` or ``--max-states`` below 1 and a malformed
-``eval --assign`` item) and
-inputs nested too deeply to process exit 2, parse errors (including a letter
-outside the alphabet, an empty or repeated alphabet and an automaton that
-fails validation) 3, exhausted budgets 4.  With --json each result is
-printed as one JSON object per line.  Parsing and printing take no recursion
-depth.
+``--back-max-len``, ``--budget`` or ``--max-states`` below 1, a malformed
+``eval --assign`` item, and --ltl with --ltl-file or --fo with --fo-file)
+and inputs nested too deeply to process exit 2, parse errors (including a
+letter outside the alphabet, an empty or repeated alphabet, a header
+repeated in a formula or automaton file and an automaton that fails
+validation) 3, exhausted budgets 4.  With --json each result is printed as
+one JSON object per line.  Parsing and printing take no recursion depth.
 Still refused as nested too deeply: a deep LTL formula that is hashed or
 compared (the ``ltl_to_ara`` closure, so ``translate ltl2ra`` and stage 2 of
 ``circle``), and deep input to ``eval_fo``.
 
-A formula's alphabet is --alphabet if given, else the ``alphabet:`` header
-of its file, else the letters the formula mentions.
+Formula text, given inline or in a file, and automaton files follow the
+same line rules (``words.parse_lines``): ``#`` starts a comment, blank lines
+are dropped, and each header (``alphabet:`` in formula text) may appear
+once.  A formula's alphabet is --alphabet if given, else the ``alphabet:``
+header of its text, else the letters the formula mentions.
 """
 
 from __future__ import annotations
@@ -33,22 +36,22 @@ from . import ltl as ltl_mod
 from .ca import (
     Verdict, accepts_word, ca_to_dot, format_ca, nonempty_finite_incrementing,
     nonempty_infinite_incrementing, nonempty_minsky_bounded, parse_ca,
-    validate_ca,
+    rename_locations, validate_ca,
 )
 from .errors import DatawordsError, ParseError, StateSpaceBudgetExceeded
 from .games import game_to_dot
 from .ltl2ra import ltl_to_ara
-from .nra import nonempty_finite, nonempty_infinite
+from .nra import abstract_graph_to_dot, nonempty_finite, nonempty_infinite
 from .ra import (
     accepts, acceptance_game, classify_ra, format_ra, parse_ra, ra_to_dot, validate,
 )
 from .ra2ca import _build
 from .reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
-    minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
+    minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp, tilde_alphabet,
 )
 from .words import (
-    Alphabet, DataWord, format_data_word, parse_alphabet, parse_data_word,
+    Alphabet, DataWord, format_data_word, parse_alphabet, parse_data_word, parse_lines,
 )
 
 EXIT_FALSE = 0
@@ -74,38 +77,29 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _formula_source(args) -> str:
-    if getattr(args, "ltl", None) is not None:
-        return args.ltl
-    if getattr(args, "ltl_file", None) is None:
-        raise DatawordsError("pass --ltl or --ltl-file")
-    return _read(args.ltl_file)
-
-
-def _fo_source(args) -> str:
-    if args.fo:
-        return args.fo
-    if args.fo_file is None:
-        raise DatawordsError("pass --fo or --fo-file")
-    return _read(args.fo_file)
-
-
-def _strip_headers(text: str):
-    """Formula files may carry an ``alphabet: ...`` header line."""
-    sigma = None
-    body = []
-    for line in text.splitlines():
-        if line.strip().startswith("alphabet:"):
+def _formula_text(args, kind: str):
+    """The text of ``--<kind>`` or of the ``--<kind>-file`` file, read by
+    ``parse_lines``, and the alphabet of its ``alphabet:`` header, or
+    None."""
+    text = getattr(args, kind)
+    if text is None:
+        path = getattr(args, f"{kind}_file")
+        if path is None:
+            raise DatawordsError(f"pass --{kind} or --{kind}-file")
+        text = _read(path)
+    sigma, body = None, []
+    for head, line in parse_lines(text, ("alphabet:",)):
+        if head:
             sigma = parse_alphabet(line.split(":", 1)[1].split())
         else:
             body.append(line)
-    return "\n".join(body).strip(), sigma
+    return "\n".join(body), sigma
 
 
 def _load_ltl(args, need_alphabet: bool = True):
     """The formula, parsed against its alphabet, and that alphabet (None
     only for a formula without letters when none is needed)."""
-    text, sigma = _strip_headers(_formula_source(args))
+    text, sigma = _formula_text(args, "ltl")
     if getattr(args, "alphabet", None):
         sigma = parse_alphabet(args.alphabet.split(","))
     phi = ltl_mod.parse_ltl(text, sigma)
@@ -118,23 +112,39 @@ def _load_ltl(args, need_alphabet: bool = True):
     return phi, sigma
 
 
-def _reject_violations(errs: list):
+class _Invalid(ParseError):
+    """An automaton that fails validation, named by its first violation."""
+
+    def __init__(self, violations: list):
+        super().__init__(f"invalid automaton: {violations[0]}")
+        self.violations = violations
+
+
+def _load(kind: str, path: str):
+    """A register (``kind`` "ra") or counter ("ca") automaton file, parsed
+    and validated."""
+    parse, check = (parse_ra, validate) if kind == "ra" else (parse_ca, validate_ca)
+    a = parse(_read(path))
+    errs = check(a)
     if errs:
-        raise ParseError(f"invalid automaton: {errs[0]}")
-
-
-def _load_ra(path: str):
-    """A register automaton file, parsed and validated."""
-    a = parse_ra(_read(path))
-    _reject_violations(validate(a))
+        raise _Invalid(errs)
     return a
 
 
-def _load_ca(path: str):
-    """A counter automaton file, parsed and validated."""
-    c = parse_ca(_read(path))
-    _reject_violations(validate_ca(c))
-    return c
+def _write(args, out: _Out, text: str, note: str = "", **fields) -> None:
+    """``text`` into the ``-o`` file, reported as written with ``note`` and
+    ``fields``, or onto stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.emit(f"wrote {args.output}{note}", output=args.output, **fields)
+    else:
+        print(text, end="")
+
+
+def _unknown(out: _Out, verdict: Verdict) -> int:
+    out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
+    return EXIT_BUDGET
 
 
 def _verdict_exit(value: bool) -> int:
@@ -152,43 +162,38 @@ def cmd_parse(args, out: _Out) -> int:
                  max_register=info.max_register, sentence=info.is_sentence,
                  simple_depth=info.is_simple_Om)
     elif args.kind == "fo":
-        text, _ = _strip_headers(_fo_source(args))
-        f = fo_mod.parse_fo(text)
+        f = fo_mod.parse_fo(_formula_text(args, "fo")[0])
         out.emit(f"{fo_mod.format_fo(f)}\nfree: {sorted(fo_mod.free_vars(f))}  "
                  f"two-variable: {fo_mod.is_two_variable(f)}",
                  formula=fo_mod.format_fo(f), free=sorted(fo_mod.free_vars(f)),
                  two_variable=fo_mod.is_two_variable(f))
     elif args.file is None:
         raise DatawordsError(f"parse {args.kind} needs a file")
-    elif args.kind == "ra":
-        a = parse_ra(_read(args.file))
-        errs = validate(a)
-        if errs:
-            out.emit("invalid:\n  " + "\n  ".join(errs), valid=False, errors=errs)
-            return EXIT_PARSE
-        c = classify_ra(a)
-        out.emit(f"valid; one-way: {c.one_way}  nondeterministic: {c.nondeterministic}  "
-                 f"universal: {c.universal}",
-                 valid=True, one_way=c.one_way, nondeterministic=c.nondeterministic,
-                 universal=c.universal)
     else:
-        c = parse_ca(_read(args.file))
-        errs = validate_ca(c)
-        if errs:
-            out.emit("invalid:\n  " + "\n  ".join(errs), valid=False, errors=errs)
+        try:
+            a = _load(args.kind, args.file)
+        except _Invalid as exc:
+            out.emit("invalid:\n  " + "\n  ".join(exc.violations),
+                     valid=False, errors=exc.violations)
             return EXIT_PARSE
-        out.emit(f"valid; {len(c.locations)} locations, {c.n_counters} counters, "
-                 f"{len(c.transitions)} transitions",
-                 valid=True, locations=len(c.locations), counters=c.n_counters,
-                 transitions=len(c.transitions))
+        if args.kind == "ra":
+            c = classify_ra(a)
+            out.emit(f"valid; one-way: {c.one_way}  nondeterministic: {c.nondeterministic}  "
+                     f"universal: {c.universal}",
+                     valid=True, one_way=c.one_way, nondeterministic=c.nondeterministic,
+                     universal=c.universal)
+        else:
+            out.emit(f"valid; {len(a.locations)} locations, {a.n_counters} counters, "
+                     f"{len(a.transitions)} transitions",
+                     valid=True, locations=len(a.locations), counters=a.n_counters,
+                     transitions=len(a.transitions))
     return 0
 
 
 def cmd_eval(args, out: _Out) -> int:
     w = parse_data_word(args.word)
-    if args.fo or args.fo_file:
-        text, _ = _strip_headers(_fo_source(args))
-        f = fo_mod.parse_fo(text)
+    if args.fo is not None or args.fo_file is not None:
+        f = fo_mod.parse_fo(_formula_text(args, "fo")[0])
         asg = {}
         for item in args.assign or []:
             m = re.fullmatch(r"x(\d+)=(\d+)", item)
@@ -220,28 +225,16 @@ def cmd_sat_bounded(args, out: _Out) -> int:
 def cmd_translate(args, out: _Out) -> int:
     if args.direction == "ltl2ra":
         a = ltl_to_ara(*_load_ltl(args))
-        text = format_ra(a)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            out.emit(f"wrote {args.output} ({len(a.locations)} locations)",
-                     output=args.output, locations=len(a.locations))
-        else:
-            print(text, end="")
+        _write(args, out, format_ra(a), f" ({len(a.locations)} locations)",
+               locations=len(a.locations))
         return 0
     if args.ra is None:
         raise DatawordsError("translate ra2ca needs --ra")
-    ca, stats = _build(_load_ra(args.ra), args.words == "infinite")
-    text = format_ca(ca)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit(f"wrote {args.output}; " +
-                 ", ".join(f"{k}={v}" for k, v in sorted(stats.items())),
-                 output=args.output, **stats)
-    else:
-        print(text, end="")
-        out.emit("; ".join(f"{k}={v}" for k, v in sorted(stats.items())), **stats)
+    ca, stats = _build(_load("ra", args.ra), args.words == "infinite")
+    report = [f"{k}={v}" for k, v in sorted(stats.items())]
+    _write(args, out, format_ca(ca), "; " + ", ".join(report), **stats)
+    if not args.output:
+        out.emit("; ".join(report), **stats)
     return 0
 
 
@@ -249,7 +242,7 @@ def cmd_accepts(args, out: _Out) -> int:
     if args.ra:
         if args.word is None:
             raise DatawordsError("accepts --ra needs --word")
-        a = _load_ra(args.ra)
+        a = _load("ra", args.ra)
         w = parse_data_word(args.word)
         value = accepts(a, w, max_states=args.max_states)
         out.emit("accepts" if value else "rejects", verdict=value)
@@ -258,7 +251,7 @@ def cmd_accepts(args, out: _Out) -> int:
         raise DatawordsError("pass --ra or --ca")
     if args.letters is None:
         raise DatawordsError("accepts --ca needs --letters")
-    c = _load_ca(args.ca)
+    c = _load("ca", args.ca)
     # one character per letter only while every letter is one character
     if "," in args.letters or any(len(x) > 1 for x in c.alphabet.letters):
         letters = tuple(args.letters.split(","))
@@ -269,8 +262,7 @@ def cmd_accepts(args, out: _Out) -> int:
             raise ParseError(f"letter {w!r} not in the alphabet")
     verdict = accepts_word(c, letters, args.semantics, args.budget)
     if verdict.kind == "unknown":
-        out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
-        return EXIT_BUDGET
+        return _unknown(out, verdict)
     out.emit("accepts" if verdict.is_nonempty else "rejects",
              verdict=verdict.is_nonempty)
     return _verdict_exit(verdict.is_nonempty)
@@ -291,10 +283,10 @@ def _certificate_text(verdict: Verdict):
 
 def cmd_empty(args, out: _Out) -> int:
     if args.kind == "nra":
-        a = _load_ra(args.file)
+        a = _load("ra", args.file)
         verdict = (nonempty_infinite if args.words == "infinite" else nonempty_finite)(a)
     else:
-        c = _load_ca(args.file)
+        c = _load("ca", args.file)
         if args.semantics == "minsky":
             verdict = nonempty_minsky_bounded(c, args.words, args.budget)
         elif args.words == "finite":
@@ -302,8 +294,7 @@ def cmd_empty(args, out: _Out) -> int:
         else:
             verdict = nonempty_infinite_incrementing(c, args.budget)
     if verdict.kind == "unknown":
-        out.emit(f"unknown: {verdict.reason}", verdict="unknown", reason=verdict.reason)
-        return EXIT_BUDGET
+        return _unknown(out, verdict)
     if verdict.is_nonempty:
         text = _certificate_text(verdict)
         out.emit("nonempty" if text is None else f"nonempty: {text}",
@@ -314,29 +305,21 @@ def cmd_empty(args, out: _Out) -> int:
 
 
 def cmd_reduce(args, out: _Out) -> int:
-    c = _load_ca(args.ca)
-    if args.direction == "ca2ltl":
-        phi = (ca_to_ltl_infinite if args.words == "infinite" else ca_to_ltl_finite)(c)
-        text = "alphabet: " + " ".join(hat_alphabet(c).letters) + "\n" + \
-            ltl_mod.format_ltl(phi) + "\n"
-    elif args.direction == "ca2ura":
+    c = _load("ca", args.ca)
+    if args.direction == "ca2ura":
         text = format_ra(ca_to_ura1(c))
+    elif args.direction == "minsky2ltl" and args.variant == "fig4":
+        text = format_ca(minsky_to_incrementing_fig4(c))
     else:
-        if args.variant == "xffp":
-            text = "alphabet: " + " ".join(hat_alphabet(c).letters) + "\n" + \
-                ltl_mod.format_ltl(minsky_to_ltl_xffp(c)) + "\n"
-        elif args.variant == "2reg":
-            from .reductions import tilde_alphabet
-            text = "alphabet: " + " ".join(tilde_alphabet(c).letters) + "\n" + \
-                ltl_mod.format_ltl(minsky_to_ltl_2reg(c)) + "\n"
+        if args.direction == "ca2ltl":
+            phi = (ca_to_ltl_infinite if args.words == "infinite" else ca_to_ltl_finite)(c)
+            sigma = hat_alphabet(c)
+        elif args.variant == "xffp":
+            sigma, phi = hat_alphabet(c), minsky_to_ltl_xffp(c)
         else:
-            text = format_ca(minsky_to_incrementing_fig4(c))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.emit(f"wrote {args.output}", output=args.output)
-    else:
-        print(text, end="")
+            sigma, phi = tilde_alphabet(c), minsky_to_ltl_2reg(c)
+        text = f"alphabet: {' '.join(sigma.letters)}\n{ltl_mod.format_ltl(phi)}\n"
+    _write(args, out, text)
     return 0
 
 
@@ -367,7 +350,6 @@ def cmd_circle(args, out: _Out) -> int:
              stage="counter_machine", nonempty=v2, **stats)
 
     if len(ca.transitions) <= args.back_alphabet_cap:
-        from .ca import rename_locations
         ca = rename_locations(ca)
         phi_back = ca_to_ltl_finite(ca)
         sigma_back = hat_alphabet(ca)
@@ -395,17 +377,16 @@ def cmd_circle(args, out: _Out) -> int:
 
 def cmd_export_dot(args, out: _Out) -> int:
     if args.ra and args.word:
-        a = _load_ra(args.ra)
+        a = _load("ra", args.ra)
         w = parse_data_word(args.word)
         game, _ = acceptance_game(a, w)
         print(game_to_dot(game))
     elif args.ra and args.abstract:
-        from .nra import abstract_graph_to_dot
-        print(abstract_graph_to_dot(_load_ra(args.ra)))
+        print(abstract_graph_to_dot(_load("ra", args.ra)))
     elif args.ra:
-        print(ra_to_dot(_load_ra(args.ra)))
+        print(ra_to_dot(_load("ra", args.ra)))
     elif args.ca:
-        print(ca_to_dot(_load_ca(args.ca)))
+        print(ca_to_dot(_load("ca", args.ca)))
     else:
         raise DatawordsError("pass --ra or --ca")
     return 0
@@ -434,40 +415,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="one JSON object per line")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def ltl_args(sp):
-        g = sp.add_mutually_exclusive_group(required=True)
-        g.add_argument("--ltl", help="formula text")
-        g.add_argument("--ltl-file", help="file with an optional alphabet: header")
+    def formula_args(sp, kind: str = "ltl", required: bool = False):
+        g = sp.add_mutually_exclusive_group(required=required)
+        g.add_argument(f"--{kind}", help="formula text")
+        g.add_argument(f"--{kind}-file", help="file with an optional alphabet: header")
 
     sp = sub.add_parser("parse", help="parse and classify an artifact")
     sp.add_argument("kind", choices=["ltl", "fo", "ra", "ca"])
-    sp.add_argument("--ltl")
-    sp.add_argument("--ltl-file")
-    sp.add_argument("--fo")
-    sp.add_argument("--fo-file")
+    formula_args(sp)
+    formula_args(sp, "fo")
     sp.add_argument("file", nargs="?", help="automaton file for ra/ca")
     sp.set_defaults(func=cmd_parse)
 
     sp = sub.add_parser("eval", help="evaluate a formula on a data word")
     sp.add_argument("--word", required=True)
-    sp.add_argument("--ltl")
-    sp.add_argument("--ltl-file")
-    sp.add_argument("--fo")
-    sp.add_argument("--fo-file")
+    formula_args(sp)
+    formula_args(sp, "fo")
     sp.add_argument("--position", type=int, default=None)
     sp.add_argument("--assign", nargs="*", help="x0=3 style bindings (first-order)")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("sat-bounded", help="brute-force bounded satisfiability")
-    ltl_args(sp)
+    formula_args(sp, required=True)
     sp.add_argument("--alphabet", help="comma-separated letters")
     sp.add_argument("--max-len", type=_length, required=True)
     sp.set_defaults(func=cmd_sat_bounded)
 
     sp = sub.add_parser("translate", help="between formalisms")
     sp.add_argument("direction", choices=["ltl2ra", "ra2ca"])
-    sp.add_argument("--ltl")
-    sp.add_argument("--ltl-file")
+    formula_args(sp)
     sp.add_argument("--alphabet")
     sp.add_argument("--ra", help="register automaton file (ra2ca)")
     sp.add_argument("--words", choices=["finite", "infinite"], default="finite")
@@ -505,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("circle", help="the loop of translations, cross-checked")
-    ltl_args(sp)
+    formula_args(sp, required=True)
     sp.add_argument("--alphabet")
     sp.add_argument("--max-len", type=_length, required=True)
     sp.add_argument("--back-max-len", type=_length, default=3)

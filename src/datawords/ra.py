@@ -18,7 +18,7 @@ from .errors import (
 )
 from .games import PositionalStrategy, WeakGame, solve
 from .graph import cyclic, sccs
-from .words import Alphabet, DataWord, parse_alphabet, parse_header_count
+from .words import Alphabet, DataWord, parse_alphabet, parse_header_count, parse_lines
 
 
 # --- tests -----------------------------------------------------------------
@@ -512,21 +512,12 @@ def parse_ra(text: str) -> RegisterAutomaton:
             return TMove(head in ("X", "wX"), head.startswith("w"), toks[1])
         raise ParseError(f"unknown transition formula {rest!r}")
 
-    headers: set = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("alphabet:", "registers:", "init:")):
-            head = line.split(":", 1)[0] + ":"
-            if head in headers:
-                raise ParseError(f"repeated header {head!r}")
-            headers.add(head)
-        if line.startswith("alphabet:"):
+    for head, line in parse_lines(text, ("alphabet:", "registers:", "init:")):
+        if head == "alphabet:":
             sigma = parse_alphabet(line.split(":", 1)[1].split())
-        elif line.startswith("registers:"):
+        elif head == "registers:":
             n_reg = parse_header_count(line)
-        elif line.startswith("init:"):
+        elif head == "init:":
             initial = line.split(":", 1)[1].strip()
         else:
             m = re.match(r"(\S+)\s+rank=(\d+)\s+height=(\d+)\s*:\s*(.*)$", line)

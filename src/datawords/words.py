@@ -3,6 +3,9 @@
 Only equality of data matters, so a class is stored extensionally as the set
 of positions carrying the same datum.  Blocks are kept in canonical order
 (by least member) so class indices are stable across re-parsing.
+
+The line rules that every text format shares (``parse_lines``) and the
+readers of its headers live here too.
 """
 
 from __future__ import annotations
@@ -52,6 +55,25 @@ def parse_alphabet(letters: Sequence[str]) -> Alphabet:
         if a in letters[:k]:
             raise ParseError(f"letter {a!r} repeated in the alphabet")
     return Alphabet(letters)
+
+
+def parse_lines(text: str, headers: Sequence[str]) -> Iterator[tuple[Optional[str], str]]:
+    """The lines of an input file, formula or automaton, in file order and
+    stripped: ``#`` starts a comment and blank lines are dropped.  A line
+    that starts with one of ``headers`` comes as ``(header, line)``, and a
+    second line with the same header is a ParseError; every other line
+    comes as ``(None, line)``."""
+    seen: set = set()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = next((h for h in headers if line.startswith(h)), None)
+        if head is not None:
+            if head in seen:
+                raise ParseError(f"repeated header {head!r}")
+            seen.add(head)
+        yield head, line
 
 
 def parse_header_count(line: str) -> int:

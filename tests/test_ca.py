@@ -99,6 +99,24 @@ def test_accepts_word_rejects_unknown_semantics():
         accepts_word(ca_fin(), "ab", "incremental")
 
 
+@pytest.mark.parametrize("budget", [0, -3, 1.5, 1000.5])
+@pytest.mark.parametrize("decide", [
+    lambda budget: accepts_word(ca_fin(), "ab", "incrementing", budget),
+    lambda budget: accepts_word(ca_fin(), "ab", "minsky", budget),
+    lambda budget: nonempty_finite_incrementing(ca_fin(), budget),
+    lambda budget: nonempty_infinite_incrementing(ca_inf(), budget),
+    lambda budget: nonempty_minsky_bounded(ca_fin(), "finite", budget),
+    lambda budget: nonempty_minsky_bounded(ca_inf(), "infinite", budget),
+], ids=["accepts-incrementing", "accepts-minsky", "finite", "infinite", "minsky-finite",
+        "minsky-infinite"])
+def test_deciders_refuse_a_budget_that_is_not_a_positive_int(decide, budget):
+    """No decider answers on a budget it cannot spend.  1000.5 reaches the
+    staged infinite deciders only after stages of 200 states, which
+    answer these machines."""
+    with pytest.raises(PreconditionViolation, match=f"budget {budget!r} is not an int of"):
+        decide(budget)
+
+
 def test_minsky_runs_are_incrementing_runs():
     rng = random.Random(5)
     for _ in range(60):

@@ -363,13 +363,21 @@ def test_letter_outside_alphabet_is_a_parse_error(capsys):
 def test_alphabet_header_is_used(tmp_path, capsys):
     f = tmp_path / "ga.ltl"
     f.write_text("alphabet: a b\nG a\n")
-    code, out, _ = run(capsys, "translate", "ltl2ra", "--ltl-file", str(f))
+    code, out_plain, _ = run(capsys, "translate", "ltl2ra", "--ltl-file", str(f))
     assert code == 0
-    assert out.startswith("alphabet: a b\n")
+    assert out_plain.startswith("alphabet: a b\n")
     # --alphabet wins over the header
     code, out, _ = run(capsys, "translate", "ltl2ra", "--ltl-file", str(f),
                        "--alphabet", "a,b,c")
     assert code == 0 and out.startswith("alphabet: a b c\n")
+    # formula files take comments and blank lines as automaton files do
+    g = tmp_path / "commented.ltl"
+    g.write_text("# always a\nalphabet: a b  # the letters\n\nG a  # the formula\n")
+    assert run(capsys, "translate", "ltl2ra", "--ltl-file", str(g)) == (0, out_plain, "")
+    fo = tmp_path / "commented.fo"
+    fo.write_text("# a first-order formula\nalphabet: a b\n\nexists x1 (Pa(x1))  # some a\n")
+    assert run(capsys, "parse", "fo", "--fo-file", str(fo)) == \
+        (0, "exists x1 (Pa(x1))\nfree: []  two-variable: True\n", "")
 
 
 def test_deep_nesting_is_a_usage_error():
@@ -542,6 +550,8 @@ def test_bad_alphabet_or_count_is_a_parse_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dup.ltl").write_text("alphabet: a a\nG a\n")
     (tmp_path / "none.ltl").write_text("alphabet:\nG a\n")
+    (tmp_path / "twice.ltl").write_text("alphabet: a b\nG a\nalphabet: a\n")
+    (tmp_path / "twice.fo").write_text("alphabet: a\nalphabet: a b\nPa(x0)\n")
     (tmp_path / "dup.ra").write_text(REGISTER_2_RA.replace("a b", "b b"))
     (tmp_path / "dup.ca").write_text(COUNTER_3_CA.replace("a b", "a a"))
     (tmp_path / "count.ca").write_text(COUNTER_3_CA.replace("counters: 1", "counters: x"))
@@ -551,6 +561,11 @@ def test_bad_alphabet_or_count_is_a_parse_error(tmp_path, monkeypatch, capsys):
             (["empty", "nra", "dup.ra"], "letter 'b' repeated"),
             (["empty", "ca", "dup.ca"], "letter 'a' repeated"),
             (["empty", "ca", "count.ca"], "bad count in 'counters: x'"),
+            (["parse", "ltl", "--ltl-file", "twice.ltl"], "repeated header 'alphabet:'"),
+            (["sat-bounded", "--ltl-file", "twice.ltl", "--max-len", "1"],
+             "repeated header 'alphabet:'"),
+            (["parse", "fo", "--fo-file", "twice.fo"], "repeated header 'alphabet:'"),
+            (["eval", "--word", "a ; 0", "--fo-file", "twice.fo"], "repeated header 'alphabet:'"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
@@ -640,6 +655,22 @@ def test_missing_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "ltl", "--ltl", "a", "--ltl-file", "f.ltl"],
+    ["parse", "fo", "--fo", "Pa(x0)", "--fo-file", "f.fo"],
+    ["eval", "--word", "a ; 0", "--ltl", "a", "--ltl-file", "f.ltl"],
+    ["eval", "--word", "a ; 0", "--fo-file", "f.fo", "--fo", "Pa(x0)"],
+    ["translate", "ltl2ra", "--ltl", "a", "--ltl-file", "f.ltl"],
+])
+def test_formula_text_and_file_together_are_a_usage_error(capsys, argv):
+    """A formula comes from its text or its file, never both."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    first, second = (a for a in argv if a.startswith(("--ltl", "--fo")))
+    assert exit_.value.code == 2
+    assert f"argument {second}: not allowed with argument {first}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("item", ["y=1", "x0", "x0=", "x0=b", "xxx0=1", "0=1", "x=1"])
