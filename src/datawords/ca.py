@@ -24,6 +24,17 @@ counts the states taken off the queue among those that remain.  Before
 the word's last letter the guide asks for more than a way on to
 acceptance: a way to read that letter and then reach an accepting
 location by silent steps alone, which is what the run must do there.
+
+The Büchi witness search is ruled by the control graph too
+(``CounterAutomaton._returning``).  Under minimal-error steps a counter
+falls only by its ``dec`` transitions, so a cycle that ends at or below
+its start valuation decrements every counter it increments, and all of
+its transitions stay inside one strongly connected component of every
+control graph pruned of the ``inc k`` transitions whose component holds
+no ``dec k``.  Only a location of such a component that holds an
+accepting location and a lettered transition can start a lasso's cycle,
+so past its first source the scan searches from no other location (the
+cycle-effect argument of Karp & Miller, 1969).
 """
 
 from __future__ import annotations
@@ -44,8 +55,9 @@ Transition = tuple  # (source, letter-or-None, op, counter, target)
 
 @dataclass(frozen=True)
 class CounterAutomaton:
-    """Read-only: ``outgoing`` and the search guide are derived from the
-    fields once, so the fields cannot be reassigned."""
+    """Read-only: ``outgoing``, the search guide and the returning
+    locations are derived from the fields once, so the fields cannot be
+    reassigned."""
 
     alphabet: Alphabet
     locations: tuple
@@ -99,6 +111,41 @@ class CounterAutomaton:
                     guide[q] = guide.get(q, 0) | add
                     stack.append(q)
         return guide
+
+    @cached_property
+    def _returning(self) -> frozenset:
+        """Built on the first lasso scan that reaches its second source: the
+        locations through which a returning cycle, one that ends at or below
+        its start valuation, can pass an accepting location and read a
+        letter.
+
+        The lemma: under minimal-error steps a counter falls only by its
+        ``dec`` transitions, so a returning cycle decrements every counter
+        it increments, and all its transitions stay inside one strongly
+        connected component of the control graph.  Dropping every ``inc k``
+        transition whose component holds no ``dec k`` keeps the cycle, so it
+        stays inside one component of every graph so pruned.  Each component
+        is pruned and split again until nothing changes; the locations of
+        the components left with an accepting location and a lettered
+        transition inside are the answer.  No counter is looked at."""
+        found: set = set()
+        work = [self.transitions]
+        while work:
+            trans = work.pop()
+            succ: dict = {q: [] for t in trans for q in (t[0], t[4])}
+            for t in trans:
+                succ[t[0]].append(t[4])
+            comp = {q: k for k, scc in enumerate(sccs(succ, succ)) for q in scc}
+            inner = adjacency((comp[t[0]], t) for t in trans if comp[t[0]] == comp[t[4]])
+            for ts in inner.values():
+                decs = {t[3] for t in ts if t[2] == "dec"}
+                kept = [t for t in ts if t[2] != "inc" or t[3] in decs]
+                if len(kept) < len(ts):
+                    work.append(kept)
+                elif (any(t[1] is not None for t in ts)
+                      and any(t[0] in self.accepting for t in ts)):
+                    found.update(t[0] for t in ts)
+        return frozenset(found)
 
 
 def _letter_bits(alphabet: Alphabet) -> dict:
@@ -448,14 +495,17 @@ def _path(back, key) -> list:
     return out
 
 
-# The scan searches from every source in index order until its searches have
-# together scanned this many times the graph's edges; then one
-# _lasso_sources pass rules out the sources without a hit.  Most lassos sit
-# at the first sources, found before the pass.  On the buchi benchmark (10 s
-# runs, seeds 1, 11 and 12, a shared 2-core host) 0, 1 and 2 times the edges
-# gave 1,237-1,353 qps with a tail of 2.64-2.98 ms, 4 and 8 times
-# 1,131-1,245 qps and 3.08-3.35 ms; the pass first (seed 1) 1,159-1,167 qps,
-# its p50 0.66-0.68 ms against 0.19-0.22 ms for all the others.
+# The scan searches from every returning source in index order until its
+# searches have together scanned this many times the graph's edges; then
+# one _lasso_sources pass rules out the sources without a hit.  Most lassos
+# sit at the first sources, found before the pass.  Measured with the
+# returning filter on a shared 2-core host: the first 2,000 machines of the
+# buchi pools of seeds 1 and 2 three times over and the 14 fixed machines
+# 20 times each, the three settings run in turn on each machine, took
+# 10.24 s at 0, 8.85 s at 2 and 9.06 s at 4 times the edges (nonempty
+# machines 2.88, 1.76 and 1.77 s; unknown ones 6.13, 6.08 and 6.26 s).  On
+# the benchmark (10 s runs, seeds 1-5) the three read 1,508, 1,562 and
+# 1,597 qps in the median, within the runs' spread of 1,442-1,722.
 _PASS_AFTER_EDGE_SCANS = 2
 
 
@@ -463,13 +513,28 @@ def _scan_for_lasso(c, states, edges, parent, packing) -> Optional[Lasso]:
     """The first hit of a BFS from each source in turn over (state, seen an
     accepting state) pairs whose cycle replays; a hit is a state at the
     source's location, at or below its valuation, reached having seen an
-    accepting state.  ``packing`` is the one the states were packed with."""
+    accepting state.  ``packing`` is the one the states were packed with.
+
+    A replaying cycle ends at or below its start, so by the lemma of
+    ``CounterAutomaton._returning`` (it decrements every counter it
+    increments and stays inside one component of every pruned control
+    graph) its location is a returning one.  Source 0 is searched first,
+    so a machine whose lasso starts there never builds the analysis; after
+    it, a source at another location is skipped, and an empty set ends the
+    scan."""
     guard = packing[2]
     accepting = [q in c.accepting for q, _ in states]
     pass_after = _PASS_AFTER_EDGE_SCANS * sum(map(len, edges))
     scanned = 0
     candidates = None
+    returning: frozenset = frozenset()
     for src, (q, v) in enumerate(states):
+        if src == 1:
+            returning = c._returning
+            if not returning:
+                return None
+        if src and q not in returning:
+            continue
         if candidates is None and scanned > pass_after:
             candidates = _lasso_sources(states, edges, accepting, packing)
         if candidates is not None and not candidates[src]:

@@ -238,12 +238,26 @@ def cmd_translate(args, out: _Out) -> int:
     return 0
 
 
+def _check_letters(letters, sigma: Alphabet) -> None:
+    """Refuse a letter outside an automaton's alphabet, as a parse error."""
+    for w in letters:
+        if w not in sigma:
+            raise ParseError(f"letter {w!r} not in the alphabet")
+
+
+def _data_word(text: str, sigma: Alphabet) -> DataWord:
+    """The data word of ``text``, every letter in ``sigma``."""
+    w = parse_data_word(text)
+    _check_letters(w.letters, sigma)
+    return w
+
+
 def cmd_accepts(args, out: _Out) -> int:
     if args.ra:
         if args.word is None:
             raise DatawordsError("accepts --ra needs --word")
         a = _load("ra", args.ra)
-        w = parse_data_word(args.word)
+        w = _data_word(args.word, a.alphabet)
         value = accepts(a, w, max_states=args.max_states)
         out.emit("accepts" if value else "rejects", verdict=value)
         return _verdict_exit(value)
@@ -257,9 +271,7 @@ def cmd_accepts(args, out: _Out) -> int:
         letters = tuple(args.letters.split(","))
     else:
         letters = tuple(args.letters)
-    for w in letters:
-        if w not in c.alphabet:
-            raise ParseError(f"letter {w!r} not in the alphabet")
+    _check_letters(letters, c.alphabet)
     verdict = accepts_word(c, letters, args.semantics, args.budget)
     if verdict.kind == "unknown":
         return _unknown(out, verdict)
@@ -378,8 +390,7 @@ def cmd_circle(args, out: _Out) -> int:
 def cmd_export_dot(args, out: _Out) -> int:
     if args.ra and args.word:
         a = _load("ra", args.ra)
-        w = parse_data_word(args.word)
-        game, _ = acceptance_game(a, w)
+        game, _ = acceptance_game(a, _data_word(args.word, a.alphabet))
         print(game_to_dot(game))
     elif args.ra and args.abstract:
         print(abstract_graph_to_dot(_load("ra", args.ra)))

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .errors import (
     ClassMismatch, ParseError, StateSpaceBudgetExceeded, UnsupportedClassCombination,
 )
-from .games import PositionalStrategy, WeakGame, solve
+from .games import PositionalStrategy, WeakGame, solve, strategy_closure
 from .graph import cyclic, sccs
 from .words import Alphabet, DataWord, parse_alphabet, parse_header_count, parse_lines
 
@@ -307,8 +307,6 @@ def accepts(a: RegisterAutomaton, w: DataWord, max_states: int = 200_000) -> boo
 def accepting_strategy(a: RegisterAutomaton, w: DataWord,
                        max_states: int = 200_000) -> tuple[int, PositionalStrategy, set]:
     """Winner, their positional strategy, and the states its plays visit."""
-    from .games import strategy_closure
-
     game, init = acceptance_game(a, w, max_states)
     winner, strat = solve(game, init)
     visited = strategy_closure(game, init, strat)

@@ -708,6 +708,16 @@ def test_accepts_letter_outside_the_alphabet_is_a_parse_error(capsys):
     assert err.strip() == "parse error: letter 'z' not in the alphabet"
 
 
+@pytest.mark.parametrize("argv", [
+    ["accepts", "--ra", f"{CORPUS}/matching.ra", "--word", "z ; 0"],
+    ["export-dot", "--ra", f"{CORPUS}/matching.ra", "--word", "a z ; 0 | 1"],
+])
+def test_data_word_letter_outside_the_alphabet_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == "parse error: letter 'z' not in the alphabet"
+
+
 def test_accepts_comma_separated_letters(tmp_path, capsys):
     f = tmp_path / "updown.ca"
     f.write_text("""alphabet: up down

@@ -7,8 +7,9 @@ it inline, and must build the same graph in the same order.
 ``reference_scan`` runs a BFS from every state of the reference graph, in
 index order, and returns the first hit whose cycle replays.
 ``ca._scan_for_lasso`` runs the same searches on the packed graph but skips
-the sources that ``ca._lasso_sources`` rules out, so the two must return
-the same lasso on every machine.
+the sources that ``ca._lasso_sources`` rules out, and, after source 0, the
+sources outside ``CounterAutomaton._returning``, so the two must return the
+same lasso on every machine.
 """
 
 from collections import deque
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from datawords import ca
 from datawords.ca import (
-    CounterAutomaton, Lasso, _explore_min_graph, _witness_search, initial_state, leq,
-    step_incrementing, verify_lasso,
+    CounterAutomaton, Lasso, _explore_min_graph, _scan_for_lasso, _witness_search,
+    initial_state, leq, nonempty_infinite_incrementing, step_incrementing, verify_lasso,
 )
 from datawords.words import Alphabet
 
@@ -86,13 +87,19 @@ def _hits(c, states, edges, src):
             queue.append(key)
 
 
-def reference_scan(c, states, edges, parent):
+def replaying_lassos(c, states, edges, parent):
+    """Per source in index order, the lasso of its first hit whose cycle
+    replays, if any."""
     for src in range(len(states)):
         for back, key, t in _hits(c, states, edges, src):
             lasso = Lasso(_path(parent, src), _path(back, key) + (t,))
             if verify_lasso(c, lasso):
-                return lasso
-    return None
+                yield lasso
+                break
+
+
+def reference_scan(c, states, edges, parent):
+    return next(replaying_lassos(c, states, edges, parent), None)
 
 
 def reference_witness_search(c, cap):
@@ -177,11 +184,46 @@ def pass_calls(monkeypatch):
     return calls
 
 
+class _Reads(list):
+    """Edge lists that record which states' edges are read by index."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
 @pytest.mark.parametrize("cap", [30, 200])
-def test_pass_rules_out_the_pump_machine(pass_calls, cap):
-    # counter 1 only grows, so no state ever returns below itself
+def test_analysis_rules_out_the_pump_machine(pass_calls, cap):
+    # counter 1 only grows, so no cycle returns below its start: the scan
+    # searches from source 0 alone, which reads each state's edges once
     c = CounterAutomaton(Alphabet(("a",)), ("q0",), "q0", 1,
                          (("q0", "a", "inc", 1, "q0"),), frozenset({"q0"}))
+    assert c._returning == frozenset()
+    states, edges, parent, packing = _explore_min_graph(c, cap)
+    edges = _Reads(edges)
+    assert _scan_for_lasso(c, states, edges, parent, packing) is None
+    assert edges.reads == list(range(cap))
+    assert not pass_calls
+    assert _witness_search(c, cap) is None
+    assert reference_witness_search(c, cap) is None
+
+
+@pytest.mark.parametrize("cap", [30, 200])
+def test_pass_rules_out_a_machine_the_analysis_keeps(pass_calls, cap):
+    # counter 1 is decremented on the cycle q1 q2, but q0 is left by raising
+    # it and entered by a zero test of it, so no cycle through q0 returns;
+    # counter 2 only grows, so the graph fills the cap
+    c = CounterAutomaton(
+        Alphabet(("a", "b")), ("q0", "q1", "q2"), "q0", 2,
+        (("q0", "a", "inc", 1, "q1"), ("q1", "b", "ifz", 1, "q0"),
+         ("q1", "a", "dec", 1, "q2"), ("q2", "a", "inc", 1, "q1"),
+         ("q0", "b", "inc", 2, "q0")),
+        frozenset({"q0"}))
+    assert c._returning == {"q0", "q1", "q2"}
     assert _witness_search(c, cap) is None
     assert len(pass_calls) == 1
     assert reference_witness_search(c, cap) is None
@@ -201,3 +243,27 @@ def test_pass_keeps_a_lasso_source_after_the_switch(pass_calls, cap):
     assert lasso == Lasso((("q0", "a", "inc", 1, "q2"), ("q2", "b", "dec", 2, "q1")),
                           (("q1", "b", "inc", 2, "q2"), ("q2", "b", "dec", 2, "q1")))
     assert lasso == reference_witness_search(c, cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines(), st.sampled_from([30, 200, 1000]))
+def test_every_replaying_source_is_returning(c, cap):
+    for lasso in replaying_lassos(c, *reference_explore(c, cap)):
+        assert lasso.cycle[0][0] in c._returning
+
+
+def reference_decider(c, budget):
+    """``nonempty_infinite_incrementing`` with ``_scan_for_lasso`` replaced
+    by the plain scan of every source, on the unpacked graph."""
+    def scan(c, states, edges, parent, packing):
+        return reference_scan(c, [(q, unpack(packing, v)) for q, v in states], edges, parent)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ca, "_scan_for_lasso", scan)
+        return nonempty_infinite_incrementing(c, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(machines(), st.sampled_from([30, 200, 1000]))
+def test_decider_equals_the_plain_scan(c, budget):
+    assert repr(nonempty_infinite_incrementing(c, budget)) == repr(reference_decider(c, budget))

@@ -82,6 +82,16 @@ def test_nonempty_finite_work(finite_machines, popped):
     assert popped[0] == 102
 
 
+def test_returning_locations(infinite_machines, popped):
+    # the locations a lasso's cycle can start at, out of 1,061, 248, 1,650,
+    # 1,542, 1,418, 66 and 389; the analysis expands no state
+    sizes = {name: len(c._returning) for name, c in infinite_machines.items()}
+    assert sizes == {"phi": 924, "phi-Fa-Gnotb": 53, "b-never-again": 405,
+                     "phi-b-distinct": 1_083, "phi-b-then-a": 1_073, "a-then-no-b": 34,
+                     "some-match": 159}
+    assert popped[0] == 0
+
+
 def _buchi_work(machines, popped, budget, names):
     out = {}
     for name in names:
