@@ -33,8 +33,12 @@ its transitions stay inside one strongly connected component of every
 control graph pruned of the ``inc k`` transitions whose component holds
 no ``dec k``.  Only a location of such a component that holds an
 accepting location and a lettered transition can start a lasso's cycle,
-so past its first source the scan searches from no other location (the
-cycle-effect argument of Karp & Miller, 1969).
+so the scan searches from no other location, and a machine without such
+a location is not explored at all (the cycle-effect argument of Karp &
+Miller, 1969).
+
+Every engine records a path as a link ``(link, t)`` back to None at its
+start, which ``_unlink`` turns into the transitions it spells.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ from typing import Optional, Sequence
 from .errors import CertificateError, ParseError, PreconditionViolation
 from .graph import adjacency, sccs
 from .words import Alphabet, parse_alphabet, parse_header_count, parse_lines
-
-Transition = tuple  # (source, letter-or-None, op, counter, target)
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,9 @@ class CounterAutomaton:
 
     @cached_property
     def _returning(self) -> frozenset:
-        """Built on the first lasso scan that reaches its second source: the
-        locations through which a returning cycle, one that ends at or below
-        its start valuation, can pass an accepting location and read a
-        letter.
+        """Built on the first witness search: the locations through which a
+        returning cycle, one that ends at or below its start valuation, can
+        pass an accepting location and read a letter.
 
         The lemma: under minimal-error steps a counter falls only by its
         ``dec`` transitions, so a returning cycle decrements every counter
@@ -425,9 +426,9 @@ def verify_lasso(c: CounterAutomaton, lasso: Lasso) -> bool:
 def _explore_min_graph(c: CounterAutomaton, budget: int, exact: bool = False):
     """Bounded BFS of the minimal-error graph (the exact one with
     ``exact``): (states, edges, parent, packing), with states ``(q, v)``
-    packed by ``packing``, ``edges[i] = [(t, j), ...]`` and ``parent[i] =
-    (j, t)`` (None at the start) over state indices.  Successors beyond the
-    budget are dropped."""
+    packed by ``packing``, ``edges[i] = [(t, j), ...]`` over state indices
+    and ``parent[i]`` the path link of the BFS tree to state i (None at the
+    start).  Successors beyond the budget are dropped."""
     packing = ones, masks, _guard = _packing(c.n_counters, budget)
     start = (c.initial, 0)
     states = [start]
@@ -457,7 +458,7 @@ def _explore_min_graph(c: CounterAutomaton, budget: int, exact: bool = False):
                     continue
                 j = index[nxt] = len(states)
                 states.append(nxt)
-                parent.append((k, t))
+                parent.append((parent[k], t))
             out.append((t, j))
         edges.append(out)
     return states, edges, parent, packing
@@ -467,10 +468,14 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
     """Look for a pumpable cycle: a path from (q, v) back to (q, v') with
     v' <= v that sees an accepting location; sound by downward simulation.
 
-    Exploration is deepened in stages and each stage's snapshot is scanned.
-    The stages bound the memory of the scan's reachability bitsets, which is
-    quadratic in the explored graph.
+    Such a cycle starts at a location of ``CounterAutomaton._returning``,
+    so a machine without one is answered before anything is explored.
+    Otherwise exploration is deepened in stages and each stage's snapshot
+    is scanned.  The stages bound the memory of the scan's reachability
+    bitsets, which is quadratic in the explored graph.
     """
+    if not c._returning:
+        return None
     caps = [cap for cap in _STAGES if cap <= budget] or [budget]
     for cap in caps:
         states, edges, parent, packing = _explore_min_graph(c, cap)
@@ -483,16 +488,6 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
 
 
 _STAGES = (200, 1500, 6000)  # the graph sizes a lasso search explores afresh
-
-
-def _path(back, key) -> list:
-    """The transitions to ``key`` in back-pointers ``back[key] = (key', t)``."""
-    out = []
-    while back[key] is not None:
-        key, t = back[key]
-        out.append(t)
-    out.reverse()
-    return out
 
 
 # The scan searches from every returning source in index order until its
@@ -518,22 +513,17 @@ def _scan_for_lasso(c, states, edges, parent, packing) -> Optional[Lasso]:
     A replaying cycle ends at or below its start, so by the lemma of
     ``CounterAutomaton._returning`` (it decrements every counter it
     increments and stays inside one component of every pruned control
-    graph) its location is a returning one.  Source 0 is searched first,
-    so a machine whose lasso starts there never builds the analysis; after
-    it, a source at another location is skipped, and an empty set ends the
-    scan."""
+    graph) its location is a returning one: a source at any other
+    location, source 0 included, is skipped.  ``parent`` and each search's
+    back-pointers hold path links."""
     guard = packing[2]
     accepting = [q in c.accepting for q, _ in states]
+    returning = c._returning
     pass_after = _PASS_AFTER_EDGE_SCANS * sum(map(len, edges))
     scanned = 0
     candidates = None
-    returning: frozenset = frozenset()
     for src, (q, v) in enumerate(states):
-        if src == 1:
-            returning = c._returning
-            if not returning:
-                return None
-        if src and q not in returning:
+        if q not in returning:
             continue
         if candidates is None and scanned > pass_after:
             candidates = _lasso_sources(states, edges, accepting, packing)
@@ -552,12 +542,12 @@ def _scan_for_lasso(c, states, edges, parent, packing) -> Optional[Lasso]:
                 nkey = 2 * j + ((key & 1) or accepting[j])
                 # tested before the skip: the start key may be hit itself
                 if nkey & 1 and states[j][0] == q and (vg - states[j][1]) & guard == guard:
-                    lasso = Lasso(tuple(_path(parent, src)), tuple(_path(back, key) + [t]))
+                    lasso = Lasso(_unlink(parent[src]), _unlink((back[key], t)))
                     if verify_lasso(c, lasso):
                         return lasso
                 if nkey in back:
                     continue
-                back[nkey] = (key, t)
+                back[nkey] = (back[key], t)
                 queue.append(nkey)
     return None
 
@@ -679,50 +669,34 @@ def _refutation(c: CounterAutomaton, budget: int):
                         break
                 else:
                     stack.append((nxt, (link, t), depth))
-    # terminated: emptiness unless the spawn graph has a reachable cycle
-    color: dict = {}
-
-    def on_cycle(root) -> Optional[list]:
-        stack2 = [(root, iter(spawn_edges.get(root, ())))]
-        path_stack = [root]
-        onpath = {root}
-        while stack2:
-            node, it = stack2[-1]
-            for (child, cpath) in it:
-                if child in onpath:
-                    return path_stack[path_stack.index(child):] + [child]
-                if child not in color:
-                    color[child] = 1
-                    stack2.append((child, iter(spawn_edges.get(child, ()))))
-                    path_stack.append(child)
-                    onpath.add(child)
-                    break
-            else:
-                stack2.pop()
-                onpath.discard(path_stack.pop())
-                continue
-        return None
-
-    cyc_nodes = on_cycle(start)
-    if cyc_nodes is None:
+    # terminated: emptiness unless the spawn graph has a cycle reachable from
+    # the start.  A depth-first walk; each entry on it keeps the link of the
+    # spawn edge the walk took into it, the first from its parent to it.
+    walk = [(start, iter(spawn_edges[start]), None)]
+    on_walk = {start}
+    seen = {start}
+    cycle = None
+    while walk and cycle is None:
+        for node, link in walk[-1][1]:
+            if node in on_walk:  # the cycle from node along the walk and back
+                k = next(k for k, entry in enumerate(walk) if entry[0] == node)
+                cycle = tuple(t for *_, taken in walk[k + 1:] for t in _unlink(taken))
+                cycle += _unlink(link)
+                break
+            if node not in seen:
+                seen.add(node)
+                on_walk.add(node)
+                walk.append((node, iter(spawn_edges[node]), link))
+                break
+        else:
+            on_walk.discard(walk.pop()[0])
+    if cycle is None:
         return EMPTY
-    # reconstruct a lasso along the spawn cycle
-    def hop(a, b):
-        for (child, cpath) in spawn_edges[a]:
-            if child == b:
-                return _unlink(cpath)
-        raise AssertionError("spawn edge vanished")
-
     hops = []
-    node = cyc_nodes[0]
     while spawned_by[node] is not None:
         node, link = spawned_by[node]
         hops.append(_unlink(link))
-    stem = tuple(t for path in reversed(hops) for t in path)
-    cycle: tuple = ()
-    for a, b in zip(cyc_nodes, cyc_nodes[1:]):
-        cycle += hop(a, b)
-    lasso = Lasso(stem, cycle)
+    lasso = Lasso(tuple(t for path in reversed(hops) for t in path), cycle)
     if verify_lasso(c, lasso):
         return Verdict("nonempty", lasso=lasso)
     return Verdict("unknown", reason="spawn cycle failed to replay")
@@ -799,9 +773,9 @@ def _exact_lasso(c: CounterAutomaton, states, edges, parent) -> Optional[Lasso]:
         for t, j in edges[key[0]]:
             nkey = (j, key[1] or t[1] is not None)
             if nkey == (src, True):
-                return Lasso(tuple(_path(parent, src)), tuple(_path(back, key) + [t]))
+                return Lasso(_unlink(parent[src]), _unlink((back[key], t)))
             if j in home and nkey not in back:
-                back[nkey] = (key, t)
+                back[nkey] = (back[key], t)
                 queue.append(nkey)
 
 
@@ -834,7 +808,7 @@ def parse_ca(text: str) -> CounterAutomaton:
             seen_locs.add(q)
             locs.append(q)
 
-    for head, line in parse_lines(text, ("alphabet:", "counters:", "init:", "accepting:")):
+    for _, head, line in parse_lines(text, ("alphabet:", "counters:", "init:", "accepting:")):
         if head == "alphabet:":
             sigma = parse_alphabet(line.split(":", 1)[1].split())
         elif head == "counters:":

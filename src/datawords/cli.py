@@ -6,9 +6,10 @@ usage errors (including ``accepts`` without --ra or --ca, or without the
 without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
 ``translate ra2ca`` without --ra and ``export-dot`` without --ra or --ca,
 ``reduce`` of a machine without transitions, a ``--max-len``,
-``--back-max-len``, ``--budget`` or ``--max-states`` below 1, a malformed
-``eval --assign`` item, and --ltl with --ltl-file or --fo with --fo-file)
-and inputs nested too deeply to process exit 2, parse errors (including a
+``--back-max-len``, ``--budget`` or ``--max-states`` below 1, a
+``--back-alphabet-cap`` below 0, a malformed ``eval --assign`` item, and
+--ltl with --ltl-file or --fo with --fo-file) and inputs nested too deeply
+to process exit 2, parse errors (including a
 letter outside the alphabet, an empty or repeated alphabet, a header
 repeated in a formula or automaton file and an automaton that fails
 validation) 3, exhausted budgets 4.  With --json each result is printed as
@@ -21,7 +22,8 @@ Formula text, given inline or in a file, and automaton files follow the
 same line rules (``words.parse_lines``): ``#`` starts a comment, blank lines
 are dropped, and each header (``alphabet:`` in formula text) may appear
 once.  A formula's alphabet is --alphabet if given, else the ``alphabet:``
-header of its text, else the letters the formula mentions.
+header of its text, else the letters the formula mentions.  A parse error
+in formula text is reported at a line and column of that text.
 """
 
 from __future__ import annotations
@@ -79,21 +81,37 @@ def _read(path: str) -> str:
 
 def _formula_text(args, kind: str):
     """The text of ``--<kind>`` or of the ``--<kind>-file`` file, read by
-    ``parse_lines``, and the alphabet of its ``alphabet:`` header, or
-    None."""
+    ``parse_lines``, and the alphabet of its ``alphabet:`` header, or None.
+    Each formula line keeps its line and column, the other lines left
+    blank, so a parse position tells where in the input it is."""
     text = getattr(args, kind)
     if text is None:
         path = getattr(args, f"{kind}_file")
         if path is None:
             raise DatawordsError(f"pass --{kind} or --{kind}-file")
         text = _read(path)
-    sigma, body = None, []
-    for head, line in parse_lines(text, ("alphabet:",)):
+    raw = text.splitlines()
+    sigma, body = None, [""] * len(raw)
+    for number, head, line in parse_lines(text, ("alphabet:",)):
         if head:
             sigma = parse_alphabet(line.split(":", 1)[1].split())
         else:
-            body.append(line)
+            body[number - 1] = " " * raw[number - 1].index(line) + line
     return "\n".join(body), sigma
+
+
+def _parse_formula(parse, text: str, *rest):
+    """``parse(text, *rest)``, a ParseError at a position told instead at
+    its line and column in ``text``, from 1; position -1, the end of the
+    input, is told as the end of the formula."""
+    try:
+        return parse(text, *rest)
+    except ParseError as exc:
+        if exc.position is None:
+            raise
+        at = len(text.rstrip()) if exc.position < 0 else exc.position
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise ParseError(f"{exc.message} (line {line}, column {column})") from None
 
 
 def _load_ltl(args, need_alphabet: bool = True):
@@ -102,7 +120,7 @@ def _load_ltl(args, need_alphabet: bool = True):
     text, sigma = _formula_text(args, "ltl")
     if getattr(args, "alphabet", None):
         sigma = parse_alphabet(args.alphabet.split(","))
-    phi = ltl_mod.parse_ltl(text, sigma)
+    phi = _parse_formula(ltl_mod.parse_ltl, text, sigma)
     if sigma is None:
         letters = tuple(sorted(ltl_mod.atoms(phi)))
         if letters:
@@ -162,7 +180,7 @@ def cmd_parse(args, out: _Out) -> int:
                  max_register=info.max_register, sentence=info.is_sentence,
                  simple_depth=info.is_simple_Om)
     elif args.kind == "fo":
-        f = fo_mod.parse_fo(_formula_text(args, "fo")[0])
+        f = _parse_formula(fo_mod.parse_fo, _formula_text(args, "fo")[0])
         out.emit(f"{fo_mod.format_fo(f)}\nfree: {sorted(fo_mod.free_vars(f))}  "
                  f"two-variable: {fo_mod.is_two_variable(f)}",
                  formula=fo_mod.format_fo(f), free=sorted(fo_mod.free_vars(f)),
@@ -193,7 +211,7 @@ def cmd_parse(args, out: _Out) -> int:
 def cmd_eval(args, out: _Out) -> int:
     w = parse_data_word(args.word)
     if args.fo is not None or args.fo_file is not None:
-        f = fo_mod.parse_fo(_formula_text(args, "fo")[0])
+        f = _parse_formula(fo_mod.parse_fo, _formula_text(args, "fo")[0])
         asg = {}
         for item in args.assign or []:
             m = re.fullmatch(r"x(\d+)=(\d+)", item)
@@ -403,21 +421,22 @@ def cmd_export_dot(args, out: _Out) -> int:
     return 0
 
 
-def _at_least_1(what: str):
-    """An argparse type: an integer of at least 1, named ``what`` when refused."""
+def _at_least(low: int, what: str):
+    """An argparse type: an integer of at least ``low``, named ``what`` when
+    refused."""
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
-            n = 0
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"expected {what} of at least 1, got {text!r}")
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected {what} of at least {low}, got {text!r}")
         return n
     return parse
 
 
-_length = _at_least_1("a length")
-_budget = _at_least_1("a budget")
+_length = _at_least(1, "a length")
+_budget = _at_least(1, "a budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphabet")
     sp.add_argument("--max-len", type=_length, required=True)
     sp.add_argument("--back-max-len", type=_length, default=3)
-    sp.add_argument("--back-alphabet-cap", type=int, default=12)
+    sp.add_argument("--back-alphabet-cap", type=_at_least(0, "a cap"), default=12)
     sp.add_argument("--budget", type=_budget, default=2_000_000)
     sp.set_defaults(func=cmd_circle)
 

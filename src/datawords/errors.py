@@ -34,6 +34,7 @@ class ParseError(DatawordsError):
 
     def __init__(self, message, position=None):
         super().__init__(message if position is None else f"{message} (at {position})")
+        self.message = message
         self.position = position
 
 

@@ -40,7 +40,7 @@ class FoFormula:
             if t in _QUANTIFIERS:
                 build, pairs = (lambda vs: vs - {f.var}), ((f.body, None),)
             elif t is FoNot:
-                build, pairs = ltl._same, ((f.body, None),)
+                build, pairs = ltl.same, ((f.body, None),)
             elif t in _CONNECTIVES:
                 build, pairs = frozenset.union, ((f.left, None), (f.right, None))
             else:
@@ -171,9 +171,9 @@ def all_vars(phi: FoFormula) -> frozenset[int]:
         if t in _CONNECTIVES:
             return frozenset.union, ((f.left, quantified), (f.right, quantified))
         if t is FoNot:
-            return ltl._same, ((f.body, quantified),)
+            return ltl.same, ((f.body, quantified),)
         if t in _QUANTIFIERS:
-            return ltl._same, ((f.body, quantified | {f.var}),)
+            return ltl.same, ((f.body, quantified | {f.var}),)
         raise TypeError(f)
 
     return ltl.fold(phi, visit, frozenset())
@@ -183,7 +183,7 @@ def max_offset(phi: FoFormula) -> int:
     def visit(f: FoFormula, _):
         t = type(f)
         if t is FoNot or t in _QUANTIFIERS:
-            return ltl._same, ((f.body, None),)
+            return ltl.same, ((f.body, None),)
         if t in _CONNECTIVES:
             return max, ((f.left, None), (f.right, None))
         return (f.offset if t is PlusEq else 0), ()
@@ -321,7 +321,7 @@ def _t_fwd(phi: ltl.Formula, j: int, m: int) -> FoFormula:
     def visit(f: ltl.Formula, j: int):
         t = type(f)
         if t in _FWD_CONNECTIVES:
-            return _FWD_CONNECTIVES[t], ltl._down(f, j)
+            return _FWD_CONNECTIVES[t], ltl.child_pairs(f, j)
         if t is ltl.Freeze:
             k, body = _strip_block(f)
             return partial(_jump, 1 - j, chi(j, k, m)), ((body, 1 - j),)
@@ -395,7 +395,7 @@ def fo2_to_simple_ltl(phi: FoFormula, j: int, m: Optional[int] = None) -> ltl.Fo
         if t is Exists:
             if f.var == j:
                 # rebinding the free variable: rename the quantifier by swapping
-                return ltl._same, ((Exists(1 - j, _swap(f.body)), j),)
+                return ltl.same, ((Exists(1 - j, _swap(f.body)), j),)
             return _t_exists(f.body, j, m)
         if t is FoTop:
             return ltl.TOP, ()
@@ -557,7 +557,7 @@ def _alpha_value(atom: FoFormula, j: int, k: int, m: int, b: bool) -> ltl.Formul
 _VAR = re.compile(r"x(\d+)")
 
 
-class _FoParser(ltl._Parser):
+class _FoParser(ltl.OperatorParser):
     """Infix precedence (low to high): ``->``, grouping to the right, then
     ``|`` and ``&``, grouping to the left.  The prefixes ``!``, ``exists
     xN`` and ``forall xN`` bind tighter than all of them."""

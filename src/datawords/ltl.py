@@ -182,7 +182,7 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return (phi.body,) if t in _UNARY else ()
 
 
-def _down(phi: Formula, down) -> tuple:
+def child_pairs(phi: Formula, down) -> tuple:
     """Each child of an inner node, paired with ``down``."""
     if type(phi) in _BINARY:
         return ((phi.left, down), (phi.right, down))
@@ -217,7 +217,8 @@ def fold(root, visit, down=None):
     return values[0]
 
 
-def _same(value):
+def same(value):
+    """The value of a node whose ``fold`` value is its only pair's."""
     return value
 
 
@@ -288,9 +289,9 @@ def free_registers(phi: Formula) -> frozenset[int]:
         if t is Reg or t is NReg:
             return frozenset() if f.register in bound else frozenset([f.register]), ()
         if t is Freeze:
-            return _same, ((f.body, bound | {f.register}),)
+            return same, ((f.body, bound | {f.register}),)
         if t in _INNER:
-            return frozenset.union, _down(f, bound)
+            return frozenset.union, child_pairs(f, bound)
         return frozenset(), ()
 
     return fold(phi, visit, frozenset())
@@ -361,7 +362,7 @@ def _desugar_visit(phi: Formula, _):
     t = type(phi)
     if t not in _INNER:
         return phi, ()
-    return _SUGAR.get(t) or partial(_rebuild, phi), _down(phi, None)
+    return _SUGAR.get(t) or partial(_rebuild, phi), child_pairs(phi, None)
 
 
 def _rebuild(phi: Formula, *new: Formula) -> Formula:
@@ -386,7 +387,7 @@ def nnf(phi: Formula) -> Formula:
 def _nnf_visit(phi: Formula, neg: bool):
     t = type(phi)
     if t is Not:
-        return _same, ((phi.body, not neg),)
+        return same, ((phi.body, not neg),)
     if t is Freeze:
         return partial(Freeze, phi.register), ((phi.body, neg),)
     if t in _SUGAR:  # desugar the node on the way down
@@ -394,7 +395,7 @@ def _nnf_visit(phi: Formula, neg: bool):
     if t not in _DUAL:
         raise TypeError(f"cannot normalize {phi!r}")
     if t in _INNER:
-        return (_DUAL[t] if neg else t), _down(phi, neg)
+        return (_DUAL[t] if neg else t), child_pairs(phi, neg)
     # a literal: its dual has the same fields
     return (_DUAL[t](*vars(phi).values()) if neg else phi), ()
 
@@ -493,11 +494,11 @@ def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
         if t in (Reg, NReg):
             return f.register == 1, ()
         if t is Not:
-            return _same, ((f.body, None),)
+            return same, ((f.body, None),)
         if t in (And, Or, Implies):
             return and_, ((f.left, None), (f.right, None))
         if t is Freeze and f.register == 1:
-            return _same, ((block(f.body), None),)
+            return same, ((block(f.body), None),)
         # any other freeze or bare temporal operator (incl. until/dual) -> not simple
         return False, ()
 
@@ -647,7 +648,7 @@ class _Chunk:
         if t is Freeze:
             return partial(self.freeze, f.register), ((f.body, bound | {f.register}),)
         if t in _OPS:
-            return partial(self.lift, _OPS[t]), _down(f, bound)
+            return partial(self.lift, _OPS[t]), child_pairs(f, bound)
         raise TypeError(f"unknown formula node {f!r}")
 
     def freeze(self, r: int, label):
@@ -736,7 +737,7 @@ _UP = re.compile(r"up\d+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
-class _Parser:
+class OperatorParser:
     """Operator precedence over explicit stacks, so neither a long chain of
     operators nor deep parentheses costs recursion depth.  ``parse_fo`` runs
     it too, with its own tables.
@@ -838,7 +839,7 @@ _PREFIX = {"!": Not, "X": Next, "Xp": Prev, "F": Future, "Fp": Past,
            "G": Always, "Gp": PastAlways}
 
 
-class _LtlParser(_Parser):
+class _LtlParser(OperatorParser):
     """Infix precedence (low to high): ``->``, ``|``, ``&``, ``U``/``Up``;
     ``->``, ``U`` and ``Up`` group to the right, ``|`` and ``&`` to the
     left.  The prefix operators (!, X, Xp, F, Fp, G, Gp, store<r>) form a

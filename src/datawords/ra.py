@@ -510,7 +510,7 @@ def parse_ra(text: str) -> RegisterAutomaton:
             return TMove(head in ("X", "wX"), head.startswith("w"), toks[1])
         raise ParseError(f"unknown transition formula {rest!r}")
 
-    for head, line in parse_lines(text, ("alphabet:", "registers:", "init:")):
+    for _, head, line in parse_lines(text, ("alphabet:", "registers:", "init:")):
         if head == "alphabet:":
             sigma = parse_alphabet(line.split(":", 1)[1].split())
         elif head == "registers:":

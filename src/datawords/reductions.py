@@ -19,7 +19,7 @@ from .ca import CounterAutomaton
 from .errors import PreconditionViolation
 from .ra import (
     BEnd, BLetter, BUp, RegisterAutomaton, TBottom, TMove, TOr, TStore, TTest,
-    TTop, assign_annotations, dual, validate,
+    TTop, assign_annotations, dual, union, validate,
 )
 from .words import Alphabet
 
@@ -303,7 +303,6 @@ def ca_to_ura1(c: CounterAutomaton) -> RegisterAutomaton:
     """A one-register universal automaton accepting exactly the encodings of
     accepting runs: the dual of the union of the violation recognizers."""
     parts = violation_automata(c)
-    from .ra import union
     u = parts[0]
     for p in parts[1:]:
         u = union(u, p)

@@ -57,14 +57,15 @@ def parse_alphabet(letters: Sequence[str]) -> Alphabet:
     return Alphabet(letters)
 
 
-def parse_lines(text: str, headers: Sequence[str]) -> Iterator[tuple[Optional[str], str]]:
+def parse_lines(text: str, headers: Sequence[str]) -> Iterator[tuple[int, Optional[str], str]]:
     """The lines of an input file, formula or automaton, in file order and
-    stripped: ``#`` starts a comment and blank lines are dropped.  A line
-    that starts with one of ``headers`` comes as ``(header, line)``, and a
-    second line with the same header is a ParseError; every other line
-    comes as ``(None, line)``."""
+    stripped, each with its line number (from 1): ``#`` starts a comment and
+    blank lines are dropped.  A line that starts with one of ``headers``
+    comes as ``(number, header, line)``, and a second line with the same
+    header is a ParseError; every other line comes as ``(number, None,
+    line)``."""
     seen: set = set()
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,7 +74,7 @@ def parse_lines(text: str, headers: Sequence[str]) -> Iterator[tuple[Optional[st
             if head in seen:
                 raise ParseError(f"repeated header {head!r}")
             seen.add(head)
-        yield head, line
+        yield number, head, line
 
 
 def parse_header_count(line: str) -> int:

@@ -77,6 +77,27 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_formula_file_parse_error_is_told_by_line_and_column(tmp_path, capsys):
+    # the position counts the header, the blank line and the indentation
+    f = tmp_path / "broken.ltl"
+    f.write_text("alphabet: a b\n\nG (a &\n  b |)\n")
+    code, out, err = run(capsys, "parse", "ltl", "--ltl-file", str(f))
+    assert code == 3 and out == ""
+    assert err.strip() == "parse error: unexpected token ')' (line 4, column 6)"
+
+
+@pytest.mark.parametrize("argv, at", [
+    (["parse", "ltl", "--ltl", "G (a &\n  b |)"], "unexpected token ')' (line 2, column 6)"),
+    (["parse", "ltl", "--ltl", "G (a & b"], "expected ')', found None (line 1, column 9)"),
+    (["eval", "--word", "a ; 0", "--fo", "# Pa\nPa(x0) &\n  Pb(x0) )"],
+     "trailing input ')' (line 3, column 10)"),
+])
+def test_inline_formula_parse_error_is_told_by_line_and_column(capsys, argv, at):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == f"parse error: {at}"
+
+
 @pytest.mark.parametrize("argv", [
     ["parse", "ltl", "--ltl", "store0 up0"],
     ["translate", "ltl2ra", "--ltl", "store0 up0", "--alphabet", "a"],
@@ -700,6 +721,20 @@ def test_length_below_one_is_a_usage_error(capsys, argv):
     what = "a budget" if argv[-2] in ("--budget", "--max-states") else "a length"
     assert exit_.value.code == 2
     assert f"expected {what} of at least 1, got '{argv[-1]}'" in err
+
+
+def test_negative_back_alphabet_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["circle", "--ltl", "a", "--max-len", "1", "--back-alphabet-cap", "-5"])
+    assert exit_.value.code == 2
+    assert "expected a cap of at least 0, got '-5'" in capsys.readouterr().err
+
+
+def test_back_alphabet_cap_0_skips_stage_3(capsys):
+    code, out, _ = run(capsys, "circle", "--ltl", "a", "--max-len", "1",
+                       "--back-alphabet-cap", "0")
+    assert code == 1
+    assert "[3] back-translated sentence: skipped" in out
 
 
 def test_accepts_letter_outside_the_alphabet_is_a_parse_error(capsys):

@@ -7,9 +7,9 @@ it inline, and must build the same graph in the same order.
 ``reference_scan`` runs a BFS from every state of the reference graph, in
 index order, and returns the first hit whose cycle replays.
 ``ca._scan_for_lasso`` runs the same searches on the packed graph but skips
-the sources that ``ca._lasso_sources`` rules out, and, after source 0, the
-sources outside ``CounterAutomaton._returning``, so the two must return the
-same lasso on every machine.
+the sources that ``ca._lasso_sources`` rules out and the sources outside
+``CounterAutomaton._returning``, so the two must return the same lasso on
+every machine.
 """
 
 from collections import deque
@@ -124,11 +124,14 @@ def machines(draw):
 
 def assert_packed_explorer_is_reference(c, cap, exact=False):
     """The packed graph's states unpack to the reference's, with the same
-    edges and parents; returns the reference graph."""
+    edges, and each state's path link spells its reference path; returns
+    the reference graph."""
     states, edges, parent, packing = _explore_min_graph(c, cap, exact)
     ref_states, ref_edges, ref_parent = graph = reference_explore(c, cap, exact)
     assert [(q, unpack(packing, v)) for q, v in states] == ref_states
-    assert (edges, parent) == (ref_edges, ref_parent)
+    assert edges == ref_edges
+    assert [ca._unlink(link) for link in parent] == \
+        [_path(ref_parent, i) for i in range(len(ref_states))]
     return graph
 
 
@@ -199,16 +202,22 @@ class _Reads(list):
 @pytest.mark.parametrize("cap", [30, 200])
 def test_analysis_rules_out_the_pump_machine(pass_calls, cap):
     # counter 1 only grows, so no cycle returns below its start: the scan
-    # searches from source 0 alone, which reads each state's edges once
+    # searches from no source, and the witness search expands no state
     c = CounterAutomaton(Alphabet(("a",)), ("q0",), "q0", 1,
                          (("q0", "a", "inc", 1, "q0"),), frozenset({"q0"}))
     assert c._returning == frozenset()
     states, edges, parent, packing = _explore_min_graph(c, cap)
     edges = _Reads(edges)
     assert _scan_for_lasso(c, states, edges, parent, packing) is None
-    assert edges.reads == list(range(cap))
+    assert edges.reads == []
     assert not pass_calls
-    assert _witness_search(c, cap) is None
+    expanded = []
+    outgoing = CounterAutomaton.outgoing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CounterAutomaton, "outgoing",
+                   lambda self, q: expanded.append(q) or outgoing(self, q))
+        assert _witness_search(c, cap) is None
+    assert expanded == []
     assert reference_witness_search(c, cap) is None
 
 
@@ -256,7 +265,8 @@ def reference_decider(c, budget):
     """``nonempty_infinite_incrementing`` with ``_scan_for_lasso`` replaced
     by the plain scan of every source, on the unpacked graph."""
     def scan(c, states, edges, parent, packing):
-        return reference_scan(c, [(q, unpack(packing, v)) for q, v in states], edges, parent)
+        # the explorer's cap, so the explorer's graph
+        return reference_scan(c, *reference_explore(c, len(states)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ca, "_scan_for_lasso", scan)
