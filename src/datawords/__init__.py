@@ -31,7 +31,7 @@ from .ca import (
     nonempty_infinite_incrementing, nonempty_minsky_bounded, parse_ca, validate_ca,
     verify_lasso,
 )
-from .ra2ca import build_ca_finite, build_ca_infinite, succ_table
+from .ra2ca import build_ca_finite, build_ca_infinite
 from .reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, minsky_to_incrementing_fig4,
     minsky_to_ltl_2reg, minsky_to_ltl_xffp,

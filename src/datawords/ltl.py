@@ -759,8 +759,10 @@ class OperatorParser:
         tokens, pos, match = [], 0, self.TOKEN.match
         while pos < len(text):
             m = match(text, pos)
-            if not m:
-                if text[pos:].strip() == "":
+            if not m:  # the blanks a token may follow are not to blame
+                rest = text[pos:]
+                pos += len(rest) - len(rest.lstrip())
+                if pos == len(text):
                     break
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             tokens.append((m.group(1), m.start(1)))

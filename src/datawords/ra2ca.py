@@ -17,6 +17,19 @@ class into one refreshed group, then refill the bag from the auxiliaries.
 Spurious increments only ever add superfluous obligations, which embeds the
 faulty run into a larger legitimate one, so the language is unchanged.
 
+A choice of a whole map is one transition.  For a drained unit of group g
+it is the dec of g into one point per outcome (u1, u2) of the fold of g's
+per-location choices, which then increments the pair counter of (u1, u2);
+for the current-class and empty-row maps it is one silent zero test of
+c_zero per pair of outcomes of their folds, straight into the tail.  The
+lemma: c_zero is never incremented, so it is 0 in every exact and every
+minimal-error run, and a zero test of it always fires and moves nothing.  A
+chain of such tests choosing a map item by item therefore fires exactly
+when one outcome of its fold does, with the same counter operations before
+and after it, so the whole-map step has the same runs up to those silent
+no-ops in both semantics.  Discovery already folds every group and every
+core's rows, so emission only reads the fold memo.
+
 The infinitary variant tags location sets with pending-obligation marks in
 the style of breakpoint constructions: a step may be declared fresh, which
 requires no mark to survive at equal rank and restarts the marks on all
@@ -31,10 +44,10 @@ infinite variant so is one on a cycle through a ready point with flag
 True, whose main locations accept and are entered on a letter.  The cut
 keeps the nodes that the initial ready point reaches and that reach a good
 ready point; only those ready points and cores are emitted, with the
-initial one, and no transition leads into a skipped ready point.  Within a
-core the emitter walks forward from its entry: a drain phase keeps only
-the marks it can exit with (a fresh step never marks), and the accepting
-points only exist once a discharge guess reaches them.  The
+initial one, and no transition leads into a skipped ready point.  A
+drain phase keeps only the marks it can exit with (a fresh step never
+marks), the map steps start at those exits, and the accepting points only
+exist once a discharge guess reaches them.  The
 finite machine is then cut, by one backward pass, to the locations that
 can reach an accepting one.  No cut changes the language.  An accepted
 finite run starts at the initial location and ends at an accepting one, so
@@ -154,15 +167,6 @@ class SuccTable:
         if uu:
             return frozenset({(frozenset(), frozenset({tf.target}))})
         return frozenset({(frozenset({tf.target}), frozenset())})
-
-
-def succ_table(a: RegisterAutomaton, letter: str, at_end: bool, uu: bool, q) -> frozenset:
-    """The set of (kept, refreshed) location-set pairs for one location."""
-    _require_1ara1(a)
-    out = SuccTable(a).get(letter, at_end, uu, q)
-    if uu:
-        assert all(not y for (y, _z) in out), "kept side must be empty when uu holds"
-    return out
 
 
 def _require_1ara1(a: RegisterAutomaton) -> None:
@@ -376,7 +380,6 @@ class _Builder:
         base = 2 + len(self.groups)
         self.c_pair = {p: base + k for k, p in enumerate(self.pairs)}
         self.n_counters = 1 + len(self.groups) + len(self.pairs)
-        self.sorted_groups = [sorted(g) for g in self.groups]
 
     def loc(self, x) -> int:
         k = self.locs.get(x)
@@ -525,11 +528,7 @@ class _Builder:
             for mode in self.modes:
                 if self.groups:
                     self.emit_drain(ci, letter, mode)
-                for src, op, ctr, dst in self.ordered_steps(ci, core, mode):
-                    if dst[0] == "pair":  # numbered with the tail
-                        into_tail.append((loc(src), op, ctr, dst))
-                    else:
-                        add(src, None, op, ctr, dst)
+                into_tail += self.map_steps(ci, core, mode)
         self.emit_tail(into_tail)
 
         initial = locs[("ready", EMPTY, self.init_items(), False)]
@@ -568,20 +567,22 @@ class _Builder:
                                 self.n_counters, trans, frozenset(map(new.get, accepting)))
 
     def entry_nats(self, letter: str, mode) -> tuple:
-        """The marks with which a core's step can enter its eqmap phase."""
+        """The marks with which a core's step can enter its map phase."""
         if not self.groups:
             return (False,)
         return tuple(nat for nat, _k in self.drain_block(letter, mode)[2])
 
     def drain_block(self, letter: str, mode) -> tuple:
         """The drain phase of a core, which depends on its letter and the
-        mode only: drain each bag counter, choosing a map ("dmap") for every
-        drained unit.  Returns the transitions over local ids, the number of
-        local ids after the entry 0, and the (mark, local id) of each exit
-        into the eqmap phase.  Only what the entry reaches is kept (a fresh
-        step never marks, so there the marked half goes), and local ids
-        follow first sight, the order in which emit would number the
-        points."""
+        mode only: drain each bag counter, taking one whole-map step per
+        outcome (u1, u2, n) of the group's fold for every drained unit, a
+        dec of the group into the point (gi, (u1, u2), mark) and an inc of
+        the pair back to the drain point of that mark.  Returns the
+        transitions over local ids, the name of each local id, the entry 0
+        first, and the (mark, local id) of each exit into the map phase.
+        Only what the entry reaches is kept (a fresh step never marks, so
+        there the marked half goes), and local ids follow first sight, the
+        order in which emit would number the points."""
         hit = self.blocks.get((letter, mode))
         if hit is not None:
             return hit
@@ -598,133 +599,65 @@ class _Builder:
             trans[(lid(src), op, ctr, lid(dst))] = None
 
         n_groups = len(self.groups)
-        nats = (False, True) if self.infinite else (False,)
 
         def drain(gi, nat):
             return ("drain", gi, nat) if gi < n_groups else ("exit", nat)
 
         lid(drain(0, False))  # the entry, local id 0
-        for nat in nats:
+        for nat in ((False, True) if self.infinite else (False,)):
             for gi, g in enumerate(self.groups):
                 d = drain(gi, nat)
                 add(d, "ifz", self.c_group[g], drain(gi + 1, nat))
-                add(d, "dec", self.c_group[g], ("dmap", gi, 0, EMPTY, EMPTY, nat))
-
-        # choose a map for one drained unit
-        seen: set = set()
-        stack = [("dmap", gi, 0, EMPTY, EMPTY, nat) for nat in nats for gi in range(n_groups)]
-        while stack:
-            src = stack.pop()
-            if src in seen:
-                continue
-            seen.add(src)
-            _, gi, k, u1, u2, nat = src
-            items = self.sorted_groups[gi]
-            if k == len(items):
-                assert (u1, u2) in self.pset, "pair escaped discovery"
-                add(src, "inc", self.c_pair[(u1, u2)], drain(gi, nat))
-                continue
-            for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
-                dst = ("dmap", gi, k + 1, self.union(u1, y), self.union(u2, z), nat or n2)
-                add(src, "ifz", self.c_zero, dst)
-                stack.append(dst)
+                for (u1, u2, n) in self.fold(letter, False, g, mode):
+                    assert (u1, u2) in self.pset, "pair escaped discovery"
+                    mid = (gi, (u1, u2), nat or n)
+                    add(d, "dec", self.c_group[g], mid)
+                    add(mid, "inc", self.c_pair[(u1, u2)], drain(gi, nat or n))
 
         reached = reach(adjacency((s, d) for s, _op, _c, d in trans), (0,))
         new = {k: j for j, k in enumerate(sorted(reached))}
         block = tuple((new[s], op, c, new[d]) for s, op, c, d in trans if s in new)
-        exits = tuple((nat, new[ids[("exit", nat)]]) for nat in nats
-                      if ids[("exit", nat)] in new)
-        out = self.blocks[(letter, mode)] = (block, len(new) - 1, exits)
+        points = tuple(x for x, k in ids.items() if k in new)
+        exits = tuple((x[1], new[k]) for x, k in ids.items() if x[0] == "exit" and k in new)
+        out = self.blocks[(letter, mode)] = (block, points, exits)
         return out
 
     def emit_drain(self, ci: int, letter: str, mode) -> None:
         """Core ci's copy of the drain phase: the entry is named by the main
         locations, the other points follow as fresh integers, and the exits
-        are named for the eqmap phase."""
-        block, size, exits = self.drain_block(letter, mode)
+        are named for the map phase."""
+        block, points, exits = self.drain_block(letter, mode)
         base = self.n_locs
-        ids = [self.locs[("drain", ci, mode, 0, False)], *range(base, base + size)]
-        self.n_locs = base + size
+        ids = [self.locs[("drain", ci, mode, 0, False)], *range(base, base + len(points) - 1)]
+        self.n_locs = base + len(points) - 1
         self.trans.update(dict.fromkeys([(ids[s], None, op, c, ids[d]) for s, op, c, d in block]))
         for nat, k in exits:
             self.locs[("eqmap", ci, mode, 0, EMPTY, nat)] = ids[k]
 
-    def ordered_steps(self, ci: int, core: tuple, mode):
-        """Core ci's map steps (map_steps), from the marks its drain exits
-        with, in the order emit adds them.  The marked points come first,
-        in the order of a walk from the marked entry, then the unmarked
-        ones: so when the drain exits unmarked only, but a stay step can
-        still mark on the way, the marked points that walk reaches are
-        numbered as a walk from the marked entry would number them."""
-        nats = self.entry_nats(core[0], mode)
-        if nats != (False,) or mode != "stay":
-            yield from self.map_steps(ci, core, mode, nats)
-            return
-        steps = list(self.map_steps(ci, core, mode, nats))
-        # the last field of a point is its mark, and a mark is never
-        # dropped on the way
-        marked = {dst for _src, _op, _ctr, dst in steps if dst[-1]}
-        if marked:
-            for src, op, ctr, dst in self.map_steps(ci, core, mode, (True,)):
-                if src in marked:
-                    yield src, op, ctr, dst
-                elif dst in marked:
-                    self.loc(dst)
-        yield from (step for step in steps if not step[0][-1])  # unmarked sources
-
-    def map_steps(self, ci: int, core: tuple, mode, nats: tuple):
-        """The transitions, as (source, op, counter, target) points, that
-        choose the current-class and empty-row maps and end at a pair entry
-        of the shared tail (emit_tail), walked from the eqmap entry of each
-        mark in nats, the last one first."""
+    def map_steps(self, ci: int, core: tuple, mode) -> list:
+        """The whole-map steps of core ci, as (location, pair entry) for
+        emit_tail: from the map entry of each mark its drain exits with,
+        one per outcome of the current-class fold and of the empty-row
+        fold, straight to the pair entry of the shared tail."""
         letter, qeq, qemp = core
-        c_zero, union = self.c_zero, self.union
-        eq_items, emp_items = sorted(qeq), sorted(qemp)
-        seen: set = set()
-        stack = [("eq", 0, EMPTY, nat) for nat in nats]
-        while stack:
-            entry = stack.pop()
-            if entry in seen:
-                continue
-            seen.add(entry)
-            kind = entry[0]
-            if kind == "eq":
-                _, k, u2, nat = entry
-                src = ("eqmap", ci, mode, k, u2, nat)
-                items = eq_items
-                if k == len(items):
-                    nxt = ("empmap", ci, mode, 0, EMPTY, u2, nat)
-                    yield src, "ifz", c_zero, nxt
-                    stack.append(("emp", 0, EMPTY, u2, nat))
-                    continue
-                for (y, z, n2) in self.item_choices(letter, True, items[k], mode):
-                    assert not y
-                    nu2, nn = union(u2, z), nat or n2
-                    yield src, "ifz", c_zero, ("eqmap", ci, mode, k + 1, nu2, nn)
-                    stack.append(("eq", k + 1, nu2, nn))
-            elif kind == "emp":
-                _, k, u1, u2, nat = entry
-                src = ("empmap", ci, mode, k, u1, u2, nat)
-                items = emp_items
-                if k == len(items):
-                    yield src, "ifz", c_zero, ("pair", mode, 0, u2, u1, nat)
-                    continue
-                for (y, z, n2) in self.item_choices(letter, False, items[k], mode):
-                    nu1, nu2, nn = union(u1, y), union(u2, z), nat or n2
-                    yield src, "ifz", c_zero, ("empmap", ci, mode, k + 1, nu1, nu2, nn)
-                    stack.append(("emp", k + 1, nu1, nu2, nn))
+        eqf = self.fold(letter, True, qeq, mode)
+        empf = self.fold(letter, False, qemp, mode)
+        return [(self.loc(("eqmap", ci, mode, 0, EMPTY, nat)),
+                 ("pair", mode, 0, self.union(e2, m2), m1, nat or n1 or n2))
+                for nat in self.entry_nats(letter, mode)
+                for (_e1, e2, n1) in eqf for (m1, m2, n2) in empf]
 
     def emit_tail(self, into_tail: list) -> None:
-        """Add the steps (location, op, counter, pair entry) of into_tail,
+        """Add the whole-map steps (location, pair entry) of into_tail,
         then walk the tail from those entries, once for the whole machine:
         collect the refreshed group from the pair counters ("pair", "bump"),
         refill the bag from them ("refill", "refillmid") and move to a live
         ready point."""
         add, c_zero, c_pair, c_group = self.add, self.c_zero, self.c_pair, self.c_group
         refill_ops = [(EMPTY, "ifz", c_zero), *((g, "dec", c_group[g]) for g in self.groups)]
-        for src, op, ctr, dst in into_tail:
-            self.trans[(src, None, op, ctr, self.loc(dst))] = None
-        stack = list(dict.fromkeys(dst for *_, dst in into_tail))
+        for src, dst in into_tail:
+            self.trans[(src, None, "ifz", c_zero, self.loc(dst))] = None
+        stack = list(dict.fromkeys(dst for _src, dst in into_tail))
         seen: set = set()
         while stack:
             src = stack.pop()

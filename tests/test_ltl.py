@@ -133,6 +133,19 @@ def test_parse_errors():
         parse_ltl("(a")
 
 
+def test_unexpected_character_is_named_past_the_blanks():
+    """The error names the character and its place, not the blanks before
+    it; parse_fo shares the tokenizer."""
+    for text, at in (("a &  $", 5), ("$", 0), ("a\n\t #", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_ltl(text, AB)
+        assert (err.value.message, err.value.position) == \
+            (f"unexpected character {text[at]!r}", at)
+    with pytest.raises(ParseError, match="unexpected character '\\$' \\(at 8\\)"):
+        fo.parse_fo("Pa(x0)  $")
+    assert parse_ltl("a &  b \n", AB) == parse_ltl("a & b", AB)
+
+
 def test_register_zero_is_a_parse_error():
     """Registers count from 1, as in the automata: store0 and up0 are
     refused where they stand, before ltl_to_ara could index register 0."""

@@ -9,7 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "datawords"
 
 # (importing module, imported module, name).  cli reads the builder's stats
 # through ra2ca._build until the build functions expose them (ROADMAP,
-# direction 7).
+# direction 8).
 ALLOWED = {("cli", "ra2ca", "_build")}
 
 

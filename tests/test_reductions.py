@@ -314,9 +314,10 @@ def test_running_example_sentence_is_shallow():
     phi = ltl.parse_ltl("G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))", ab)
     c = rename_locations(build_ca_finite(ltl_to_ara(phi, ab)))
     back = ca_to_ltl_finite(c)
-    # 9,467 before the cores of ra2ca shared their tails, 11,893 before
-    # ra2ca cut finite machines to what can accept
-    assert ltl.size(back) == 6_026
+    # 6,026 before ra2ca took each choice of a whole map in one step, 9,467
+    # before its cores shared their tails, 11,893 before it cut finite
+    # machines to what can accept
+    assert ltl.size(back) == 4_344
     assert _depth(back) <= 32
     assert ltl.parse_ltl(ltl.format_ltl(back), hat_alphabet(c)) == back
     assert ltl.atoms(ltl.nnf(back)) == ltl.atoms(back)
