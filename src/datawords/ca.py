@@ -472,11 +472,18 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
     so a machine without one is answered before anything is explored.
     Otherwise exploration is deepened in stages and each stage's snapshot
     is scanned.  The stages bound the memory of the scan's reachability
-    bitsets, which is quadratic in the explored graph.
+    bitsets, which is quadratic in the explored graph.  They are the
+    stages of ``_STAGES`` within the budget, and the budget itself when it
+    lies below the second.  Each stage's graph is the subgraph induced by
+    the first states of the next one's, which the BFS finds in the same
+    order, so a lasso found early also lies in every later graph: staging
+    changes which lasso is found, never whether one is.
     """
     if not c._returning:
         return None
-    caps = [cap for cap in _STAGES if cap <= budget] or [budget]
+    caps = [cap for cap in _STAGES if cap <= budget]
+    if len(caps) < 2 and budget not in caps:
+        caps.append(budget)
     for cap in caps:
         states, edges, parent, packing = _explore_min_graph(c, cap)
         lasso = _scan_for_lasso(c, states, edges, parent, packing)
@@ -487,7 +494,13 @@ def _witness_search(c: CounterAutomaton, budget: int) -> Optional[Lasso]:
     return None
 
 
-_STAGES = (200, 1500, 6000)  # the graph sizes a lasso search explores afresh
+# The graph sizes a lasso search explores afresh.  The first is small
+# because most lassos sit near the start: of the 1,488 nonempty machines
+# among the first 2,000 of the buchi pool of seed 1, 1,465 replay a lasso
+# within 8 explored states, 1,484 within 16 and all within 25.  With it the
+# benchmark's median buchi query fell from about 0.19 to 0.05 ms (20 s
+# runs, seeds 1-10, shared 2-core host).
+_STAGES = (16, 200, 1500, 6000)
 
 
 # The scan searches from every returning source in index order until its

@@ -9,9 +9,10 @@ without --fo or --fo-file, ``parse ra`` or ``parse ca`` without a file,
 ``--back-max-len``, ``--budget`` or ``--max-states`` below 1, a
 ``--back-alphabet-cap`` below 0, a malformed ``eval --assign`` item, and
 --ltl with --ltl-file or --fo with --fo-file) and inputs nested too deeply
-to process exit 2, parse errors (including a
-letter outside the alphabet, an empty or repeated alphabet, a header
-repeated in a formula or automaton file and an automaton that fails
+to process exit 2, parse errors (including a letter outside the
+alphabet, among them a letter of the ``eval`` word outside the
+``alphabet:`` header of its formula text, an empty or repeated alphabet, a
+header repeated in a formula or automaton file and an automaton that fails
 validation) 3, exhausted budgets 4.  With --json each result is printed as
 one JSON object per line.  Parsing and printing take no recursion depth.
 Still refused as nested too deeply: a deep LTL formula that is hashed or
@@ -22,7 +23,8 @@ Formula text, given inline or in a file, and automaton files follow the
 same line rules (``words.parse_lines``): ``#`` starts a comment, blank lines
 are dropped, and each header (``alphabet:`` in formula text) may appear
 once.  A formula's alphabet is --alphabet if given, else the ``alphabet:``
-header of its text, else the letters the formula mentions.  A parse error
+header of its text, else the letters the formula mentions; only a header
+restricts the word of ``eval``, which has no --alphabet.  A parse error
 in formula text is reported at a line and column of that text.
 """
 
@@ -209,9 +211,12 @@ def cmd_parse(args, out: _Out) -> int:
 
 
 def cmd_eval(args, out: _Out) -> int:
-    w = parse_data_word(args.word)
-    if args.fo is not None or args.fo_file is not None:
-        f = _parse_formula(fo_mod.parse_fo, _formula_text(args, "fo")[0])
+    kind = "fo" if args.fo is not None or args.fo_file is not None else "ltl"
+    text, sigma = _formula_text(args, kind)
+    # a header's alphabet restricts the word; letters inferred from the formula do not
+    w = parse_data_word(args.word) if sigma is None else _data_word(args.word, sigma)
+    if kind == "fo":
+        f = _parse_formula(fo_mod.parse_fo, text)
         asg = {}
         for item in args.assign or []:
             m = re.fullmatch(r"x(\d+)=(\d+)", item)
@@ -222,7 +227,7 @@ def cmd_eval(args, out: _Out) -> int:
             asg.setdefault(0, args.position)
         value = fo_mod.eval_fo(w, asg, f)
     else:
-        phi, _ = _load_ltl(args, need_alphabet=False)
+        phi = _parse_formula(ltl_mod.parse_ltl, text, sigma)
         value = ltl_mod.eval_ltl(w, args.position or 0, {}, phi)
     out.emit(f"{'true' if value else 'false'}", verdict=value)
     return _verdict_exit(value)
@@ -257,7 +262,8 @@ def cmd_translate(args, out: _Out) -> int:
 
 
 def _check_letters(letters, sigma: Alphabet) -> None:
-    """Refuse a letter outside an automaton's alphabet, as a parse error."""
+    """Refuse a letter outside an automaton's alphabet, or a formula
+    header's, as a parse error."""
     for w in letters:
         if w not in sigma:
             raise ParseError(f"letter {w!r} not in the alphabet")

@@ -155,11 +155,6 @@ def solve(g: WeakGame, p) -> tuple[int, PositionalStrategy]:
     return 2, sol.strat2
 
 
-def winning_regions(g: WeakGame) -> tuple[set, set]:
-    sol = _solve(g)
-    return sol.win1, sol.win2
-
-
 def strategy_closure(g: WeakGame, p, s: PositionalStrategy) -> Optional[set]:
     """Positions reachable when s's owner follows s and the other player
     plays arbitrarily; None if s is undefined somewhere it must choose."""

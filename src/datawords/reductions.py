@@ -40,12 +40,6 @@ def hat_alphabet(c: CounterAutomaton) -> Alphabet:
     return Alphabet(tuple(transition_letter(t) for t in c.transitions))
 
 
-def projection_map(c: CounterAutomaton) -> dict:
-    """The homomorphism from transition letters back to the base alphabet."""
-    return {transition_letter(t): (t[1] if t[1] is not None else "")
-            for t in c.transitions}
-
-
 class _Table:
     """One machine's lookups, each built once: the letter atom of every
     transition, the transitions of every instruction, and the disjunctions

@@ -29,13 +29,13 @@ from datawords.ra import (
 from datawords.ra2ca import build_ca_finite
 from datawords.reductions import (
     ca_to_ltl_finite, ca_to_ura1, hat_alphabet, minsky_to_incrementing_fig4,
-    projection_map, transition_letter,
 )
 from datawords.words import (
     Alphabet, alphabet, enumerate_data_words, make_data_word, project_string,
 )
 
 from test_ca import step_minsky
+from test_reductions import projection_map
 
 AB = alphabet("a", "b")
 PHI_TEXT = "G (a -> store1 X ((G (a -> !up1)) & F (b & up1)))"

@@ -110,9 +110,9 @@ def test_accepts_word_rejects_unknown_semantics():
 ], ids=["accepts-incrementing", "accepts-minsky", "finite", "infinite", "minsky-finite",
         "minsky-infinite"])
 def test_deciders_refuse_a_budget_that_is_not_a_positive_int(decide, budget):
-    """No decider answers on a budget it cannot spend.  1000.5 reaches the
-    staged infinite deciders only after stages of 200 states, which
-    answer these machines."""
+    """No decider answers on a budget it cannot spend.  The budget is
+    refused on entry, before any stage of the staged infinite deciders,
+    whose first stages would answer these machines."""
     with pytest.raises(PreconditionViolation, match=f"budget {budget!r} is not an int of"):
         decide(budget)
 

@@ -384,6 +384,20 @@ def test_letter_outside_alphabet_is_a_parse_error(capsys):
     assert out == ""  # refused before stage 1
 
 
+def test_eval_word_outside_a_declared_alphabet_is_a_parse_error(tmp_path, capsys):
+    ltl = tmp_path / "fa.ltl"
+    ltl.write_text("alphabet: a b\nF a\n")
+    fo = tmp_path / "some-a.fo"
+    fo.write_text("alphabet: a b\nexists x1 (Pa(x1))\n")
+    for formula in (["--ltl-file", str(ltl)], ["--ltl", "alphabet: a b\nF a"],
+                    ["--fo-file", str(fo)]):
+        assert run(capsys, "eval", *formula, "--word", "z ; 0") == \
+            (3, "", "parse error: letter 'z' not in the alphabet\n"), formula
+        assert run(capsys, "eval", *formula, "--word", "b a ; 0 1") == (1, "true\n", ""), formula
+    # without a header the formula's letters do not restrict the word
+    assert run(capsys, "eval", "--ltl", "F a", "--word", "z ; 0") == (0, "false\n", "")
+
+
 def test_alphabet_header_is_used(tmp_path, capsys):
     f = tmp_path / "ga.ltl"
     f.write_text("alphabet: a b\nG a\n")

@@ -2,9 +2,15 @@ import itertools
 import random
 
 from datawords.games import (
-    PositionalStrategy, WeakGame, check_signature, check_strategy, game_to_dot,
-    signature, solve, strategy_closure, winning_regions,
+    PositionalStrategy, WeakGame, _solve, check_signature, check_strategy, game_to_dot,
+    signature, solve, strategy_closure,
 )
+
+
+def winning_regions(g: WeakGame) -> tuple[set, set]:
+    """The positions each player wins, from one solve of the whole game."""
+    sol = _solve(g)
+    return sol.win1, sol.win2
 
 
 def game(owner, succ, rank):

@@ -9,7 +9,10 @@ index order, and returns the first hit whose cycle replays.
 ``ca._scan_for_lasso`` runs the same searches on the packed graph but skips
 the sources that ``ca._lasso_sources`` rules out and the sources outside
 ``CounterAutomaton._returning``, so the two must return the same lasso on
-every machine.
+every machine.  ``_witness_search`` scans stages of growing size; the
+stage rule without its first stage of 16 states stays here as
+``wide_stage_decider`` and ``wide_stage_minsky``, and both infinite
+deciders must give their verdicts.
 """
 
 from collections import deque
@@ -19,8 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from datawords import ca
 from datawords.ca import (
-    CounterAutomaton, Lasso, _explore_min_graph, _scan_for_lasso, _witness_search,
-    initial_state, leq, nonempty_infinite_incrementing, step_incrementing, verify_lasso,
+    CounterAutomaton, Lasso, Verdict, _explore_min_graph, _scan_for_lasso, _witness_search,
+    initial_state, leq, nonempty_infinite_incrementing, nonempty_minsky_bounded,
+    step_incrementing, verify_lasso,
 )
 from datawords.words import Alphabet
 
@@ -102,8 +106,13 @@ def reference_scan(c, states, edges, parent):
     return next(replaying_lassos(c, states, edges, parent), None)
 
 
-def reference_witness_search(c, cap):
-    return reference_scan(c, *reference_explore(c, cap))
+def reference_witness_search(c, *caps):
+    """The first lasso of the reference scans of the graphs of ``caps``."""
+    for cap in caps:
+        lasso = reference_scan(c, *reference_explore(c, cap))
+        if lasso is not None:
+            return lasso
+    return None
 
 
 @st.composite
@@ -142,9 +151,12 @@ def test_packed_explorer_equals_reference(c, cap, exact):
 
 
 @settings(max_examples=150, deadline=None)
-@given(machines(), st.sampled_from([30, 200]))
-def test_witness_search_equals_reference(c, cap):
-    assert _witness_search(c, cap) == reference_witness_search(c, cap)
+@given(machines(), st.sampled_from([8, 16, 30, 200]))
+def test_witness_search_equals_reference(c, budget):
+    # up to 200 the stages are 16 states, or the budget if it is smaller,
+    # and then the budget
+    caps = sorted({min(16, budget), budget})
+    assert _witness_search(c, budget) == reference_witness_search(c, *caps)
 
 
 def _assert_sources_have_hits(c, cap):
@@ -221,21 +233,28 @@ def test_analysis_rules_out_the_pump_machine(pass_calls, cap):
     assert reference_witness_search(c, cap) is None
 
 
-@pytest.mark.parametrize("cap", [30, 200])
-def test_pass_rules_out_a_machine_the_analysis_keeps(pass_calls, cap):
-    # counter 1 is decremented on the cycle q1 q2, but q0 is left by raising
-    # it and entered by a zero test of it, so no cycle through q0 returns;
-    # counter 2 only grows, so the graph fills the cap
-    c = CounterAutomaton(
+def returning_without_a_lasso():
+    """Counter 1 is decremented on the cycle q1 q2, but q0 is left by
+    raising it and entered by a zero test of it, so no cycle through q0
+    returns; counter 2 only grows, so the graph fills every cap."""
+    return CounterAutomaton(
         Alphabet(("a", "b")), ("q0", "q1", "q2"), "q0", 2,
         (("q0", "a", "inc", 1, "q1"), ("q1", "b", "ifz", 1, "q0"),
          ("q1", "a", "dec", 1, "q2"), ("q2", "a", "inc", 1, "q1"),
          ("q0", "b", "inc", 2, "q0")),
         frozenset({"q0"}))
+
+
+@pytest.mark.parametrize("cap", [30, 200])
+def test_pass_rules_out_a_machine_the_analysis_keeps(pass_calls, cap):
+    c = returning_without_a_lasso()
     assert c._returning == {"q0", "q1", "q2"}
-    assert _witness_search(c, cap) is None
+    graph = _explore_min_graph(c, cap)
+    assert len(graph[0]) == cap
+    assert _scan_for_lasso(c, *graph) is None
     assert len(pass_calls) == 1
     assert reference_witness_search(c, cap) is None
+    assert _witness_search(c, cap) is None
 
 
 @pytest.mark.parametrize("cap", [30, 200])
@@ -247,7 +266,7 @@ def test_pass_keeps_a_lasso_source_after_the_switch(pass_calls, cap):
          ("q0", "a", "inc", 1, "q2"), ("q2", None, "dec", 2, "q0"),
          ("q2", "b", "dec", 2, "q1")),
         frozenset({"q1"}))
-    lasso = _witness_search(c, cap)
+    lasso = _scan_for_lasso(c, *_explore_min_graph(c, cap))
     assert len(pass_calls) == 1
     assert lasso == Lasso((("q0", "a", "inc", 1, "q2"), ("q2", "b", "dec", 2, "q1")),
                           (("q1", "b", "inc", 2, "q2"), ("q2", "b", "dec", 2, "q1")))
@@ -277,3 +296,95 @@ def reference_decider(c, budget):
 @given(machines(), st.sampled_from([30, 200, 1000]))
 def test_decider_equals_the_plain_scan(c, budget):
     assert repr(nonempty_infinite_incrementing(c, budget)) == repr(reference_decider(c, budget))
+
+
+# The stage rule without the first stage of 16 states: the stages of 200,
+# 1500 and 6000 states within the budget, or the budget alone below 200.
+# Each stage's graph is the subgraph induced by the first states of the
+# next one's, so adding a smaller first stage may change the lasso found
+# but never the verdict.
+WIDE_STAGES = (200, 1500, 6000)
+
+
+def wide_stage_decider(c, budget):
+    """``nonempty_infinite_incrementing`` with the wide stage rule."""
+    if c._returning:
+        for cap in [cap for cap in WIDE_STAGES if cap <= budget] or [budget]:
+            states, edges, parent, packing = _explore_min_graph(c, cap)
+            lasso = _scan_for_lasso(c, states, edges, parent, packing)
+            if lasso is not None:
+                return Verdict("nonempty", lasso=lasso)
+            if len(states) < cap:
+                break
+    return ca._refutation(c, budget)
+
+
+def wide_stage_minsky(c, budget):
+    """``nonempty_minsky_bounded(c, "infinite", budget)`` with the wide
+    stages below the budget, then the budget."""
+    for cap in [cap for cap in WIDE_STAGES if cap < budget] + [budget]:
+        states, edges, parent, _ = _explore_min_graph(c, cap, exact=True)
+        lasso = ca._exact_lasso(c, states, edges, parent)
+        if lasso is not None:
+            return Verdict("nonempty", lasso=lasso)
+        if len(states) < cap:
+            return Verdict("unknown", reason="no exact accepting cycle found")
+    return Verdict("unknown", reason=f"budget of {budget} states spent")
+
+
+def assert_same_verdicts(c, v, ref):
+    """The same kind, the same verdict unless nonempty, and every lasso
+    replays."""
+    assert v.kind == ref.kind
+    if v.is_nonempty:
+        assert verify_lasso(c, v.lasso) and verify_lasso(c, ref.lasso)
+    else:
+        assert v == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(machines(), st.sampled_from([8, 16, 17, 30, 200, 1000]))
+def test_stages_keep_the_verdicts(c, budget):
+    assert_same_verdicts(c, nonempty_infinite_incrementing(c, budget),
+                         wide_stage_decider(c, budget))
+    assert_same_verdicts(c, nonempty_minsky_bounded(c, "infinite", budget),
+                         wide_stage_minsky(c, budget))
+
+
+@pytest.fixture
+def stage_caps(monkeypatch):
+    """The caps of the graphs the witness searches explore."""
+    caps = []
+    explore = ca._explore_min_graph
+    monkeypatch.setattr(ca, "_explore_min_graph",
+                        lambda c, cap, *rest: caps.append(cap) or explore(c, cap, *rest))
+    return caps
+
+
+@pytest.mark.parametrize("budget, stages", [
+    (8, [8]), (16, [16]), (17, [16, 17]), (30, [16, 30]), (200, [16, 200]),
+    (1000, [16, 200]), (1500, [16, 200, 1500]), (100_000, [16, 200, 1500, 6000])])
+def test_stage_rule(stage_caps, budget, stages):
+    # no stage finds a lasso or holds the whole graph, so every stage runs
+    c = returning_without_a_lasso()
+    assert _witness_search(c, budget) is None
+    assert stage_caps == stages
+
+
+def test_a_lasso_beyond_the_first_stage_is_found_at_200(stage_caps):
+    # a climb of 20 rungs up counter 1, then counter 1 grows on a and
+    # counter 2 is decremented at zero on b at the accepting top r20: the
+    # only lasso's cycle starts at r20, first reached at state 20, outside
+    # the 16-state graph, which the climb fills
+    rungs = [f"r{i}" for i in range(21)]
+    c = CounterAutomaton(
+        Alphabet(("a", "b")), tuple(rungs), "r0", 2,
+        tuple((q, "a", "inc", 1, q2) for q, q2 in zip(rungs, rungs[1:]))
+        + (("r20", "a", "inc", 1, "r20"), ("r20", "b", "dec", 2, "r20")),
+        frozenset({"r20"}))
+    assert c._returning == {"r20"}
+    v = nonempty_infinite_incrementing(c, 1000)
+    assert stage_caps == [16, 200]
+    assert v.lasso == Lasso(c.transitions[:20], (("r20", "b", "dec", 2, "r20"),))
+    assert verify_lasso(c, v.lasso)
+    assert v == wide_stage_decider(c, 1000)

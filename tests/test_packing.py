@@ -22,8 +22,8 @@ import itertools
 import pytest
 
 from datawords.ca import (
-    CounterAutomaton, _packing, _refutation, _witness_search, accepts_word, leq,
-    nonempty_finite_incrementing, nonempty_minsky_bounded,
+    CounterAutomaton, _explore_min_graph, _packing, _refutation, _scan_for_lasso,
+    accepts_word, leq, nonempty_finite_incrementing, nonempty_minsky_bounded,
 )
 from datawords.words import Alphabet
 
@@ -108,10 +108,13 @@ def test_finite_deciders_at_the_field_boundary(budget):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_witness_search_at_the_field_boundary(budget):
-    # the explorer takes up to the budget's states in exact runs of
-    # nonempty_minsky_bounded, the scan at most _witness_search's 200
+    # the explorer takes up to the budget's states in the last stage of
+    # nonempty_minsky_bounded, and of _witness_search below 200; the scan of
+    # one stage's graph is checked on the graph itself, where the reference,
+    # which searches from every state, stays small
     for _, c in climbs(budget):
         assert_packed_explorer_is_reference(c, budget, exact=True)
         graph = assert_packed_explorer_is_reference(c, budget)
         if budget <= 200:
-            assert _witness_search(c, budget) == reference_scan(c, *graph)
+            assert _scan_for_lasso(c, *_explore_min_graph(c, budget)) == \
+                reference_scan(c, *graph)

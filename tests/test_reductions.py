@@ -13,10 +13,16 @@ from datawords.ra2ca import build_ca_finite
 from datawords.reductions import (
     ca_to_ltl_finite, ca_to_ltl_infinite, ca_to_ura1, hat_alphabet,
     minsky_to_incrementing_fig4, minsky_to_ltl_2reg, minsky_to_ltl_xffp,
-    projection_map, tilde_alphabet, transition_letter, violation_automata,
+    tilde_alphabet, transition_letter, violation_automata,
 )
 from datawords.words import Alphabet, alphabet, enumerate_data_words, \
     make_data_word, project_string, set_partitions
+
+
+def projection_map(c: CounterAutomaton) -> dict:
+    """The homomorphism from transition letters back to the base alphabet."""
+    return {transition_letter(t): (t[1] if t[1] is not None else "")
+            for t in c.transitions}
 
 
 def machine(transitions, accepting, n_counters=1, letters=("a", "b"), init="q0"):

@@ -11,17 +11,23 @@ structured sentences over ``a, b``, each asked every letter word up to the
 sentence's horizon, and their finite-word nonemptiness with its witness
 replay.  The Büchi workload is ``nonempty_infinite_incrementing`` on the
 infinite machines of the same sentences, at the ``buchi`` benchmark's
-budget of 1000 and at a budget of 30,000, which decides three of them.
+budget of 1000 and at a budget of 30,000, which decides three of them,
+and at 1000 on a seeded pool of random machines made like the ``buchi``
+benchmark's, its work split by the phase that does it.
 """
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+from datawords import ca
 from datawords.ca import (
     CounterAutomaton, accepts_word, nonempty_finite_incrementing,
     nonempty_infinite_incrementing,
 )
+from datawords.graph import sccs
 from datawords.ltl import parse_ltl
 from datawords.ltl2ra import ltl_to_ara
 from datawords.ra2ca import build_ca_finite, build_ca_infinite
@@ -105,19 +111,105 @@ def _buchi_work(machines, popped, budget, names):
 
 
 def test_buchi_work_at_the_benchmark_budget(infinite_machines, popped):
-    # an unknown explores one 200-state stage and spends the refutation's
-    # 1000 steps; a-then-no-b's lasso is found and replayed in the stage
-    # (212 states before ra2ca took each choice of a whole map in one step)
+    # an unknown explores the stages of 16 and 200 states and spends the
+    # refutation's 1000 steps; a-then-no-b's lasso is found and replayed in
+    # the second stage.  1200 and 210 without the 16-state stage (212 before
+    # ra2ca took each choice of a whole map in one step)
     work = _buchi_work(infinite_machines, popped, 1000, list(CIRCLE_SENTENCES))
-    assert work == {name: ("unknown", 1200) for name in CIRCLE_SENTENCES
-                    if name != "a-then-no-b"} | {"a-then-no-b": ("nonempty", 210)}
-    assert popped[0] == 7_410
+    assert work == {name: ("unknown", 1216) for name in CIRCLE_SENTENCES
+                    if name != "a-then-no-b"} | {"a-then-no-b": ("nonempty", 226)}
+    assert popped[0] == 7_522
 
 
 def test_buchi_work_where_a_larger_budget_decides(infinite_machines, popped):
-    # 7,722, 9,304 and 1,717 before ra2ca took each choice of a whole map
-    # in one step
+    # each 16 more than without the 16-state stage: 7,720, 8,915 and 1,715;
+    # 7,722, 9,304 and 1,717 before ra2ca took each choice of a whole map in
+    # one step
     work = _buchi_work(infinite_machines, popped, 30_000,
                        ["phi", "phi-Fa-Gnotb", "some-match"])
-    assert work == {"phi": ("nonempty", 7_720), "phi-Fa-Gnotb": ("empty", 8_915),
-                    "some-match": ("nonempty", 1_715)}
+    assert work == {"phi": ("nonempty", 7_736), "phi-Fa-Gnotb": ("empty", 8_931),
+                    "some-match": ("nonempty", 1_731)}
+
+
+def random_machine(rng) -> CounterAutomaton:
+    """An incrementing machine over {a, b}: 3-5 locations, 1-3 counters,
+    4-9 transitions; silent transitions never enter accepting locations."""
+    locs = [f"q{i}" for i in range(rng.randint(3, 5))]
+    counters = rng.randint(1, 3)
+    trans = tuple(
+        (rng.choice(locs), rng.choice(["a", "b", None]), rng.choice(["inc", "dec", "ifz"]),
+         rng.randint(1, counters), rng.choice(locs))
+        for _ in range(rng.randint(4, 9)))
+    accepting = {q for q in locs if rng.random() < 0.4} - {t[4] for t in trans if t[1] is None}
+    return CounterAutomaton(Alphabet(("a", "b")), tuple(locs), "q0", counters, trans,
+                            frozenset(accepting))
+
+
+def may_loop(c: CounterAutomaton) -> bool:
+    """Does the control graph allow a Büchi run: a component reachable from
+    the initial location with an accepting location and a lettered
+    transition inside?"""
+    succ: dict = {q: [] for q in c.locations}
+    for t in c.transitions:
+        succ[t[0]].append(t[4])
+    return any(scc & c.accepting and any(t[1] is not None and t[0] in scc and t[4] in scc
+                                         for t in c.transitions)
+               for scc in sccs([c.initial], succ))
+
+
+def random_buchi_pool(seed: int, n: int) -> list:
+    """The first ``n`` random machines of ``seed`` that may loop."""
+    rng = random.Random(seed)
+    pool: list = []
+    while len(pool) < n:
+        c = random_machine(rng)
+        if may_loop(c):
+            pool.append(c)
+    return pool
+
+
+@pytest.fixture
+def phase_work(monkeypatch):
+    """``outgoing`` calls by the phase that makes them: the explorer of the
+    witness search, the tree refutation, and the lasso replays of either,
+    which ``verify_lasso`` makes; the scan itself calls none."""
+    count = Counter()
+    phase = ["other"]
+    outgoing = CounterAutomaton.outgoing
+
+    def counted(self, q):
+        count[phase[-1]] += 1
+        return outgoing(self, q)
+
+    monkeypatch.setattr(CounterAutomaton, "outgoing", counted)
+    for name, label in (("_explore_min_graph", "explorer"), ("_refutation", "refutation"),
+                        ("verify_lasso", "replay")):
+        def in_phase(*args, f=getattr(ca, name), label=label):
+            phase.append(label)
+            try:
+                return f(*args)
+            finally:
+                phase.pop()
+
+        monkeypatch.setattr(ca, name, in_phase)
+    return count
+
+
+def test_buchi_work_on_random_machines(phase_work):
+    # per verdict kind, the machines and the outgoing calls of each phase,
+    # 416,114 in all; the refutations that run out of the budget make 377,000.
+    # Without the 16-state stage the explorer made 156,309 calls on the
+    # nonempty machines, 14,400 on the unknown and 3,571 on the empty ones,
+    # and the replays 3,498: 555,385 in all
+    work: dict = {}
+    for c in random_buchi_pool(1, 2000):
+        before = Counter(phase_work)
+        kind = nonempty_infinite_incrementing(c, 1000).kind
+        entry = work.setdefault(kind, Counter())
+        entry["machines"] += 1
+        entry.update(phase_work - before)
+    assert {kind: dict(entry) for kind, entry in work.items()} == {
+        "nonempty": {"machines": 1488, "explorer": 15_613, "replay": 3499},
+        "unknown": {"machines": 377, "explorer": 15_552, "refutation": 377_000},
+        "empty": {"machines": 135, "explorer": 3843, "refutation": 607},
+    }
