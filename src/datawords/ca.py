@@ -37,12 +37,19 @@ so the scan searches from no other location, and a machine without such
 a location is not explored at all (the cycle-effect argument of Karp &
 Miller, 1969).
 
-Every engine records a path as a link ``(link, t)`` back to None at its
-start, which ``_unlink`` turns into the transitions it spells.
+The searches record a path as a link ``(link, t)`` back to None at its
+start, which ``_unlink`` turns into the transitions it spells.  The tree
+refutation keeps flat lists of ints instead (``_refutation``): a run that
+spends its budget grows thousands of nodes and accepting leaves, all
+garbage when it returns, and as linked tuples they cost an allocation each
+and the cyclic collector's passes over them.  The searches keep their
+links: a ``_search`` on index lists ran ``accepts_word`` 3-5% slower on
+the circle words.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -626,31 +633,47 @@ def _refutation(c: CounterAutomaton, budget: int):
     accepting leaf.  Termination with no root revisited proves emptiness;
     a revisited root closes an accepting cycle and is itself a witness.
 
-    Each tree is searched depth first, a node's children last first.  A path
-    is a link ``(link, t)`` back to None at the root, made a tuple only for
-    the lasso, and each root links to the root that spawned it.  ``levels``
-    holds, per location, the valuations on the current branch, so the
-    ancestor test looks only at the ancestors at the successor's location.
+    Each tree is searched depth first, a node's children last first.
+    ``levels`` holds, per location, the valuations on the current branch,
+    so the ancestor test looks only at the ancestors at the successor's
+    location.  The trees and the spawn graph live in flat lists of ints and
+    transitions, and only the lasso's paths are rebuilt from them:
+
+    - a tree node is an index into ``node_parent`` and ``node_t``, its
+      parent (-1 at the tree's root) and the transition into it;
+    - a root is an id, in the order roots are spawned and their trees
+      grown, so each root's spawn edges are appended together, from
+      ``first_edge[id]`` on, and ``spawned_by[id]`` is the edge that
+      spawned it;
+    - a spawn edge is an index into ``edge_target`` (a root id),
+      ``edge_leaf`` (the node it leaves) and ``edge_t``.
+
+    With a tuple link per node and per accepting leaf instead, the 512
+    machines among the first 2,000 of the buchi pool of seed 1 that reach
+    the refutation took 510-600 ms in it at budget 1000, against 360-390 ms
+    (shared 2-core host).
     """
     accepting = c.accepting
     ones, masks, guard = _packing(c.n_counters, budget)
-    start = (c.initial, 0)
-    spawned_by = {start: None}  # root -> (its parent root, path link from it)
-    pending = deque([start])
-    spawn_edges: dict = {}
+    roots_at: dict = {q: {} for q in accepting}  # per location, valuation -> root id
+    root_q, root_v, spawned_by = [c.initial], [0], [-1]
+    if c.initial in accepting:
+        roots_at[c.initial][0] = 0
+    first_edge: list = []
+    node_parent, node_t = [], []
+    edge_target, edge_leaf, edge_t = [], [], []
     steps = 0
-    while pending:
-        root = pending.popleft()
-        edges = spawn_edges[root] = []
+    for root, q in enumerate(root_q):  # grows while it is walked: a FIFO queue
+        first_edge.append(len(edge_t))
         levels: dict = {}
         branch: list = []  # the levels list of each state on the branch
-        stack = [(root, None, 0)]  # (state, path link, depth on the branch)
+        stack = [(q, root_v[root], -1, 0)]  # (location, valuation, node, depth on the branch)
         while stack:
             steps += 1
             if steps > budget:
                 return Verdict("unknown",
                                reason=f"refutation budget of {budget} spent")
-            (q, v), link, depth = stack.pop()
+            q, v, node, depth = stack.pop()
             while len(branch) > depth:
                 branch.pop().pop()
             here = levels.setdefault(q, [])
@@ -668,12 +691,17 @@ def _refutation(c: CounterAutomaton, budget: int):
                     v2 = v - ones[ctr]
                 else:
                     v2 = v  # a zero test passes, a decrement truncates at zero
-                nxt = (q2, v2)
                 if q2 in accepting:
-                    edges.append((nxt, (link, t)))
-                    if nxt not in spawned_by:
-                        spawned_by[nxt] = (root, (link, t))
-                        pending.append(nxt)
+                    at = roots_at[q2]
+                    target = at.get(v2)
+                    if target is None:
+                        target = at[v2] = len(root_q)
+                        root_q.append(q2)
+                        root_v.append(v2)
+                        spawned_by.append(len(edge_t))
+                    edge_target.append(target)
+                    edge_leaf.append(node)
+                    edge_t.append(t)
                     continue
                 # a loop: any() over a generator ran the buchi machines 4-9% slower
                 g2 = v2 | guard
@@ -681,38 +709,52 @@ def _refutation(c: CounterAutomaton, budget: int):
                     if (g2 - a) & guard == guard:
                         break
                 else:
-                    stack.append((nxt, (link, t), depth))
+                    stack.append((q2, v2, len(node_t), depth))
+                    node_parent.append(node)
+                    node_t.append(t)
     # terminated: emptiness unless the spawn graph has a cycle reachable from
-    # the start.  A depth-first walk; each entry on it keeps the link of the
-    # spawn edge the walk took into it, the first from its parent to it.
-    walk = [(start, iter(spawn_edges[start]), None)]
-    on_walk = {start}
-    seen = {start}
+    # the start.  A depth-first walk over root ids; each entry on it keeps
+    # the spawn edge the walk took into it, the first from its parent to it.
+    first_edge.append(len(edge_t))
+    walk = [(0, iter(range(first_edge[0], first_edge[1])), -1)]
+    on_walk = {0}
+    seen = {0}
     cycle = None
     while walk and cycle is None:
-        for node, link in walk[-1][1]:
-            if node in on_walk:  # the cycle from node along the walk and back
-                k = next(k for k, entry in enumerate(walk) if entry[0] == node)
-                cycle = tuple(t for *_, taken in walk[k + 1:] for t in _unlink(taken))
-                cycle += _unlink(link)
+        for e in walk[-1][1]:
+            target = edge_target[e]
+            if target in on_walk:  # the cycle from target along the walk and back
+                k = next(k for k, entry in enumerate(walk) if entry[0] == target)
+                cycle = [taken for *_, taken in walk[k + 1:]] + [e]
                 break
-            if node not in seen:
-                seen.add(node)
-                on_walk.add(node)
-                walk.append((node, iter(spawn_edges[node]), link))
+            if target not in seen:
+                seen.add(target)
+                on_walk.add(target)
+                walk.append((target, iter(range(first_edge[target], first_edge[target + 1])), e))
                 break
         else:
             on_walk.discard(walk.pop()[0])
     if cycle is None:
         return EMPTY
+
+    def path(e) -> list:
+        """The transitions of spawn edge ``e``, from its root's tree root."""
+        out = [edge_t[e]]
+        node = edge_leaf[e]
+        while node >= 0:
+            out.append(node_t[node])
+            node = node_parent[node]
+        return out[::-1]
+
     hops = []
-    while spawned_by[node] is not None:
-        node, link = spawned_by[node]
-        hops.append(_unlink(link))
-    lasso = Lasso(tuple(t for path in reversed(hops) for t in path), cycle)
-    if verify_lasso(c, lasso):
-        return Verdict("nonempty", lasso=lasso)
-    return Verdict("unknown", reason="spawn cycle failed to replay")
+    while target:  # back to the start along the first spawn edge into each root
+        hops.append(e := spawned_by[target])
+        target = bisect_right(first_edge, e) - 1  # the root whose edges hold e
+    lasso = Lasso(tuple(t for e in reversed(hops) for t in path(e)),
+                  tuple(t for e in cycle for t in path(e)))
+    if not verify_lasso(c, lasso):
+        raise CertificateError("spawn cycle failed to replay")
+    return Verdict("nonempty", lasso=lasso)
 
 
 def _unlink(link) -> tuple:

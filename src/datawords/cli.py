@@ -24,8 +24,10 @@ same line rules (``words.parse_lines``): ``#`` starts a comment, blank lines
 are dropped, and each header (``alphabet:`` in formula text) may appear
 once.  A formula's alphabet is --alphabet if given, else the ``alphabet:``
 header of its text, else the letters the formula mentions; only a header
-restricts the word of ``eval``, which has no --alphabet.  A parse error
-in formula text is reported at a line and column of that text.
+restricts the word of ``eval``, which has no --alphabet.  A first-order
+formula has no --alphabet either: its header, if any, restricts its
+predicates' letters.  A parse error in formula text is reported at a line
+and column of that text.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def cmd_parse(args, out: _Out) -> int:
                  max_register=info.max_register, sentence=info.is_sentence,
                  simple_depth=info.is_simple_Om)
     elif args.kind == "fo":
-        f = _parse_formula(fo_mod.parse_fo, _formula_text(args, "fo")[0])
+        f = _parse_formula(fo_mod.parse_fo, *_formula_text(args, "fo"))
         out.emit(f"{fo_mod.format_fo(f)}\nfree: {sorted(fo_mod.free_vars(f))}  "
                  f"two-variable: {fo_mod.is_two_variable(f)}",
                  formula=fo_mod.format_fo(f), free=sorted(fo_mod.free_vars(f)),
@@ -216,7 +218,7 @@ def cmd_eval(args, out: _Out) -> int:
     # a header's alphabet restricts the word; letters inferred from the formula do not
     w = parse_data_word(args.word) if sigma is None else _data_word(args.word, sigma)
     if kind == "fo":
-        f = _parse_formula(fo_mod.parse_fo, text)
+        f = _parse_formula(fo_mod.parse_fo, text, sigma)
         asg = {}
         for item in args.assign or []:
             m = re.fullmatch(r"x(\d+)=(\d+)", item)

@@ -15,8 +15,10 @@ from functools import cached_property, partial
 from typing import Optional
 
 from . import ltl
-from .errors import NotSimpleFragment, NotTwoVariable, ParseError, UnboundVariable, WrongFreeVariable
-from .words import DataWord
+from .errors import (
+    NotSimpleFragment, NotTwoVariable, ParseError, UnboundVariable, UnknownAtom, WrongFreeVariable,
+)
+from .words import Alphabet, DataWord
 
 
 class FoFormula:
@@ -566,6 +568,10 @@ class _FoParser(ltl.OperatorParser):
     INFIX = {"->": (0, FoImplies), "|": (1, FoOr), "&": (2, FoAnd)}
     RIGHT = (0,)
 
+    def __init__(self, text: str, sigma: Optional[Alphabet]):
+        super().__init__(text)
+        self.sigma = sigma
+
     def var(self) -> int:
         tok = self.take()
         m = _VAR.fullmatch(tok)
@@ -592,7 +598,10 @@ class _FoParser(ltl.OperatorParser):
             self.take()
             return FO_BOT
         if tok is not None and tok.startswith("P") and len(tok) > 1:
+            pos = self.pos()
             letter = self.take()[1:]
+            if self.sigma is not None and letter not in self.sigma:
+                raise UnknownAtom(f"atom {letter!r} not in the alphabet", pos)
             self.expect("(")
             v = self.var()
             self.expect(")")
@@ -617,8 +626,10 @@ class _FoParser(ltl.OperatorParser):
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
-def parse_fo(text: str) -> FoFormula:
-    return _FoParser(text).parse()
+def parse_fo(text: str, sigma: Optional[Alphabet] = None) -> FoFormula:
+    """Parse a formula; the letters of its predicates are checked against
+    ``sigma`` when given."""
+    return _FoParser(text, sigma).parse()
 
 
 _FORMAT = {FoNot: "!({})".format, FoAnd: "({} & {})".format,

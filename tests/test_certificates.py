@@ -14,6 +14,8 @@ from datawords.errors import CertificateError
 from datawords.ra import RegisterAutomaton, TTop
 from datawords.words import alphabet
 
+from test_refutation import four_root_hops
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -34,6 +36,15 @@ def test_ca_finite_witness_replay_raises(monkeypatch):
     monkeypatch.setattr(ca, "accepts_word", lambda *args, **kw: ca.EMPTY)
     with pytest.raises(CertificateError):
         ca.nonempty_finite_incrementing(ca_fin())
+
+
+def test_ca_spawn_cycle_replay_raises(monkeypatch):
+    # the lasso search's failed replays are skipped, so the refutation closes
+    # the spawn cycle and replays it
+    assert ca.nonempty_infinite_incrementing(four_root_hops(), 1000).is_nonempty
+    monkeypatch.setattr(ca, "verify_lasso", lambda c, lasso: False)
+    with pytest.raises(CertificateError, match="spawn cycle"):
+        ca.nonempty_infinite_incrementing(four_root_hops(), 1000)
 
 
 def test_signature_check_raises(monkeypatch):
@@ -72,6 +83,22 @@ except CertificateError:
 """
 
 
+LASSO_PROBE = """
+from datawords import ca
+from datawords.errors import CertificateError
+from datawords.words import alphabet
+
+ca.verify_lasso = lambda c, lasso: False
+c = ca.CounterAutomaton(alphabet("a", "b"), ("q0", "q2", "q1"), "q0", 1, (
+    ("q2", "b", "dec", 1, "q0"), ("q1", "a", "dec", 1, "q1"),
+    ("q0", "a", "inc", 1, "q2"), ("q2", "a", "inc", 1, "q1")), frozenset({"q1", "q2"}))
+try:
+    ca.nonempty_infinite_incrementing(c, 1000)
+except CertificateError:
+    print("raised; asserts on:", __debug__)
+"""
+
+
 def run_optimized(probe: str) -> str:
     proc = subprocess.run([sys.executable, "-O", "-c", probe],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -86,3 +113,7 @@ def test_witness_check_survives_optimize():
 
 def test_ca_witness_check_survives_optimize():
     assert run_optimized(CA_PROBE) == "raised; asserts on: False"
+
+
+def test_ca_spawn_cycle_check_survives_optimize():
+    assert run_optimized(LASSO_PROBE) == "raised; asserts on: False"

@@ -398,6 +398,18 @@ def test_eval_word_outside_a_declared_alphabet_is_a_parse_error(tmp_path, capsys
     assert run(capsys, "eval", "--ltl", "F a", "--word", "z ; 0") == (0, "false\n", "")
 
 
+def test_fo_header_restricts_the_formula_letters(tmp_path, capsys):
+    fo = tmp_path / "some-z.fo"
+    fo.write_text("alphabet: a b\n\nexists x1 (Pz(x1))\n")
+    refused = (3, "", "parse error: atom 'z' not in the alphabet (line 3, column 12)\n")
+    for formula in (["--fo", "alphabet: a b\n\nexists x1 (Pz(x1))"], ["--fo-file", str(fo)]):
+        assert run(capsys, "eval", *formula, "--word", "a ; 0") == refused, formula
+        assert run(capsys, "parse", "fo", *formula) == refused, formula
+    # without a header the letter is taken, as in LTL
+    assert run(capsys, "eval", "--fo", "exists x1 (Pz(x1))", "--word", "a ; 0") == \
+        (0, "false\n", "")
+
+
 def test_alphabet_header_is_used(tmp_path, capsys):
     f = tmp_path / "ga.ltl"
     f.write_text("alphabet: a b\nG a\n")
@@ -497,6 +509,16 @@ q0 b dec 2 q1
                        "minsky", "--budget", "50")
     assert code == 4
     assert "unknown" in out and "budget" in out
+
+
+def test_buchi_refutation_budget_exit_code(capsys):
+    # ca_inf is nonempty, but no lasso shows within ten states and the tree
+    # refutation spends its ten steps first
+    argv = ["empty", "ca", f"{CORPUS}/ca_inf.ca", "--words", "infinite", "--budget", "10"]
+    assert run(capsys, *argv) == (4, "unknown: refutation budget of 10 spent\n", "")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, json.loads(out), err) == \
+        (4, {"verdict": "unknown", "reason": "refutation budget of 10 spent"}, "")
 
 
 def test_export_abstract_graph(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from datawords import ltl
 from datawords.errors import (
-    NotSimpleFragment, NotTwoVariable, UnboundVariable, WrongFreeVariable,
+    NotSimpleFragment, NotTwoVariable, UnboundVariable, UnknownAtom, WrongFreeVariable,
 )
 from datawords.fo import (
     Exists, FO_BOT, FO_TOP, FoAnd, FoBottom, FoFormula, FoImplies, FoNot, FoOr,
@@ -41,6 +41,16 @@ def test_parse_and_free_vars(phi_prime):
     assert free_vars(phi_prime) == frozenset({0})
     assert parse_fo(format_fo(phi_prime)) == phi_prime
     assert max_offset(parse_fo("x1 = x0 + 2")) == 2
+
+
+def test_parse_checks_letters_against_an_alphabet(phi_prime):
+    assert parse_fo(PHI_PRIME_TEXT, AB) == phi_prime
+    with pytest.raises(UnknownAtom) as info:
+        parse_fo("exists x1 (Pa(x1) & Pz(x1))", AB)
+    # told at the predicate's token
+    assert (info.value.message, info.value.position) == ("atom 'z' not in the alphabet", 20)
+    # without an alphabet any letter is taken
+    assert parse_fo("exists x1 (Pz(x1))") == Exists(1, Pred("z", 1))
 
 
 def test_eval_fo_basics(sigma_word):

@@ -2,9 +2,12 @@
 
 ``reference_refutation`` copies the whole path from the start to every new
 root, copies the branch's ancestors and its path on every push, and tests
-every ancestor for domination.  ``ca._refutation`` keeps paths as links, the
-branch once, and the branch's valuations per location; it visits the same
-states in the same order, so the two must give the same verdict and lasso.
+every ancestor for domination.  ``ca._refutation`` keeps its trees and spawn
+graph in flat lists of ints (a node's parent and the transition into it; a
+root's first spawn edge; an edge's target root, leaf node and transition),
+rebuilds only the lasso's paths from them, keeps the branch once and the
+branch's valuations per location.  It visits the same states in the same
+order, so the two must give the same verdict and lasso.
 """
 
 from collections import deque
@@ -23,6 +26,7 @@ from datawords.ra2ca import build_ca_infinite
 from datawords.words import Alphabet
 
 from test_lasso_scan import machines
+from test_search_work import random_buchi_pool
 
 
 def reference_refutation(c: CounterAutomaton, budget: int):
@@ -126,11 +130,24 @@ def test_pump_machine_runs_out_of_budget_like_the_reference():
     assert _assert_same(c, 20_000).kind == "unknown"
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_buchi_pool_equals_reference(seed):
+    # the buchi benchmark's kind of machine, at its budget: 114 and 123 of
+    # these 300 run out of it, 164 each close a spawn cycle
+    for c in random_buchi_pool(seed, 300):
+        _assert_same(c, 1000)
+
+
+def four_root_hops() -> CounterAutomaton:
+    """A machine whose only spawn cycle is reached after four root hops."""
+    return _machine([("q2", "b", "dec", 1, "q0"), ("q1", "a", "dec", 1, "q1"),
+                     ("q0", "a", "inc", 1, "q2"), ("q2", "a", "inc", 1, "q1")],
+                    {"q1", "q2"})
+
+
 def test_spawn_cycle_after_four_root_hops():
     # the stem passes four roots before the spawn cycle on (q1, (0,))
-    c = _machine([("q2", "b", "dec", 1, "q0"), ("q1", "a", "dec", 1, "q1"),
-                  ("q0", "a", "inc", 1, "q2"), ("q2", "a", "inc", 1, "q1")],
-                 {"q1", "q2"})
+    c = four_root_hops()
     got = _assert_same(c, 1000)
     assert got.lasso == Lasso(
         (("q0", "a", "inc", 1, "q2"), ("q2", "a", "inc", 1, "q1"),
@@ -154,3 +171,31 @@ def test_compiled_sentence_with_deep_branches(phi, ab):
     distinct = parse_ltl("G (b -> store1 X G (b -> !up1))", ab)
     c = build_ca_infinite(ltl_to_ara(And(phi, distinct), ab))
     _assert_same(c, 1000)
+
+
+def test_budget_spent_on_the_first_step_of_a_later_root():
+    # the start's tree takes two steps and spawns the root (q2, (1,)), whose
+    # tree is that root alone: step 3 is its first
+    c = _machine([("q0", "a", "dec", 1, "q1"), ("q1", "b", "inc", 1, "q2")], {"q2"})
+    assert _assert_same(c, 2).kind == "unknown"
+    assert _assert_same(c, 3) is EMPTY
+
+
+def test_a_root_without_spawn_edges_between_two_with_them():
+    # the start spawns (x, (0,)) and then (y, (1,)); x spawns nothing, so y's
+    # edges start where x's would, and the stem's hop out of y must be found
+    # as y's, not x's
+    t_x, t_y = ("q0", "a", "ifz", 1, "x"), ("q0", "b", "inc", 1, "y")
+    t_z, t_loop = ("y", "a", "dec", 1, "z"), ("z", "a", "ifz", 1, "z")
+    c = _machine([t_x, t_y, t_z, t_loop], {"x", "y", "z"})
+    assert _assert_same(c, 1000).lasso == Lasso((t_y, t_z), (t_loop,))
+
+
+def test_a_root_whose_edges_repeat_a_target_before_the_cycle():
+    # p's tree reaches the dead root (d, (0,)) twice, then p itself: the
+    # walk enters d once, passes the repeat and closes the cycle on p
+    t_p, t_up = ("q0", "a", "inc", 1, "p"), ("p", "b", "inc", 1, "m")
+    t_down = ("m", "a", "dec", 1, "p")
+    c = _machine([t_p, ("p", "a", "dec", 1, "d"), ("p", "b", "dec", 1, "d"), t_up, t_down],
+                 {"p", "d"})
+    assert _assert_same(c, 1000).lasso == Lasso((t_p,), (t_up, t_down))
