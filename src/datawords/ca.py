@@ -787,7 +787,9 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
     space is a definite no, as in ``accepts_word``; the budget counts states
     taken off the queue.  Over infinite words, stages of growing size,
     the last of ``budget`` states and fewer than three times it in all, look
-    for an accepting state on a cycle that reads a letter."""
+    for an accepting state on a cycle that reads a letter; a stage whose
+    exact graph fits whole holds every reachable state, so finding no such
+    cycle there is a definite no."""
     if over not in ("finite", "infinite"):
         raise PreconditionViolation(f"unknown word kind {over!r}")
     _check_budget(budget)
@@ -804,7 +806,7 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
         if lasso is not None:
             return Verdict("nonempty", lasso=lasso)
         if len(states) < cap:  # the whole graph fit
-            return Verdict("unknown", reason="no exact accepting cycle found")
+            return Verdict("empty", reason="exact state space exhausted")
     return Verdict("unknown", reason=f"budget of {budget} states spent")
 
 

@@ -325,7 +325,7 @@ def _t_fwd(phi: ltl.Formula, j: int, m: int) -> FoFormula:
         if t in _FWD_CONNECTIVES:
             return _FWD_CONNECTIVES[t], ltl.child_pairs(f, j)
         if t is ltl.Freeze:
-            k, body = _strip_block(f)
+            k, _eventually, body = ltl.freeze_block(f.body)
             return partial(_jump, 1 - j, chi(j, k, m)), ((body, 1 - j),)
         if t is ltl.Atom:
             return Pred(f.letter, j), ()
@@ -346,21 +346,6 @@ def _t_fwd(phi: ltl.Formula, j: int, m: int) -> FoFormula:
 
 def _jump(var: int, where: FoFormula, body: FoFormula) -> FoFormula:
     return Exists(var, FoAnd(where, body))
-
-
-def _strip_block(phi: ltl.Formula) -> tuple[int, ltl.Formula]:
-    body = phi.body
-    k = 0
-    sign = 1
-    while isinstance(body, (ltl.Next, ltl.Prev)):
-        sign = 1 if isinstance(body, ltl.Next) else -1
-        k += 1
-        body = body.body
-    if isinstance(body, ltl.Future):
-        return sign * k, body.body  # k = m + 1 by simplicity
-    if isinstance(body, ltl.Past):
-        return -k, body.body
-    return sign * k, body
 
 
 # ---------------------------------------------------------------------------

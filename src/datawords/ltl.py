@@ -456,6 +456,18 @@ def is_simple_in(phi: Formula, m: int) -> bool:
     return all(k <= m for k in pure) and all(k == m + 1 for k in fdepths)
 
 
+def freeze_block(f: Formula) -> tuple[int, bool, Formula]:
+    """Read the body f of a freeze as X^k [F] or Xp^k [Fp] and a rest:
+    returns k, negative for Xp, whether the F or Fp follows, and the rest."""
+    k, fwd = 0, None  # fwd: None before the first step, then its direction
+    while isinstance(f, (Next, Prev)) and fwd in (None, isinstance(f, Next)):
+        fwd, k, f = isinstance(f, Next), k + 1, f.body
+    signed = -k if fwd is False else k
+    if fwd is not False and isinstance(f, Future) or fwd is not True and isinstance(f, Past):
+        return signed, True, f.body
+    return signed, False, f
+
+
 def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
     """Collect operator-block depths of a simple formula.
 
@@ -467,25 +479,12 @@ def _simple_scan(phi: Formula) -> Optional[tuple[set[int], set[int]]]:
     fdepths: set[int] = set()
 
     def block(f: Formula) -> Formula:
-        # f is the body of a freeze on register 1: strip X^k [F] / Xp^k [Fp]
-        k = 0
-        fwd = None
-        while True:
-            if isinstance(f, Next) and fwd in (None, True):
-                fwd, k, f = True, k + 1, f.body
-            elif isinstance(f, Prev) and fwd in (None, False):
-                fwd, k, f = False, k + 1, f.body
-            else:
-                break
-        if isinstance(f, Future) and fwd in (None, True):
-            fdepths.add(k)
-            return f.body
-        if isinstance(f, Past) and fwd in (None, False):
-            fdepths.add(k)
-            return f.body
-        if k > 0:
-            pure.add(k)
-        return f
+        k, eventually, rest = freeze_block(f)
+        if eventually:
+            fdepths.add(abs(k))
+        elif k:
+            pure.add(abs(k))
+        return rest
 
     def visit(f: Formula, _):
         t = type(f)

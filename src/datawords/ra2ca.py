@@ -30,11 +30,14 @@ and after it, so the whole-map step has the same runs up to those silent
 no-ops in both semantics.  Discovery already folds every group and every
 core's rows, so emission only reads the fold memo.
 
-The infinitary variant tags location sets with pending-obligation marks in
-the style of breakpoint constructions: a step may be declared fresh, which
-requires no mark to survive at equal rank and restarts the marks on all
-odd-rank successors; accepting locations record fresh steps, and words whose
-obligations die out entirely are absorbed by an accepting sink.
+Both variants hold the same items, (location, marked) pairs.  The
+infinitary variant uses the marks for pending obligations in the style of
+breakpoint constructions: a step may be declared fresh, which requires no
+mark to survive at equal rank and restarts the marks on all odd-rank
+successors; accepting locations record fresh steps, and words whose
+obligations die out entirely are absorbed by an accepting sink.  The finite
+variant is the same construction with the single mode None, in which no
+mark is ever set.
 
 Before anything is emitted, one cut runs on the small graph of whole big
 steps, built from the ready points and cores discovery found: a ready
@@ -207,6 +210,7 @@ class _Builder:
         self.succ = SuccTable(a)
         self.letters = a.alphabet.letters
         self.modes = ("stay", "fresh") if infinite else (None,)
+        self.marks = (False, True) if infinite else (False,)
         self.groups: list = []
         self.gset: set = set()
         self.pairs: list = []
@@ -217,16 +221,14 @@ class _Builder:
         self.blocks: dict = {}
         self.stats = {"succ_entries": 0}
 
-    # --- item plumbing (items are locations, or (location, marked) pairs)
+    # --- item plumbing (items are (location, marked) pairs; the finite
+    # variant has the one mode None, in which nothing is ever marked)
 
     def init_items(self) -> frozenset:
-        if self.infinite:
-            return frozenset({(self.a.initial, self.a.rank[self.a.initial] % 2 == 1)})
-        return frozenset({self.a.initial})
+        q = self.a.initial
+        return frozenset({(q, self.infinite and self.a.rank[q] % 2 == 1)})
 
     def norm(self, items) -> frozenset:
-        if not self.infinite:
-            return frozenset(items)
         best: dict = {}
         for q, t in items:
             best[q] = best.get(q, False) or t
@@ -248,13 +250,9 @@ class _Builder:
         hit = self.choice_cache.get(key)
         if hit is not None:
             return hit
-        q = item[0] if self.infinite else item
-        tag = item[1] if self.infinite else False
+        q, tag = item
         out = []
         for (y, z) in self.succ.get(letter, False, uu, q):
-            if not self.infinite:
-                out.append((frozenset(y), frozenset(z), False))
-                continue
             blocked = False
             nat = False
 
@@ -360,7 +358,7 @@ class _Builder:
                     for v in list(qddags)[n_qddags:]:
                         changed |= self.add_group(v)
                     refills = [EMPTY, *self.groups]
-                    flag = (mode == "fresh") if self.infinite else False
+                    flag = mode == "fresh"
                     for m1 in m1s:
                         for qeq2 in refills[n_refills:]:
                             r = (qeq2, m1, flag)
@@ -406,7 +404,7 @@ class _Builder:
                 continue
             empf = self.fold(letter, False, qemp, mode)
             # entry_nats always holds False (the drain can exit unmarked)
-            if (self.infinite and mode == "stay" and True not in self.entry_nats(letter, mode)
+            if (mode == "stay" and True not in self.entry_nats(letter, mode)
                     and not any(ne for _e1, _e2, ne in eqf)):
                 empf = [m for m in empf if m[2]]
             out.update(dict.fromkeys((m1, mode == "fresh") for m1, _m2, _nm in empf))
@@ -416,8 +414,7 @@ class _Builder:
         """Whether every item can discharge, by a successor pair that keeps
         and refreshes nothing."""
         get = self.succ.get
-        return all((EMPTY, EMPTY) in get(letter, at_end, uu, i[0] if self.infinite else i)
-                   for i in items)
+        return all((EMPTY, EMPTY) in get(letter, at_end, uu, q) for q, _t in items)
 
     def useful(self) -> tuple[dict, set, dict]:
         """The one cut of the graph of whole big steps, built from what
@@ -515,7 +512,7 @@ class _Builder:
             if core not in kept:
                 continue
             letter, qeq, qemp = core
-            for flag in ((False, True) if self.infinite else (False,)):
+            for flag in self.marks:
                 m = ("main", letter, qeq, qemp, flag)
                 if m not in locs:
                     continue  # unreachable flag variant
@@ -604,7 +601,7 @@ class _Builder:
             return ("drain", gi, nat) if gi < n_groups else ("exit", nat)
 
         lid(drain(0, False))  # the entry, local id 0
-        for nat in ((False, True) if self.infinite else (False,)):
+        for nat in self.marks:
             for gi, g in enumerate(self.groups):
                 d = drain(gi, nat)
                 add(d, "ifz", self.c_group[g], drain(gi + 1, nat))
@@ -690,7 +687,7 @@ class _Builder:
                 # one unit of the pair back into its kept group
                 op, ctr = ("inc", c_group[p[0]]) if p[0] else ("ifz", c_zero)
                 add(mid, None, op, ctr, src)
-            elif not self.infinite or mode == "fresh" or nat:  # a stay step must end marked
+            elif mode != "stay" or nat:  # a stay step must end marked
                 flag = mode == "fresh"
                 for g, op, ctr in refill_ops:
                     if (g, qemp1, flag) in self.live:

@@ -159,20 +159,23 @@ def set_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
         yield ()
         return
     rgs = [0] * n
-
-    def rec(i: int, m: int):
-        if i == n:
-            nblocks = m + 1
-            blocks = [set() for _ in range(nblocks)]
-            for pos, b in enumerate(rgs):
-                blocks[b].add(pos)
-            yield tuple(frozenset(b) for b in blocks)
+    top = [0] * n  # top[i]: the largest of rgs[0..i]
+    while True:
+        blocks = [set() for _ in range(top[-1] + 1)]
+        for pos, b in enumerate(rgs):
+            blocks[b].add(pos)
+        yield tuple(frozenset(b) for b in blocks)
+        # the next string: raise the last entry that is at most the largest
+        # one before it, and zero the entries after it
+        i = n - 1
+        while i > 0 and rgs[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
             return
-        for b in range(m + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(m, b))
-
-    yield from rec(1, 0)
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        rgs[i + 1:] = [0] * (n - 1 - i)
+        top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
 def enumerate_data_words(sigma: Alphabet, max_len: int) -> Iterator[DataWord]:

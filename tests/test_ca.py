@@ -184,6 +184,16 @@ def test_nonempty_infinite_even_loop():
     assert v.is_nonempty and verify_lasso(c, v.lasso)
 
 
+def test_verify_lasso_rejects_a_step_that_does_not_fire():
+    inc, test = ("q0", "a", "inc", 1, "q1"), ("q1", "a", "ifz", 1, "q1")
+    c = tiny([inc, test, ("q1", "b", "dec", 1, "q1")], {"q1"})
+    assert verify_lasso(c, Lasso((inc,), (("q1", "b", "dec", 1, "q1"), test)))
+    # the counter is 1 when the zero test comes, and the cycle's first step
+    # leaves from a location the stem does not end at
+    assert not verify_lasso(c, Lasso((inc,), (test,)))
+    assert not verify_lasso(c, Lasso((), (test,)))
+
+
 def test_witness_search_finds_return_to_accepting_source():
     # the only lasso goes straight back to the accepting start state
     loop = ("q0", "a", "dec", 1, "q0")
@@ -234,6 +244,20 @@ def test_minsky_infinite_lasso_replays_exactly(machine):
     assert cycle[-1] == anchor
     assert any(t[1] is not None for t in v.lasso.cycle)
     assert any(q in c.accepting for q, _ in cycle)
+
+
+def test_minsky_infinite_exhausted_graph_is_empty():
+    # the exact graph of a counter that is never incremented fits whole:
+    # q1 accepts but lies on no cycle, and the cycle at q0 reads no letter
+    c = tiny([("q0", None, "ifz", 1, "q0"), ("q0", "a", "ifz", 1, "q1"),
+              ("q1", "a", "dec", 1, "q0")], {"q1"})
+    for budget in (5, 16, 1000):
+        assert nonempty_minsky_bounded(c, "infinite", budget) == \
+            Verdict("empty", reason="exact state space exhausted")
+    # a counter pumped without end never fits, whatever the budget
+    pump = tiny([("q0", "a", "inc", 1, "q0")], {"q0"})
+    assert nonempty_minsky_bounded(pump, "infinite", 500) == \
+        Verdict("unknown", reason="budget of 500 states spent")
 
 
 @pytest.mark.parametrize("budget", [250, 2000])

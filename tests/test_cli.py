@@ -511,6 +511,22 @@ q0 b dec 2 q1
     assert "unknown" in out and "budget" in out
 
 
+def test_minsky_infinite_exhausted_exit_code(tmp_path, capsys):
+    # q1 accepts, but the dec back to q0 never fires in a Minsky run
+    ca_file = tmp_path / "stuck.ca"
+    ca_file.write_text("""alphabet: a b
+counters: 1
+init: q0
+accepting: q1
+q0 a ifz 1 q1
+q1 b dec 1 q0
+""")
+    argv = ["empty", "ca", str(ca_file), "--semantics", "minsky", "--words", "infinite"]
+    assert run(capsys, *argv) == (0, "empty\n", "")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert (code, json.loads(out)) == (0, {"verdict": "empty"})
+
+
 def test_buchi_refutation_budget_exit_code(capsys):
     # ca_inf is nonempty, but no lasso shows within ten states and the tree
     # refutation spends its ten steps first

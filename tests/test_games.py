@@ -101,3 +101,37 @@ def test_strategy_closure_and_dot():
     assert strategy_closure(g, "p", s) == {"p", "q"}
     dot = game_to_dot(g)
     assert "box" in dot and "ellipse" in dot
+
+
+def test_check_strategy_rejects_an_undefined_choice():
+    # the strategy's owner must move at p: a missing choice, or one that is
+    # not a successor, fails the check
+    g = game({"p": 1, "q": 2}, {"p": ["q"], "q": []}, {"p": 0, "q": 0})
+    assert check_strategy(g, "p", PositionalStrategy(1, {"p": "q"}))
+    for choice in ({}, {"p": "p"}):
+        assert strategy_closure(g, "p", PositionalStrategy(1, choice)) is None
+        assert not check_strategy(g, "p", PositionalStrategy(1, choice))
+
+
+def test_check_strategy_rejects_a_play_ending_at_its_owner():
+    # player 2 moves from p to a dead end of either player; whoever is stuck
+    # there loses
+    g = game({"p": 2, "d1": 1, "d2": 2}, {"p": ["d1", "d2"], "d1": [], "d2": []},
+             {"p": 0, "d1": 0, "d2": 0})
+    assert not check_strategy(g, "p", PositionalStrategy(1, {}))
+    assert not check_strategy(g, "p", PositionalStrategy(2, {"p": "d2"}))
+    assert check_strategy(g, "p", PositionalStrategy(2, {"p": "d1"}))
+
+
+def test_check_signature_rejections():
+    # player 1 at p needs a successor in the domain that does not raise the
+    # signature; every successor of player 2 at r must be such a one
+    g = game({"p": 1, "r": 2, "s": 2}, {"p": ["s"], "r": ["s"], "s": []},
+             {"p": 1, "r": 1, "s": 1})
+    assert check_signature(g, {"p": 1, "r": 1, "s": 0}) == (True, "")
+    assert check_signature(g, {"p": 0, "s": 1}) == (False, "no consistent successor at 'p'")
+    assert check_signature(g, {"p": 1}) == (False, "no consistent successor at 'p'")
+    assert check_signature(g, {"r": 0}) == (False, "successor 's' of 'r' escapes the domain")
+    # equal keys do only at an even rank, and r's rank is odd
+    assert check_signature(g, {"r": 0, "s": 0}) == \
+        (False, "signature increases along 'r' -> 's'")

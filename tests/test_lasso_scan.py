@@ -328,7 +328,7 @@ def wide_stage_minsky(c, budget):
         if lasso is not None:
             return Verdict("nonempty", lasso=lasso)
         if len(states) < cap:
-            return Verdict("unknown", reason="no exact accepting cycle found")
+            return Verdict("empty", reason="exact state space exhausted")
     return Verdict("unknown", reason=f"budget of {budget} states spent")
 
 

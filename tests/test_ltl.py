@@ -274,6 +274,13 @@ def test_classify_simple_fragment():
     mixed = parse_ltl("store1 X F a & store1 X X F b", AB)
     assert classify(mixed).is_simple_Om is None  # two different F depths
 
+    # a block keeps one direction, so these leave a bare operator behind it
+    for text in ("store1 X Xp up1", "store1 X Fp up1", "store1 Xp F up1"):
+        assert classify(parse_ltl(text, AB)).is_simple_Om is None, text
+    p = parse_ltl("store1 Xp Xp Fp (b & up1)", AB)
+    assert classify(p).is_simple_Om == 1
+    assert ltl.freeze_block(p.body) == (-2, True, parse_ltl("b & up1", AB))
+
 
 def test_sat_bounded(phi):
     # phi holds vacuously on any word without an `a`; the enumeration

@@ -132,6 +132,13 @@ def test_two_way_fragment():
         assert accepts(a, w) == eval_ltl(w, 0, {}, phi), w
 
 
+@pytest.mark.parametrize("text", ["Gp a", "F (b & !(a Up b))", "G (b -> Gp (a | b))"])
+def test_weak_past_fragment(text):
+    # the negation normal form turns these into dual sinces, whose one-step
+    # unfoldings move by weak previous steps
+    agree(parse_ltl(text, AB), 4)
+
+
 def test_since_fragment():
     phi = parse_ltl("F (b & (true Up a))", AB)
     agree(phi)

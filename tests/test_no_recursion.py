@@ -10,7 +10,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "datawords"
 # qualified name -> why it may recurse
 ALLOWED = {
     "fo._ev": "the recursive FO evaluator; labeling it is the FO half of ROADMAP direction 3",
-    "words.set_partitions.rec": "its depth is the word length",
     "ltl._nnf_visit": "re-dispatches a sugared node once, as its desugared form",
     "ltl._fmt_visit": "re-dispatches a dual node once, as the negations it prints as",
 }

@@ -118,6 +118,39 @@ def test_empty_when_register_never_stored():
     assert all(not accepts(a, u) for u in enumerate_data_words(AB, 4))
 
 
+def two_register_ra(then_up1):
+    """Stores the first class in registers 1 and 2 and the second class in
+    register 1 alone, then, at the second position, finds register 2 holding
+    the current class and tests register 1: accepting when up1 is then_up1."""
+    return build({
+        "s1": TStore(1, "s2"),
+        "s2": TStore(2, "mv"),
+        "mv": TMove(True, False, "s3"),
+        "s3": TStore(1, "chk"),
+        "chk": TTest(BUp(2), "chk1", "next"),
+        "next": TMove(True, False, "chk"),
+        "chk1": TTest(BUp(1), "acc" if then_up1 else "rej", "rej" if then_up1 else "acc"),
+        "acc": TTop(),
+        "rej": TBottom(),
+    }, n_registers=2)
+
+
+@pytest.mark.parametrize("then_up1", [False, True])
+def test_store_keeps_a_class_another_register_holds(then_up1):
+    # storing register 1 at the second position leaves register 2 alone in
+    # the first class; up1 there holds only if the two classes are one
+    a = two_register_ra(then_up1)
+    h = AbstractState("a", False, frozenset(), "s3", frozenset({frozenset({1, 2})}))
+    [(h2, _)] = abs_successors(a, h)
+    assert h2.classes == frozenset({frozenset({1}), frozenset({2})})
+    v = nonempty_finite(a)
+    assert v.is_nonempty and accepts(a, v.witness)
+    # the shortest words the brute force finds: two positions in one class
+    # if up1 must hold, otherwise a third that returns to the first class
+    brute = [u for u in enumerate_data_words(AB, 4) if accepts(a, u)]
+    assert min(map(len, brute)) == len(v.witness) == (2 if then_up1 else 3)
+
+
 def test_nonempty_infinite_cases():
     loop_even = build({"s": TMove(True, False, "s")}, even=["s"])
     assert loop_even.rank["s"] % 2 == 0

@@ -29,7 +29,7 @@ from datawords.ra import (
 from datawords.ra2ca import (
     EMPTY, SuccTable, _Builder, _require_1ara1, build_ca_finite, build_ca_infinite,
 )
-from datawords.words import alphabet, enumerate_data_words, make_data_word
+from datawords.words import alphabet, enumerate_data_words, make_data_word, set_partitions
 
 from test_acceptance import _random_xu_sentence
 
@@ -786,7 +786,7 @@ class ReferenceBuilder(_Builder):
             return (frozenset(), frozenset()) in self.succ.get(letter, at_end, uu, q)
 
         def items_ok(items, letter, at_end, uu) -> bool:
-            qs = [i[0] if self.infinite else i for i in items]
+            qs = [i[0] for i in items]
             return all(discharged(letter, at_end, uu, q) for q in qs)
 
         def bad_groups(letter, at_end):
@@ -1533,17 +1533,42 @@ def test_build_finite_empty_language():
     assert nonempty_finite_incrementing(ca).is_empty
 
 
-def test_build_finite_fig3_projection():
-    from datawords.words import set_partitions
-    mra = matching_ra()
-    ca = build_ca_finite(mra)
+def assert_finite_projection(a) -> set:
+    """The finite machine accepts a letter string of length at most 4
+    exactly when the automaton accepts some data word over it; returns the
+    answers seen."""
+    ca = build_ca_finite(a)
     assert validate_ca(ca) == []
+    seen = set()
     for n in range(1, 5):
         parts = list(set_partitions(n))
         for letters in itertools.product("ab", repeat=n):
-            proj = any(accepts(mra, make_data_word(letters, blocks))
-                       for blocks in parts)
+            proj = any(accepts(a, make_data_word(letters, blocks)) for blocks in parts)
             assert accepts_word(ca, letters).is_nonempty == proj, letters
+            seen.add(proj)
+    return seen
+
+
+def test_build_finite_fig3_projection():
+    assert_finite_projection(matching_ra())
+
+
+def test_build_finite_end_test_projection():
+    # a word whose first class recurs later and that ends at a b; the end
+    # test decides at the last position, where every move has to stop
+    delta = {
+        "s": TStore(1, "g"),
+        "g": TAnd("e", "f"),
+        "e": TTest(BEnd(), "eb", "ex"),
+        "eb": TTest(BLetter("b"), "acc", "rej"),
+        "ex": TMove(True, False, "e"),
+        "f": TMove(True, False, "h"),
+        "h": TTest(BUp(1), "acc", "hx"),
+        "hx": TMove(True, False, "h"),
+        "acc": TTop(),
+        "rej": TBottom(),
+    }
+    assert assert_finite_projection(build(delta)) == {False, True}
 
 
 def test_rejects_wrong_class():

@@ -282,6 +282,33 @@ def test_fig4_nonaccepting_machine_gadget_not_empty():
     assert not v.is_empty
 
 
+def dec_ifz_machine(accepting):
+    """Counter 1 goes up once, then q1 either decrements it to q2 or finds
+    it zero and moves to q3, which a Minsky run never does; q2 and q3 loop
+    on a zero test of counter 2, which is never incremented."""
+    return machine([("q0", "s", "inc", 1, "q1"), ("q1", "s", "dec", 1, "q2"),
+                    ("q1", "s", "ifz", 1, "q3"), ("q2", "s", "ifz", 2, "q2"),
+                    ("q3", "s", "ifz", 2, "q3")], accepting, n_counters=2, letters=("s",))
+
+
+def test_fig4_dec_ifz_pair():
+    reaches = dec_ifz_machine({"q2"})
+    chat = minsky_to_incrementing_fig4(reaches)
+    assert validate_ca(chat) == []
+    # the decrement moves the budget back, the zero test only checks
+    op = ("op", "q1")
+    mid = ("mid", "q1", transition_letter(reaches.transitions[1]))
+    assert {t for t in chat.transitions if t[0] in (op, mid)} == {
+        (op, None, "dec", 1, mid), (mid, None, "inc", 5, ("sim", "q2")),
+        (op, None, "ifz", 1, ("sim", "q3")),
+    }
+    # the simulated machine accepts, so the gadget has no accepting run
+    assert nonempty_infinite_incrementing(chat, budget=60_000).is_empty
+    # q3 is never reached, so the gadget runs forever
+    assert not nonempty_infinite_incrementing(
+        minsky_to_incrementing_fig4(dec_ifz_machine({"q3"})), budget=4_000).is_empty
+
+
 def test_circle_closure_three_way():
     """Nonemptiness agrees along the loop: machine, sentence, machine again."""
     machines = [
