@@ -19,6 +19,7 @@ from .fo import (
 )
 from .games import (
     PositionalStrategy, WeakGame, check_signature, check_strategy, signature, solve,
+    winners,
 )
 from .ra import (
     RegisterAutomaton, accepts, acceptance_game, classify_ra, complement, dual,

@@ -57,7 +57,7 @@ from itertools import groupby
 from operator import le
 from typing import Optional, Sequence
 
-from .errors import CertificateError, ParseError, PreconditionViolation
+from .errors import CertificateError, ParseError, PreconditionViolation, check_budget
 from .graph import adjacency, sccs
 from .words import Alphabet, parse_alphabet, parse_header_count, parse_lines
 
@@ -219,15 +219,6 @@ def leq(v1: Sequence[int], v2: Sequence[int]) -> bool:
     return all(map(le, v1, v2))
 
 
-def _check_budget(budget) -> None:
-    """Refuse a budget that is not an ``int`` of at least 1: no engine can
-    spend it, nor ``_packing`` size its fields by it.  Each public decider
-    checks on entry, since the staged ones may answer before their full
-    budget reaches ``_packing``."""
-    if not isinstance(budget, int) or budget < 1:
-        raise PreconditionViolation(f"budget {budget!r} is not an int of at least 1")
-
-
 def _packing(n_counters: int, budget: int) -> tuple:
     """``(ones, masks, guard)``: counter k (from 1) in field k - 1, of ``w
     = budget.bit_length() + 2`` bits under a clear guard bit, is stepped by
@@ -238,7 +229,9 @@ def _packing(n_counters: int, budget: int) -> tuple:
     Each transition moves one counter by one, and every held state is at
     most budget + 1 transitions from the start, since an engine expands at
     most budget states (the explorer its start at least), each a successor
-    of an earlier one.  budget + 1 fits in ``w - 1`` bits."""
+    of an earlier one.  budget + 1 fits in ``w - 1`` bits.  Each public
+    decider refuses a budget below 1 on entry (``check_budget``), since the
+    staged ones may answer before their full budget reaches here."""
     w = budget.bit_length() + 2
     ones = [0] + [1 << (k * w) for k in range(n_counters)]
     masks = [one * ((1 << (w - 1)) - 1) for one in ones]
@@ -383,7 +376,7 @@ def accepts_word(c: CounterAutomaton, word: Sequence[str], semantics: str = "inc
     """
     if semantics not in ("incrementing", "minsky"):
         raise PreconditionViolation(f"unknown semantics {semantics!r}")
-    _check_budget(budget)
+    check_budget(budget)
     word = tuple(word)
     found = _search(c, word, semantics == "minsky", budget)
     if found is None:
@@ -401,7 +394,7 @@ def nonempty_finite_incrementing(c: CounterAutomaton,
     accepting location (after at least one transition) decides.  The budget
     counts states taken off the queue.  The witness is re-checked with
     accepts_word before being reported."""
-    _check_budget(budget)
+    check_budget(budget)
     found = _search(c, None, False, budget)
     if found is None:
         return Verdict("unknown", reason=f"budget of {budget} states spent")
@@ -773,7 +766,7 @@ def nonempty_infinite_incrementing(c: CounterAutomaton, budget: int = 100_000) -
     refutation is a definite no; otherwise the budget ran out.  No complete
     positive test exists, so unknown answers are unavoidable in general.
     """
-    _check_budget(budget)
+    check_budget(budget)
     lasso = _witness_search(c, budget)
     if lasso is not None:
         return Verdict("nonempty", lasso=lasso)
@@ -792,7 +785,7 @@ def nonempty_minsky_bounded(c: CounterAutomaton, over: str = "finite",
     cycle there is a definite no."""
     if over not in ("finite", "infinite"):
         raise PreconditionViolation(f"unknown word kind {over!r}")
-    _check_budget(budget)
+    check_budget(budget)
     if over == "finite":
         found = _search(c, None, True, budget)
         if found is None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget check."""
 
 
 class DatawordsError(Exception):
@@ -76,3 +76,10 @@ class PreconditionViolation(DatawordsError):
 
 class CertificateError(DatawordsError):
     """A decider's certificate failed its independent replay."""
+
+
+def check_budget(budget, name: str = "budget") -> None:
+    """Refuse a budget that is not an ``int`` of at least 1: no search can
+    spend it."""
+    if not isinstance(budget, int) or budget < 1:
+        raise PreconditionViolation(f"{name} {budget!r} is not an int of at least 1")

@@ -5,6 +5,15 @@ Strata are solved from the lowest rank up: inside a stratum an infinite play
 keeps that rank forever and is won by its parity, so a classic attractor
 computation for the other player (towards dead ends it wins and exits it has
 already won) settles every position.
+
+Solving is two passes.  ``winners`` runs those attractors once and keeps
+what they settle: each position's winner, the attractor round of every
+position won against its stratum's parity, and the move by which the
+opponent captured each such position it owns.  That is all acceptance asks
+for.  The certificates are extracted from that result for the callers that
+want them: ``solve`` adds the winner's positional strategy (the captures,
+and the parity winner's moves into its own region), and ``signature``
+reads player 1's signature assignment off the attractor rounds.
 """
 
 from __future__ import annotations
@@ -45,19 +54,23 @@ class PositionalStrategy:
 
 
 @dataclass
-class Solution:
-    win1: set
-    win2: set
-    strat1: PositionalStrategy
-    strat2: PositionalStrategy
-    signature: dict
+class Winners:
+    """What the stratum attractors settle.  ``winner`` maps every position
+    to the player who wins from it; ``level`` holds the attractor round of
+    each position won against its stratum's parity, and ``capture`` the
+    opponent's move at each of those positions that the opponent owns."""
+
+    winner: dict
+    level: dict
+    capture: dict
 
 
-def _solve(g: WeakGame) -> Solution:
-    solved: dict = {}
-    choice1: dict = {}
-    choice2: dict = {}
-    alpha: dict = {}
+def winners(g: WeakGame) -> Winners:
+    """The winner of every position, by one attractor per rank stratum."""
+    winner: dict = {}
+    level: dict = {}
+    capture: dict = {}
+    owner, succ = g.owner, g.succ
 
     by_rank: dict[int, list] = {}
     for p in g.positions:
@@ -65,25 +78,25 @@ def _solve(g: WeakGame) -> Solution:
 
     for r in sorted(by_rank):
         stratum = by_rank[r]
-        in_stratum = set(stratum)
         parity_winner = 1 if r % 2 == 0 else 2
         opponent = 3 - parity_winner
-        opp_choice = choice1 if opponent == 1 else choice2
 
-        # attractor of the opponent towards immediately-lost spots
-        level: dict = {}
+        # attractor of the opponent towards immediately-lost spots.  Ranks
+        # never increase along edges, so a successor is in the stratum
+        # exactly when it has no winner yet.
         pending: dict = {}  # parity-winner-owned: successors not yet captured
         frontier = []
         preds: dict = {p: [] for p in stratum}
         for p in stratum:
-            succs = g.successors(p)
-            if g.owner[p] == parity_winner:
+            succs = succ.get(p, ())
+            if owner[p] == parity_winner:
                 free = 0
                 for q in succs:
-                    if q in in_stratum:
+                    w = winner.get(q)
+                    if w is None:
                         preds[q].append(p)
                         free += 1
-                    elif solved[q] == parity_winner:
+                    elif w == parity_winner:
                         free += 1
                 if free == 0:
                     # dead end, or all exits lead to the opponent's region
@@ -94,11 +107,12 @@ def _solve(g: WeakGame) -> Solution:
             else:
                 captured = False
                 for q in succs:
-                    if q in in_stratum:
+                    w = winner.get(q)
+                    if w is None:
                         preds[q].append(p)
-                    elif solved[q] == opponent and not captured:
+                    elif w == opponent and not captured:
                         captured = True
-                        opp_choice[p] = q
+                        capture[p] = q
                 if captured:
                     level[p] = 0
                     frontier.append(p)
@@ -111,48 +125,56 @@ def _solve(g: WeakGame) -> Solution:
                 for p in preds[q]:
                     if p in level:
                         continue
-                    if g.owner[p] == opponent:
+                    left = pending.get(p)
+                    if left is None:  # the opponent's position
                         level[p] = round_no
-                        opp_choice[p] = q
+                        capture[p] = q
+                        nxt.append(p)
+                    elif left == 1:
+                        level[p] = round_no
                         nxt.append(p)
                     else:
-                        pending[p] -= 1
-                        if pending[p] == 0:
-                            level[p] = round_no
-                            nxt.append(p)
+                        pending[p] = left - 1
             frontier = nxt
 
-        pw_choice = choice1 if parity_winner == 1 else choice2
         for p in stratum:
-            if p in level:
-                solved[p] = opponent
-                if opponent == 1:
-                    alpha[p] = level[p]
-            else:
-                solved[p] = parity_winner
-                if parity_winner == 1:
-                    alpha[p] = 0
-                if g.owner[p] == parity_winner:
-                    for q in g.successors(p):
-                        if (q in in_stratum and q not in level) or \
-                           (q not in in_stratum and solved[q] == parity_winner):
-                            pw_choice[p] = q
-                            break
+            winner[p] = opponent if p in level else parity_winner
+    return Winners(winner, level, capture)
 
-    win1 = {p for p, w in solved.items() if w == 1}
-    win2 = {p for p, w in solved.items() if w == 2}
-    return Solution(win1, win2,
-                    PositionalStrategy(1, {p: q for p, q in choice1.items() if p in win1}),
-                    PositionalStrategy(2, {p: q for p, q in choice2.items() if p in win2}),
-                    {p: a for p, a in alpha.items() if p in win1})
+
+def _strategy(g: WeakGame, won: Winners, player: int) -> PositionalStrategy:
+    """A positional strategy winning from every position the player wins:
+    the capture where the player attracted the position, and at the
+    player's own positions of its stratum's parity the first successor
+    that the player also wins."""
+    winner = won.winner
+    choice: dict = {}
+    for p, w in winner.items():
+        if w != player:
+            continue
+        q = won.capture.get(p)
+        if q is not None:
+            choice[p] = q
+        elif g.owner[p] == player:
+            for q in g.succ.get(p, ()):
+                if winner[q] == player:
+                    choice[p] = q
+                    break
+    return PositionalStrategy(player, choice)
+
+
+def _signature(won: Winners) -> dict:
+    """Player 1's winning region, each position with its attractor round,
+    or 0 where player 1 wins by an even stratum's parity."""
+    level = won.level
+    return {p: level.get(p, 0) for p, w in won.winner.items() if w == 1}
 
 
 def solve(g: WeakGame, p) -> tuple[int, PositionalStrategy]:
     """Winner at p and a positional strategy winning from p for that player."""
-    sol = _solve(g)
-    if p in sol.win1:
-        return 1, sol.strat1
-    return 2, sol.strat2
+    won = winners(g)
+    w = won.winner[p]
+    return w, _strategy(g, won, w)
 
 
 def strategy_closure(g: WeakGame, p, s: PositionalStrategy) -> Optional[set]:
@@ -211,8 +233,7 @@ def check_strategy(g: WeakGame, p, s: PositionalStrategy) -> bool:
 def signature(g: WeakGame) -> dict:
     """A consistent signature assignment defined exactly on player 1's
     winning region; CertificateError if it fails check_signature."""
-    sol = _solve(g)
-    alpha = sol.signature
+    alpha = _signature(winners(g))
     ok, why = check_signature(g, alpha)
     if not ok:
         raise CertificateError(why)

@@ -15,8 +15,9 @@ from typing import Iterable, Optional
 
 from .errors import (
     ClassMismatch, ParseError, StateSpaceBudgetExceeded, UnsupportedClassCombination,
+    check_budget,
 )
-from .games import PositionalStrategy, WeakGame, solve, strategy_closure
+from .games import PositionalStrategy, WeakGame, solve, strategy_closure, winners
 from .graph import cyclic, sccs
 from .words import Alphabet, DataWord, parse_alphabet, parse_header_count, parse_lines
 
@@ -243,8 +244,12 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
 
     States are (position, location, valuation); only states reachable from
     the initial one are materialized.  States with a unique successor are
-    given to player 1 (the owner there is irrelevant).
+    given to player 1 (the owner there is irrelevant).  More than
+    ``max_states`` states raise ``StateSpaceBudgetExceeded``; a
+    ``max_states`` that is not an int of at least 1 raises
+    ``PreconditionViolation``.
     """
+    check_budget(max_states, "max_states")
     init = (0, a.initial, (None,) * a.n_registers)
     owner: dict = {}
     succ: dict = {}
@@ -299,9 +304,14 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
 
 
 def accepts(a: RegisterAutomaton, w: DataWord, max_states: int = 200_000) -> bool:
+    """Whether the automaton accepts the word, that is, whether player 1
+    wins its acceptance game from the initial state.  Only the winners are
+    computed, no strategy or signature.  ``max_states`` bounds the
+    (position, location, valuation) states the game reaches: more raise
+    ``StateSpaceBudgetExceeded``, and a bound that is not an int of at
+    least 1 raises ``PreconditionViolation``."""
     game, init = acceptance_game(a, w, max_states)
-    winner, _ = solve(game, init)
-    return winner == 1
+    return winners(game).winner[init] == 1
 
 
 def accepting_strategy(a: RegisterAutomaton, w: DataWord,

@@ -2,15 +2,16 @@ import itertools
 import random
 
 from datawords.games import (
-    PositionalStrategy, WeakGame, _solve, check_signature, check_strategy, game_to_dot,
-    signature, solve, strategy_closure,
+    PositionalStrategy, WeakGame, check_signature, check_strategy, game_to_dot,
+    signature, solve, strategy_closure, winners,
 )
 
 
 def winning_regions(g: WeakGame) -> tuple[set, set]:
-    """The positions each player wins, from one solve of the whole game."""
-    sol = _solve(g)
-    return sol.win1, sol.win2
+    """The positions each player wins, from one winner pass over the game."""
+    winner = winners(g).winner
+    return ({p for p, w in winner.items() if w == 1},
+            {p for p, w in winner.items() if w == 2})
 
 
 def game(owner, succ, rank):
@@ -89,8 +90,10 @@ def test_determinacy_and_agreement_on_random_games():
         assert set(alpha) == win1
         ok, why = check_signature(g, alpha)
         assert ok, why
+        won = winners(g).winner
         for p in g.positions:
             winner, strat = solve(g, p)
+            assert won[p] == winner
             assert (winner == 1) == (p in win1)
             assert check_strategy(g, p, strat), (g, p)
 

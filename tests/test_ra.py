@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import matching_ra
-from datawords.errors import ClassMismatch, StateSpaceBudgetExceeded
+from datawords import games
+from datawords.errors import ClassMismatch, PreconditionViolation, StateSpaceBudgetExceeded
+from datawords.games import check_strategy
 from datawords.graph import sccs
 from datawords.ltl import eval_ltl
 from datawords.ltl2ra import ltl_to_ara
@@ -131,6 +133,29 @@ def test_acceptance_game_shapes(mra, sigma_word):
 def test_budget_guard(mra, sigma_word):
     with pytest.raises(StateSpaceBudgetExceeded):
         accepts(mra, sigma_word, max_states=3)
+
+
+@pytest.mark.parametrize("bad", [0, -3, "5", 2.5, None])
+def test_max_states_must_be_a_positive_int(mra, sigma_word, bad):
+    for decide in (acceptance_game, accepts, accepting_strategy):
+        with pytest.raises(PreconditionViolation, match="max_states .* is not an int"):
+            decide(mra, sigma_word, max_states=bad)
+    assert accepts(mra, make_data_word("ab", [{0, 1}]), max_states=1000) is True
+
+
+def test_accepts_builds_no_certificate(mra, sigma_word, phi, monkeypatch):
+    """Acceptance asks the game for the winner at its initial state alone:
+    no positional strategy and no signature are extracted."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate was built")
+
+    monkeypatch.setattr(games, "PositionalStrategy", refuse)
+    monkeypatch.setattr(games, "_signature", refuse, raising=False)
+    for a in (ltl_to_ara(phi, AB), mra, dual(mra)):
+        for w in [sigma_word] + all_words():
+            accepts(a, w)
+    with pytest.raises(AssertionError, match="a certificate was built"):
+        accepting_strategy(mra, sigma_word)
 
 
 def test_pathfinder_strategy_matches_fig4(mra, sigma_word):
@@ -380,3 +405,31 @@ def test_validation_message_a_file_cannot_reach():
     # parse_ra gives every location line a transition formula
     a = RegisterAutomaton(alphabet("a"), ("q0",), "q0", 1, {}, {"q0": 0}, {"q0": 0})
     assert validate(a) == ["no transition formula at 'q0'"]
+
+
+def test_accepting_strategies_check_on_random_automata():
+    """The winner's strategy, extracted from the winner pass, wins from the
+    initial state: on translated sentences, their duals and random two-way
+    automata with a register, against every word of length up to 3."""
+    rng = random.Random(30)
+    automata = []
+    while len(automata) < 24:
+        n = rng.randint(2, 9)
+        delta = random_transitions(rng, n)
+        try:
+            rank, height = assign_annotations(range(n), delta)
+        except ValueError:  # a non-moving cycle
+            continue
+        automata.append(RegisterAutomaton(AB, tuple(range(n)), 0, 1, delta, rank, height))
+        translated = ltl_to_ara(_random_xu_sentence(rng, rng.randint(2, 10)), AB)
+        automata += [translated, dual(translated)]
+    players = set()
+    for a in automata:
+        for w in all_words():
+            winner, strat, visited = accepting_strategy(a, w)
+            game, init = acceptance_game(a, w)
+            assert strat.player == winner and winner == (1 if accepts(a, w) else 2)
+            assert check_strategy(game, init, strat), (format_ra(a), w)
+            assert visited <= set(game.positions)
+            players.add(winner)
+    assert players == {1, 2}
