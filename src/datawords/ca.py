@@ -58,7 +58,7 @@ from operator import le
 from typing import Optional, Sequence
 
 from .errors import CertificateError, ParseError, PreconditionViolation, check_budget
-from .graph import adjacency, sccs
+from .graph import adjacency, sccs, to_dot
 from .words import Alphabet, parse_alphabet, parse_header_count, parse_lines
 
 
@@ -901,12 +901,7 @@ def ca_to_dot(c: CounterAutomaton, name: str = "ca") -> str:
     """Graphviz text of the machine, each node labelled by its location:
     machines compiled by ``ra2ca`` are located at 0..n-1, so their nodes
     are labelled by those integers."""
-    names = {q: f"n{k}" for k, q in enumerate(c.locations)}
-    lines = [f"digraph {name} {{"]
-    for q in c.locations:
-        shape = "doublecircle" if q in c.accepting else "circle"
-        lines.append(f'  {names[q]} [shape={shape} label="{q}"];')
-    for q, w, op, ctr, q2 in c.transitions:
-        lines.append(f'  {names[q]} -> {names[q2]} [label="{w or "eps"},{op},{ctr}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    nodes = {q: {"shape": "doublecircle" if q in c.accepting else "circle", "label": q}
+             for q in c.locations}
+    return to_dot(name, nodes, ((q, q2, {"label": f"{w or 'eps'},{op},{ctr}"})
+                                for q, w, op, ctr, q2 in c.transitions))

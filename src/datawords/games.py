@@ -6,6 +6,11 @@ keeps that rank forever and is won by its parity, so a classic attractor
 computation for the other player (towards dead ends it wins and exits it has
 already won) settles every position.
 
+Weakness is checked where it is relied on, not when a game is built: the
+winner pass (so ``solve``, ``signature``, ``ra.accepts``) raises
+``ValueError("rank increases along p -> q")`` at an edge to a higher rank,
+and ``check_strategy`` raises ``ValueError`` on a cycle with two ranks.
+
 Solving is two passes.  ``winners`` runs those attractors once and keeps
 what they settle: each position's winner, the attractor round of every
 position won against its stratum's parity, and the move by which the
@@ -21,24 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .errors import CertificateError
-from .graph import cyclic, sccs
+from .errors import CertificateError, PreconditionViolation
+from .graph import cyclic, sccs, to_dot
 
 Position = Hashable
 
 
 @dataclass
 class WeakGame:
+    """Owner (1 or 2), successors and rank of each position.  Building one
+    checks no edge; the passes that rely on weakness do (module docstring)."""
+
     positions: list
     owner: dict
     succ: dict
     rank: dict
-
-    def __post_init__(self):
-        for p in self.positions:
-            for q in self.succ.get(p, ()):
-                if self.rank[q] > self.rank[p]:
-                    raise ValueError(f"rank increases along {p!r} -> {q!r}")
 
     def successors(self, p) -> tuple:
         return tuple(self.succ.get(p, ()))
@@ -81,41 +83,46 @@ def winners(g: WeakGame) -> Winners:
         parity_winner = 1 if r % 2 == 0 else 2
         opponent = 3 - parity_winner
 
-        # attractor of the opponent towards immediately-lost spots.  Ranks
-        # never increase along edges, so a successor is in the stratum
-        # exactly when it has no winner yet.
+        # attractor of the opponent towards immediately-lost spots.  The
+        # lower strata are settled, so a successor with no winner yet is in
+        # this stratum, or of a higher rank: preds has no entry for it then.
         pending: dict = {}  # parity-winner-owned: successors not yet captured
         frontier = []
         preds: dict = {p: [] for p in stratum}
-        for p in stratum:
-            succs = succ.get(p, ())
-            if owner[p] == parity_winner:
-                free = 0
-                for q in succs:
-                    w = winner.get(q)
-                    if w is None:
-                        preds[q].append(p)
-                        free += 1
-                    elif w == parity_winner:
-                        free += 1
-                if free == 0:
-                    # dead end, or all exits lead to the opponent's region
-                    level[p] = 0
-                    frontier.append(p)
+        try:
+            for p in stratum:
+                succs = succ.get(p, ())
+                if owner[p] == parity_winner:
+                    free = 0
+                    for q in succs:
+                        w = winner.get(q)
+                        if w is None:
+                            preds[q].append(p)
+                            free += 1
+                        elif w == parity_winner:
+                            free += 1
+                    if free == 0:
+                        # dead end, or all exits lead to the opponent's region
+                        level[p] = 0
+                        frontier.append(p)
+                    else:
+                        pending[p] = free
                 else:
-                    pending[p] = free
-            else:
-                captured = False
-                for q in succs:
-                    w = winner.get(q)
-                    if w is None:
-                        preds[q].append(p)
-                    elif w == opponent and not captured:
-                        captured = True
-                        capture[p] = q
-                if captured:
-                    level[p] = 0
-                    frontier.append(p)
+                    captured = False
+                    for q in succs:
+                        w = winner.get(q)
+                        if w is None:
+                            preds[q].append(p)
+                        elif w == opponent and not captured:
+                            captured = True
+                            capture[p] = q
+                    if captured:
+                        level[p] = 0
+                        frontier.append(p)
+        except KeyError as e:  # p has no owner, q no rank, or q a higher rank
+            if e.args[0] in preds or e.args[0] not in g.rank:
+                raise
+            raise ValueError(f"rank increases along {p!r} -> {e.args[0]!r}") from None
 
         round_no = 0
         while frontier:
@@ -173,13 +180,17 @@ def _signature(won: Winners) -> dict:
 def solve(g: WeakGame, p) -> tuple[int, PositionalStrategy]:
     """Winner at p and a positional strategy winning from p for that player."""
     won = winners(g)
-    w = won.winner[p]
+    w = won.winner.get(p)
+    if w is None:
+        raise PreconditionViolation(f"{p!r} is not a position of the game")
     return w, _strategy(g, won, w)
 
 
 def strategy_closure(g: WeakGame, p, s: PositionalStrategy) -> Optional[set]:
     """Positions reachable when s's owner follows s and the other player
     plays arbitrarily; None if s is undefined somewhere it must choose."""
+    if p not in g.owner:
+        raise PreconditionViolation(f"{p!r} is not a position of the game")
     seen = set()
     stack = [p]
     while stack:
@@ -203,9 +214,9 @@ def strategy_closure(g: WeakGame, p, s: PositionalStrategy) -> Optional[set]:
 def check_strategy(g: WeakGame, p, s: PositionalStrategy) -> bool:
     """Whether every complete play following s from p is winning for s.player.
 
-    Rank monotonicity makes every cycle rank-constant, so infinite plays are
-    exactly the cycles of the restricted graph and their verdict is the
-    parity of the cycle's rank.
+    An infinite play ends in a cyclic component of the restricted graph,
+    and its verdict is the parity of that component's rank: a component
+    with two ranks, which a weak game has not, raises ``ValueError``.
     """
     reach = strategy_closure(g, p, s)
     if reach is None:
@@ -225,8 +236,12 @@ def check_strategy(g: WeakGame, p, s: PositionalStrategy) -> bool:
         else:
             edges[q] = tuple(x for x in succs if x in reach)
     for scc in sccs(reach, edges):
-        if cyclic(scc, edges) and g.rank[next(iter(scc))] % 2 != want_parity:
-            return False
+        if cyclic(scc, edges):
+            ranks = {g.rank[q] for q in scc}
+            if len(ranks) > 1:
+                raise ValueError(f"ranks {sorted(ranks)} on one cycle of the game")
+            if ranks.pop() % 2 != want_parity:
+                return False
     return True
 
 
@@ -269,14 +284,6 @@ def check_signature(g: WeakGame, alpha: dict) -> tuple[bool, str]:
 
 def game_to_dot(g: WeakGame, name: str = "weakgame") -> str:
     """DOT export; player-1 positions are boxes, player-2 positions ovals."""
-    lines = [f"digraph {name} {{"]
-    ids = {p: f"n{k}" for k, p in enumerate(g.positions)}
-    for p in g.positions:
-        shape = "box" if g.owner[p] == 1 else "ellipse"
-        label = str(p).replace('"', "'")
-        lines.append(f'  {ids[p]} [shape={shape} label="{label}\\nrank {g.rank[p]}"];')
-    for p in g.positions:
-        for q in g.successors(p):
-            lines.append(f"  {ids[p]} -> {ids[q]};")
-    lines.append("}")
-    return "\n".join(lines)
+    nodes = {p: {"shape": "box" if g.owner[p] == 1 else "ellipse",
+                 "label": f"{p}\nrank {g.rank[p]}"} for p in g.positions}
+    return to_dot(name, nodes, ((p, q, {}) for p in g.positions for q in g.successors(p)))

@@ -2,6 +2,7 @@
 successors of ``x``, and ``succ`` is a dict, or a list over nodes 0..n-1.
 Weak ranks, Büchi cycles and the cuts of ``ra2ca`` all come down to
 strongly connected components and reachability.  Nothing here recurses.
+Every DOT export of the package is written by ``to_dot``.
 """
 
 from __future__ import annotations
@@ -80,3 +81,21 @@ def adjacency(pairs: Iterable) -> dict:
     for x, y in pairs:
         succ.setdefault(x, []).append(y)
     return succ
+
+
+def to_dot(name: str, nodes: dict, edges: Iterable) -> str:
+    """Graphviz text of a digraph.  ``nodes`` maps each node to its
+    attributes, written as node ``n<k>`` in the map's order; ``edges``
+    yields ``(x, y, attributes)``.  Attribute values are quoted once, with
+    ``\\`` and ``"`` escaped and each line break written as ``\\n``."""
+    escapes = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+    def attrs(a: dict) -> str:
+        return " [" + " ".join(f'{k}="{str(v).translate(escapes)}"'
+                               for k, v in a.items()) + "]" if a else ""
+
+    ids = {x: f"n{k}" for k, x in enumerate(nodes)}
+    lines = [f"digraph {name} {{"]
+    lines += [f"  {ids[x]}{attrs(a)};" for x, a in nodes.items()]
+    lines += [f"  {ids[x]} -> {ids[y]}{attrs(a)};" for x, y, a in edges]
+    return "\n".join(lines) + "\n}"

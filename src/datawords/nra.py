@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .ca import EMPTY, Verdict
 from .errors import CertificateError, ClassMismatch
-from .graph import cyclic, sccs
+from .graph import cyclic, sccs, to_dot
 from .ra import (
     BBeg, BEnd, BLetter, BUp, RegisterAutomaton, TAnd, TBottom, TMove, TOr,
     TStore, TTest, TTop, accepts, classify_ra,
@@ -201,23 +201,17 @@ def nonempty_finite(a: RegisterAutomaton) -> Verdict:
 
 def abstract_graph_to_dot(a: RegisterAutomaton, name: str = "abstract") -> str:
     """DOT export of the reachable abstract-state graph; winning states are
-    doubly circled, initial ones marked with an arrowhead rank."""
+    doubly circled, initial ones drawn bold."""
     _check_1nra(a)
     succs, _parent = _explore(a)
-    index = {h: k for k, h in enumerate(succs)}
     initial = set(initial_abstract_states(a))
-    lines = [f"digraph {name} {{"]
+    nodes = {}
     for h in succs:
-        shape = "doublecircle" if is_winning(a, h) else "circle"
         reg = ",".join(str(r) for r in sorted(h.current)) or "-"
-        label = f"{h.letter}{'$' if h.at_end else ''} {h.location} [{reg}]"
-        style = ' style=bold' if h in initial else ""
-        lines.append(f'  n{index[h]} [shape={shape}{style} label="{label}"];')
-    for h, out in succs.items():
-        for h2, _dec in out:
-            lines.append(f"  n{index[h]} -> n{index[h2]};")
-    lines.append("}")
-    return "\n".join(lines)
+        nodes[h] = {"shape": "doublecircle" if is_winning(a, h) else "circle",
+                    "style": "bold" if h in initial else "solid",
+                    "label": f"{h.letter}{'$' if h.at_end else ''} {h.location} [{reg}]"}
+    return to_dot(name, nodes, ((h, h2, {}) for h, out in succs.items() for h2, _ in out))
 
 
 def nonempty_infinite(a: RegisterAutomaton) -> Verdict:

@@ -18,7 +18,7 @@ from .errors import (
     check_budget,
 )
 from .games import PositionalStrategy, WeakGame, solve, strategy_closure, winners
-from .graph import cyclic, sccs
+from .graph import cyclic, sccs, to_dot
 from .words import Alphabet, DataWord, parse_alphabet, parse_header_count, parse_lines
 
 
@@ -244,7 +244,9 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
 
     States are (position, location, valuation); only states reachable from
     the initial one are materialized.  States with a unique successor are
-    given to player 1 (the owner there is irrelevant).  More than
+    given to player 1 (the owner there is irrelevant).  Each edge follows a
+    transition, so the game is weak when ``validate`` passes the automaton;
+    nothing here checks it (see ``accepts``).  More than
     ``max_states`` states raise ``StateSpaceBudgetExceeded``; a
     ``max_states`` that is not an int of at least 1 raises
     ``PreconditionViolation``.
@@ -306,7 +308,8 @@ def acceptance_game(a: RegisterAutomaton, w: DataWord,
 def accepts(a: RegisterAutomaton, w: DataWord, max_states: int = 200_000) -> bool:
     """Whether the automaton accepts the word, that is, whether player 1
     wins its acceptance game from the initial state.  Only the winners are
-    computed, no strategy or signature.  ``max_states`` bounds the
+    computed, no strategy or signature; that pass raises ``ValueError`` at
+    a reachable transition whose rank increases.  ``max_states`` bounds the
     (position, location, valuation) states the game reaches: more raise
     ``StateSpaceBudgetExceeded``, and a bound that is not an int of at
     least 1 raises ``PreconditionViolation``."""
@@ -543,67 +546,48 @@ def parse_ra(text: str) -> RegisterAutomaton:
     return RegisterAutomaton(sigma, tuple(order), initial, n_reg, delta, rank, height)
 
 
+def _format_tf(tf, names: dict) -> str:
+    """A transition formula as ``format_ra`` writes it, targets by name."""
+    t = type(tf)
+    if t is TTest:
+        g = tf.guard
+        gs = {BBeg: "beg", BEnd: "end"}.get(type(g))
+        if gs is None:
+            gs = f"up{g.register}" if isinstance(g, BUp) else g.letter
+        return f"if {gs} then {names[tf.then]} else {names[tf.other]}"
+    if t is TStore:
+        return f"store{tf.register} {names[tf.target]}"
+    if t is TAnd:
+        return f"and {names[tf.left]} {names[tf.right]}"
+    if t is TOr:
+        return f"or {names[tf.left]} {names[tf.right]}"
+    if t is TTop:
+        return "true"
+    if t is TBottom:
+        return "false"
+    base = "X" if tf.forward else "Xp"
+    return f"{'w' if tf.weak else ''}{base} {names[tf.target]}"
+
+
 def format_ra(a: RegisterAutomaton) -> str:
     names = {q: q if isinstance(q, str) else f"q{k}" for k, q in enumerate(a.locations)}
-
-    def fmt_tf(tf):
-        t = type(tf)
-        if t is TTest:
-            g = tf.guard
-            gs = {BBeg: "beg", BEnd: "end"}.get(type(g))
-            if gs is None:
-                gs = f"up{g.register}" if isinstance(g, BUp) else g.letter
-            return f"if {gs} then {names[tf.then]} else {names[tf.other]}"
-        if t is TStore:
-            return f"store{tf.register} {names[tf.target]}"
-        if t is TAnd:
-            return f"and {names[tf.left]} {names[tf.right]}"
-        if t is TOr:
-            return f"or {names[tf.left]} {names[tf.right]}"
-        if t is TTop:
-            return "true"
-        if t is TBottom:
-            return "false"
-        base = "X" if tf.forward else "Xp"
-        return f"{'w' if tf.weak else ''}{base} {names[tf.target]}"
-
     lines = [f"alphabet: {' '.join(a.alphabet.letters)}",
              f"registers: {a.n_registers}",
              f"init: {names[a.initial]}"]
     for q in a.locations:
-        lines.append(f"{names[q]} rank={a.rank[q]} height={a.height[q]} : {fmt_tf(a.delta[q])}")
+        lines.append(f"{names[q]} rank={a.rank[q]} height={a.height[q]} : "
+                     f"{_format_tf(a.delta[q], names)}")
     return "\n".join(lines) + "\n"
 
 
 def ra_to_dot(a: RegisterAutomaton, name: str = "ra") -> str:
-    names = {q: f"n{k}" for k, q in enumerate(a.locations)}
-    label = {
-        TTop: "T", TBottom: "F", TAnd: "&", TOr: "|",
-    }
-    lines = [f"digraph {name} {{"]
-    for q in a.locations:
-        tf = a.delta[q]
-        t = type(tf)
-        if t is TTest:
-            g = tf.guard
-            txt = {BBeg: "beg?", BEnd: "end?"}.get(type(g))
-            if txt is None:
-                txt = f"up{g.register}?" if isinstance(g, BUp) else f"{g.letter}?"
-        elif t is TStore:
-            txt = f"store{tf.register}"
-        elif t is TMove:
-            txt = ("w" if tf.weak else "") + ("X" if tf.forward else "Xp")
-        else:
-            txt = label[t]
-        shape = "doublecircle" if q == a.initial else "circle"
-        lines.append(f'  {names[q]} [shape={shape} label="{q}\\n{txt}"];')
-    for q in a.locations:
-        tf = a.delta[q]
-        if isinstance(tf, TTest):
-            lines.append(f'  {names[q]} -> {names[tf.then]} [label="y"];')
-            lines.append(f'  {names[q]} -> {names[tf.other]} [label="n"];')
-        else:
-            for t in tf_targets(tf):
-                lines.append(f"  {names[q]} -> {names[t]};")
-    lines.append("}")
-    return "\n".join(lines)
+    """Graphviz text of the automaton: each location is labelled by its
+    name and its transition formula as ``format_ra`` writes them, and a
+    test's edges by ``y`` and ``n``."""
+    names = {q: q if isinstance(q, str) else f"q{k}" for k, q in enumerate(a.locations)}
+    nodes = {q: {"shape": "doublecircle" if q == a.initial else "circle",
+                 "label": f"{names[q]}\n{_format_tf(a.delta[q], names)}"}
+             for q in a.locations}
+    edges = [(q, t, {"label": "yn"[k]} if type(a.delta[q]) is TTest else {})
+             for q in a.locations for k, t in enumerate(tf_targets(a.delta[q]))]
+    return to_dot(name, nodes, edges)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -551,6 +552,41 @@ rej rank=0 height=0 : false
     f.write_text(text)
     code, out, _ = run(capsys, "export-dot", "--ra", str(f), "--abstract")
     assert code == 0 and out.startswith("digraph")
+
+
+DOT_ATTRS = r'(?: \[\w+="(?:[^"\\\n]|\\.)*"(?: \w+="(?:[^"\\\n]|\\.)*")*\])?'
+DOT_LINE = re.compile(rf"  n\d+(?: -> n\d+)?{DOT_ATTRS};")
+
+
+def dot_labels(text: str) -> list[str]:
+    """The labels of a DOT graph, unescaped, once every line of it is a
+    quoted node or edge statement."""
+    head, *body, tail = text.rstrip("\n").split("\n")
+    assert re.fullmatch(r"digraph \w+ \{", head) and tail == "}", text
+    for line in body:
+        assert DOT_LINE.fullmatch(line), line
+    return [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], label)
+            for label in re.findall(r'label="((?:[^"\\]|\\.)*)"', text)]
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    name = 'q"0\\'
+    ra_file, ca_file = tmp_path / "q.ra", tmp_path / "q.ca"
+    ra_file.write_text(f"""alphabet: a b
+registers: 1
+init: {name}
+{name} rank=1 height=1 : store1 m
+m rank=1 height=0 : X {name}
+""")
+    ca_file.write_text(f"alphabet: a\ncounters: 1\ninit: {name}\naccepting: {name}\n"
+                       f"{name} a inc 1 {name}\n")
+    exports = {("--ra", str(ra_file)): f"{name}\nstore1 m",
+               ("--ra", str(ra_file), "--abstract"): f"a {name} [-]",
+               ("--ra", str(ra_file), "--word", "a b ; 0 | 1"): f"(0, {name!r}, (None,))\nrank 1",
+               ("--ca", str(ca_file)): name}
+    for argv, label in exports.items():
+        code, out, _ = run(capsys, "export-dot", *argv)
+        assert code == 0 and label in dot_labels(out), (argv, out)
 
 
 MISSING_TARGET_RA = """alphabet: a b

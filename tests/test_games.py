@@ -1,10 +1,20 @@
 import itertools
 import random
 
+import pytest
+
+from datawords.errors import PreconditionViolation
 from datawords.games import (
     PositionalStrategy, WeakGame, check_signature, check_strategy, game_to_dot,
     signature, solve, strategy_closure, winners,
 )
+
+
+def rank_increases(g: WeakGame) -> list:
+    """The edges along which the rank increases, by one comparison per edge:
+    the reference for the weakness that the winner pass checks as it goes.
+    Building a game ran this check on every edge before."""
+    return [(p, q) for p in g.positions for q in g.succ.get(p, ()) if g.rank[q] > g.rank[p]]
 
 
 def winning_regions(g: WeakGame) -> tuple[set, set]:
@@ -138,3 +148,61 @@ def test_check_signature_rejections():
     # equal keys do only at an even rank, and r's rank is odd
     assert check_signature(g, {"r": 0, "s": 0}) == \
         (False, "signature increases along 'r' -> 's'")
+
+
+def test_a_rank_increase_is_refused_by_every_pass_that_solves():
+    # p at rank 0 moves to q at rank 1, whichever player owns p
+    for owner in (1, 2):
+        g = game({"p": owner, "q": 2}, {"p": ["q"], "q": []}, {"p": 0, "q": 1})
+        assert rank_increases(g) == [("p", "q")]
+        for solver in (winners, signature, lambda g: solve(g, "p")):
+            with pytest.raises(ValueError, match="rank increases along 'p' -> 'q'"):
+                solver(g)
+
+
+def test_the_winner_pass_refuses_exactly_the_games_the_reference_refuses():
+    rng = random.Random(32)
+    refused = 0
+    for _ in range(300):
+        n = 6
+        ranks = {i: rng.randint(0, 3) for i in range(n)}
+        owner = {i: rng.choice([1, 2]) for i in range(n)}
+        succ = {i: rng.sample(range(n), rng.randint(0, 3)) for i in range(n)}
+        g = game(owner, succ, ranks)
+        bad = rank_increases(g)
+        if not bad:
+            winners(g)
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match="rank increases along") as e:
+            winners(g)
+        assert any(str(e.value) == f"rank increases along {p!r} -> {q!r}" for p, q in bad)
+    assert 100 < refused < 300
+
+
+def test_the_winner_pass_keeps_a_missing_owner_or_rank_a_key_error():
+    g = WeakGame(["p", "q"], {"q": 1}, {"p": ["q"], "q": []}, {"p": 0, "q": 0})
+    with pytest.raises(KeyError, match="'p'"):
+        winners(g)
+    g = WeakGame(["p"], {"p": 1}, {"p": ["ghost"]}, {"p": 0})
+    with pytest.raises(KeyError, match="'ghost'"):
+        winners(g)
+
+
+def test_check_strategy_refuses_a_cycle_with_two_ranks():
+    g = game({"p": 1, "q": 2}, {"p": ["q"], "q": ["p"]}, {"p": 0, "q": 1})
+    for s in (PositionalStrategy(1, {"p": "q"}), PositionalStrategy(2, {"q": "p"})):
+        with pytest.raises(ValueError, match=r"ranks \[0, 1\] on one cycle of the game"):
+            check_strategy(g, "p", s)
+    # a rank increase on no cycle leaves the verdict to the cycles' parity
+    g = game({"p": 1, "q": 1}, {"p": ["q"], "q": ["q"]}, {"p": 1, "q": 2})
+    assert check_strategy(g, "p", PositionalStrategy(1, {"p": "q", "q": "q"}))
+
+
+def test_a_position_outside_the_game_is_named():
+    g = game({"p": 1}, {"p": ["p"]}, {"p": 0})
+    s = PositionalStrategy(1, {"p": "p"})
+    for call in (lambda: solve(g, "x"), lambda: strategy_closure(g, "x", s),
+                 lambda: check_strategy(g, "x", s)):
+        with pytest.raises(PreconditionViolation, match="'x' is not a position of the game"):
+            call()

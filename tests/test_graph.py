@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from datawords.graph import adjacency, cyclic, reach, sccs
+from datawords.graph import adjacency, cyclic, reach, sccs, to_dot
 
 
 def closure(n, edges):
@@ -75,3 +75,16 @@ def test_long_chain_and_ring_take_no_recursion():
     assert len(comp) == n and cyclic(comp, ring)
     assert reach(dict(enumerate(chain)), [0]) == set(range(n))
     assert reach(dict(enumerate(ring)), [n // 2]) == set(range(n))
+
+
+def test_to_dot_quotes_every_value_once():
+    nodes = {("x",): {"shape": "box", "label": 'a"b\\c\nd'}, 7: {}}
+    edges = [(("x",), 7, {}), (7, 7, {"label": "y"})]
+    assert to_dot("g", nodes, edges) == "\n".join([
+        "digraph g {",
+        '  n0 [shape="box" label="a\\"b\\\\c\\nd"];',
+        "  n1;",
+        "  n0 -> n1;",
+        '  n1 -> n1 [label="y"];',
+        "}",
+    ])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from datawords.corpus import matching_ra
-from datawords import games
+from datawords import games, ra
 from datawords.errors import ClassMismatch, PreconditionViolation, StateSpaceBudgetExceeded
 from datawords.games import check_strategy
 from datawords.graph import sccs
@@ -20,6 +20,7 @@ from datawords.ra import (
 from datawords.words import alphabet, enumerate_data_words, make_data_word
 
 from test_acceptance import _random_xu_sentence
+from test_games import rank_increases
 
 AB = alphabet("a", "b")
 
@@ -156,6 +157,46 @@ def test_accepts_builds_no_certificate(mra, sigma_word, phi, monkeypatch):
             accepts(a, w)
     with pytest.raises(AssertionError, match="a certificate was built"):
         accepting_strategy(mra, sigma_word)
+
+
+def test_accepts_reads_each_rank_once(mra, phi, monkeypatch):
+    """The winner pass reads the rank of each position once, to put it in
+    its stratum, and nothing reads a rank per edge."""
+    class Ranks(dict):
+        def __getitem__(self, p):
+            reads[p] = reads.get(p, 0) + 1
+            return dict.__getitem__(self, p)
+
+        def get(self, p, default=None):
+            reads[p] = reads.get(p, 0) + 1
+            return dict.get(self, p, default)
+
+    def counting_game(positions, owner, succ, rank):
+        built.append(positions)
+        return games.WeakGame(positions, owner, succ, Ranks(rank))
+
+    monkeypatch.setattr(ra, "WeakGame", counting_game)
+    for a in (ltl_to_ara(phi, AB), mra, dual(mra)):
+        for w in all_words():
+            built, reads = [], {}
+            accepts(a, w)
+            assert reads == dict.fromkeys(built[0], 1)
+
+
+def test_accepts_refuses_a_reachable_rank_increase():
+    # q0 stores and steps up from rank 0 to q1 at rank 1
+    delta = {"q0": TStore(1, "q1"), "q1": TTop()}
+    a = RegisterAutomaton(AB, ("q0", "q1"), "q0", 1, delta, {"q0": 0, "q1": 1},
+                          {"q0": 1, "q1": 0})
+    assert validate(a) == ["rank increases along 'q0' -> 'q1'"]
+    w = make_data_word("a", [{0}])
+    with pytest.raises(ValueError, match=r"rank increases along \(0, 'q0', \(None,\)\) -> "
+                                         r"\(0, 'q1', \(0,\)\)"):
+        accepts(a, w)
+    # an increase that the game does not reach is not met
+    b = RegisterAutomaton(AB, ("q0", "q1"), "q1", 1, delta, {"q0": 0, "q1": 1},
+                          {"q0": 1, "q1": 0})
+    assert accepts(b, w)
 
 
 def test_pathfinder_strategy_matches_fig4(mra, sigma_word):
@@ -433,3 +474,52 @@ def test_accepting_strategies_check_on_random_automata():
             assert visited <= set(game.positions)
             players.add(winner)
     assert players == {1, 2}
+
+
+def random_1nra(rng, n, n_reg):
+    """A random one-way nondeterministic automaton over locations 0..n-1
+    with n_reg registers, or None when a cycle of it does not move."""
+    def tf():
+        q, r, reg = rng.randrange(n), rng.randrange(n), rng.randint(1, n_reg)
+        kind = rng.randrange(6)
+        if kind == 0:
+            return TTest(rng.choice([BLetter("a"), BEnd(), BUp(reg)]), q, r)
+        if kind == 1:
+            return TStore(reg, q)
+        if kind == 2:
+            return TOr(q, r)
+        if kind == 3:
+            return rng.choice([TTop(), TBottom()])
+        return TMove(True, kind == 4, q)
+
+    delta = {q: tf() for q in range(n)}
+    try:
+        rank, height = assign_annotations(range(n), delta)
+    except ValueError:
+        return None
+    return RegisterAutomaton(AB, tuple(range(n)), 0, n_reg, delta, rank, height)
+
+
+def test_acceptance_games_of_random_automata_are_weak():
+    """No edge of an acceptance game raises the rank, by the per-edge
+    reference check, on translated sentences, duals, products, unions and
+    intersections with one to three registers, against every word of
+    length up to 3.  Only the winner pass checks this on the way."""
+    rng = random.Random(32)
+    nras = []
+    while len(nras) < 12:
+        a = random_1nra(rng, rng.randint(3, 8), 1 + len(nras) % 2)
+        if a is not None and classify_ra(a).nondeterministic:
+            nras.append(a)
+    automata = []
+    for k in range(12):
+        translated = ltl_to_ara(_random_xu_sentence(rng, rng.randint(4, 14)), AB)
+        x, y = nras[k], nras[k - 1]
+        automata += [translated, dual(translated), product_1nra(x, y),
+                     union(x, translated), intersect(x, y), intersect(dual(translated), y)]
+    assert {1, 2, 3} <= {a.n_registers for a in automata}
+    for a in automata:
+        assert validate(a) == [], format_ra(a)
+        for w in all_words():
+            game, _ = acceptance_game(a, w)
+            assert rank_increases(game) == [], (format_ra(a), w)
